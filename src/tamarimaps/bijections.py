@@ -28,7 +28,7 @@ from .tamari import (
     decompose_interval,
     sync_to_canopy,
 )
-from .trees import DecoratedTree
+from .trees import CLOSE, OPEN, DecoratedTree
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +43,7 @@ def map_to_tree(M: PlanarMap) -> DecoratedTree:
     becomes a leaf labeled with that vertex's depth (the tail of the root
     has depth -1).  The root edge is then deleted; the tree is rooted at the
     head of the root.  Siblings visited first end up last in traversal
-    order, so children are prepended.
+    order, so each vertex's children are reversed once it is done.
 
     >>> from tamarimaps.maps import double_edge_map
     >>> map_to_tree(double_edge_map()).to_text()
@@ -52,26 +52,38 @@ def map_to_tree(M: PlanarMap) -> DecoratedTree:
     if not M.is_non_separable():
         raise ValueError("the exploration needs a non-separable map")
     sigma = M.sigma
-    depth = {M.vertex_of(M.root): -1}
+    depth = [None] * M.vertex_count
+    depth[M.vertex_of(M.root)] = -1
     explored = [False] * M.edge_count
     explored[M.root >> 1] = True
 
-    def explore(arrival, p):
-        depth[M.vertex_of(arrival)] = p
-        children = []
-        d = sigma[arrival]
+    arrival = M.root ^ 1
+    depth[M.vertex_of(arrival)] = 0
+    root = []
+    # one frame per vertex on the exploration path: arrival dart, next dart
+    # to scan, children found so far
+    stack = [[arrival, sigma[arrival], root]]
+    while stack:
+        frame = stack[-1]
+        arrival, d, children = frame
         while d != arrival:
+            following = sigma[d]
             if not explored[d >> 1]:
                 explored[d >> 1] = True
                 other = M.vertex_of(d ^ 1)
-                if other in depth:
-                    children.insert(0, depth[other])
-                else:
-                    children.insert(0, explore(d ^ 1, p + 1))
-            d = sigma[d]
-        return tuple(children)
-
-    return DecoratedTree(explore(M.root ^ 1, 0))
+                if depth[other] is None:
+                    depth[other] = len(stack)
+                    frame[1] = following
+                    child = []
+                    children.append(child)
+                    stack.append([d ^ 1, sigma[d ^ 1], child])
+                    break
+                children.append(depth[other])
+            d = following
+        else:
+            children.reverse()
+            stack.pop()
+    return DecoratedTree(root)
 
 
 def tree_to_map(T: DecoratedTree) -> PlanarMap:
@@ -79,55 +91,44 @@ def tree_to_map(T: DecoratedTree) -> PlanarMap:
     root, then turn each leaf back into an edge towards the ancestor of the
     depth its label names (-1 meaning the new root-edge tail).
 
-    Leaves are processed from the last one in traversal order; each new dart
-    is attached just after, in clockwise order, the edge through which the
-    ancestor reaches the leaf.
+    Around that ancestor, the new dart sits just after, in clockwise order,
+    the edge through which the ancestor reaches the leaf; several leaves
+    reached through the same edge follow it in traversal order.
     """
     violations = T.validate()
     if violations:
         raise ValueError("not a decorated tree: %s" % (violations[0],))
 
-    # dart ids: ("v",) tail of the root edge; each tree node address gets its
-    # parent-edge dart pair (address, 0) at the parent and (address, 1) below
-    ROOT_TAIL = ("v", 0)
-    ROOT_HEAD = ("v", 1)
-    twin = {ROOT_TAIL: ROOT_HEAD, ROOT_HEAD: ROOT_TAIL}
-    rotations = {}  # node address (or "v") -> clockwise dart list
-
-    def up_dart(address):
-        return (address, 0)
-
-    def down_dart(address):
-        return (address, 1)
-
-    def build(node, address, parent_dart):
-        # clockwise rotation at an internal node: parent edge first, then
-        # children in reverse traversal order (visited first = scanned first)
-        darts = [parent_dart]
-        for k in reversed(range(len(node))):
-            child_address = address + (k,)
-            darts.append(up_dart(child_address))
-            twin[up_dart(child_address)] = down_dart(child_address)
-            twin[down_dart(child_address)] = up_dart(child_address)
-            child = node[k]
-            if not isinstance(child, int):
-                build(child, child_address, down_dart(child_address))
-        rotations[address] = darts
-
-    rotations["v"] = [ROOT_TAIL]
-    build(T.root, (), ROOT_HEAD)
-
-    # re-attach leaves, last in traversal order first
-    for leaf in reversed(T.leaves_in_traversal_order()):
-        if leaf.label == -1:
-            host, host_dart = "v", ROOT_TAIL
+    # edges are numbered in traversal order, 0 being the new root edge; edge
+    # k has dart 2k at its end nearer the root and dart 2k + 1 at the other
+    rotations = []
+    hosted = {}  # edge -> darts of the leaves re-attached just after it
+    path = [0]  # edge above each open node, the tree root first
+    kids = [[]]  # child edges of each open internal node
+    edges = 0
+    for tok in T.code[1:]:
+        if tok == CLOSE:
+            # clockwise: parent edge first, then the children in reverse
+            # traversal order (visited first = scanned first)
+            rotation = [2 * path.pop() + 1]
+            for child in reversed(kids.pop()):
+                rotation.append(2 * child)
+                rotation += hosted.pop(child, ())
+            rotations.append(rotation)
+            continue
+        edges += 1
+        kids[-1].append(edges)
+        if tok == OPEN:
+            path.append(edges)
+            kids.append([])
         else:
-            host = leaf.address[: leaf.label]
-            host_dart = up_dart(leaf.address[: leaf.label + 1])
-        cyc = rotations[host]
-        cyc.insert(cyc.index(host_dart) + 1, down_dart(leaf.address))
+            # a leaf labeled l hangs after the edge from its ancestor of depth
+            # l to the next one down (the root edge when l = -1)
+            hosted.setdefault(path[tok + 1], []).append(2 * edges + 1)
+    rotations.append([0] + hosted.pop(0, []))
 
-    M = map_from_rotations(list(rotations.values()), twin, ROOT_TAIL)
+    twin = {d: d ^ 1 for d in range(2 * edges + 2)}
+    M = map_from_rotations(rotations, twin, 0)
     if not M.is_non_separable():
         raise AssertionError("reconstruction produced a separable map")
     return M
@@ -144,17 +145,9 @@ def tree_to_upper(T: DecoratedTree) -> DyckPath:
     >>> tree_to_upper(DecoratedTree.from_text("(-1 -1)")).word
     'udud'
     """
-    out = []
-
-    def walk(node):
-        for child in node:
-            out.append("u")
-            if not isinstance(child, int):
-                walk(child)
-            out.append("d")
-
-    walk(T.root)
-    return DyckPath("".join(out))
+    return DyckPath(
+        "".join("u" if tok == OPEN else "d" if tok == CLOSE else "ud" for tok in T.code[1:-1])
+    )
 
 
 def tree_to_lower(T: DecoratedTree) -> DyckPath:
@@ -165,18 +158,13 @@ def tree_to_lower(T: DecoratedTree) -> DyckPath:
     'uudd'
     """
     charges = iter(T.compute_charges().charges)
-    out = []
-
-    def walk(node):
-        for child in node:
-            out.append("u")
-            if isinstance(child, int):
-                out.append("d" * (1 + next(charges)))
-            else:
-                walk(child)
-
-    walk(T.root)
-    return DyckPath("".join(out))
+    return DyckPath(
+        "".join(
+            "u" if tok == OPEN else "u" + "d" * (1 + next(charges))
+            for tok in T.code[1:-1]
+            if tok != CLOSE
+        )
+    )
 
 
 def tree_to_interval(T: DecoratedTree) -> SyncInterval:
@@ -194,62 +182,55 @@ def interval_to_tree(interval: SyncInterval) -> DecoratedTree:
     the leaf is labeled with the depth of the shallower endpoint of the edge
     owning, in the upper path, the same index as the lower of those two up
     steps.  No midpoint at that height labels the leaf -1.
+
+    One left-to-right scan of the lower path finds every ray's stop: it
+    keeps, for each height, the label the latest midpoint seen there gives.
     """
     if interval.size < 1:
         raise ValueError("needs a nonempty interval")
     Q, P = interval.upper, interval.lower
-    w = Q.word
-    pos = 0
-
-    def parse():
-        nonlocal pos
-        children = []
-        while pos < len(w) and w[pos] == "u":
-            pos += 1
-            if pos < len(w) and w[pos] == "d":
-                pos += 1
-                children.append(("leaf",))
-            else:
-                children.append(parse())
-                pos += 1  # the matching d
-        return tuple(children)
-
-    shape = parse()
 
     # depth of the shallower endpoint of the edge owning each up step of Q
     qh = Q.heights()
     up_parent_depth = [qh[Q.up_position(i) - 1] for i in range(1, Q.size + 1)]
 
-    ph = P.heights()
-    pw = P.word
+    # the ray of an up step starts where the next up step does (or at the
+    # end), and may stop at any earlier midpoint, so a label is read off just
+    # before a midpoint at the same point is recorded
+    stop = [-1] * (P.size + 1)  # height -> label given by the latest midpoint
     labels = []
-    for i in range(1, P.size + 1):
-        start = P.up_position(i)
-        end = start
-        while end < len(pw) and pw[end] == "d":
-            end += 1
-        y = ph[end]
-        label = -1
-        for q in range(end - 1, 0, -1):
-            if ph[q] == y and pw[q - 1] == "u" and pw[q] == "u":
-                label = up_parent_depth[pw[:q].count("u") - 1]
-                break
-        labels.append(label)
+    h = 0
+    ups = 0
+    previous = "d"
+    for c in P.word:
+        if c == "u":
+            if ups:
+                labels.append(stop[h])
+            if previous == "u":
+                stop[h] = up_parent_depth[ups - 1]
+            ups += 1
+            h += 1
+        else:
+            h -= 1
+        previous = c
+    labels.append(stop[h])
 
-    # keep labels only for leaves, in traversal order (up-step order)
-    it = iter(range(P.size))
-
-    def fill(node):
-        out = []
-        for child in node:
-            idx = next(it)
-            if child == ("leaf",):
-                out.append(labels[idx])
+    # the contour tree of Q; a leaf takes the label of its up step
+    w = Q.word
+    stack = [[]]
+    i = 0
+    for j, c in enumerate(w):
+        if c == "u":
+            if w[j + 1] == "d":
+                stack[-1].append(labels[i])
             else:
-                out.append(fill(child))
-        return tuple(out)
-
-    return DecoratedTree(fill(shape))
+                child = []
+                stack[-1].append(child)
+                stack.append(child)
+            i += 1
+        elif w[j - 1] == "d":
+            stack.pop()
+    return DecoratedTree(stack[0])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import sys
 from itertools import product
 
 from . import bijections, maps, series, tamari, trees
-from .paths import DyckPath, GridPath, PathPair
+from .paths import DyckPath, GridPath, ParseError, PathPair
 
 SIZE_CAPS = {
     "sync-intervals": 10,
@@ -190,19 +190,6 @@ def _parse_object(kind: str, text: str):
             words = [GridPath(p) for p in parts]
         elif kind == "tree":
             tree = trees.DecoratedTree.from_text(text)
-        else:
-            lines = text.splitlines()
-            if len(lines) < 3:
-                raise ParseFailure("a map is three lines: darts, root, sigma")
-            try:
-                fields = {ln.split()[0]: ln.split()[1:] for ln in lines if ln.split()}
-                n = int(fields["darts"][0])
-                root = int(fields["root"][0]) - 1
-                sigma = [int(x) - 1 for x in fields["sigma"]]
-            except (KeyError, IndexError, ValueError):
-                raise ParseFailure("unreadable map text") from None
-            if len(sigma) != n:
-                raise ParseFailure("sigma length disagrees with the dart count")
     except ValueError as exc:
         raise ParseFailure(str(exc)) from None
 
@@ -222,7 +209,10 @@ def _parse_object(kind: str, text: str):
                     )
                 )
             return tree
-        return maps.PlanarMap(sigma, root)
+        # the map parser tells unreadable text from an invalid map by class
+        return maps.PlanarMap.from_text(text)
+    except ParseError as exc:
+        raise ParseFailure(str(exc)) from None
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from None
 
@@ -268,7 +258,7 @@ def _cmd_convert(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    _require_format(args, ("text",))
+    _require_format(args, ("text", "tsv"))
     size = _pick_size(args)
     if size < 1:
         raise ParseFailure("suite size must be at least 1")
@@ -276,8 +266,9 @@ def _cmd_verify(args) -> int:
     _check_cap(size, caps[args.suite], args.unsafe_size)
     checks = SUITE_RUNNERS[args.suite](size)
     failures = 0
+    separator = "\t" if args.format == "tsv" else " "
     for ok, message in checks:
-        print(("ok " if ok else "FAIL ") + message)
+        print(("ok" if ok else "FAIL") + separator + message)
         failures += not ok
     return 1 if failures else 0
 
@@ -490,22 +481,24 @@ def _tam_closure(v, elements):
 def _tree_to_dot(tree: trees.DecoratedTree) -> str:
     lines = ["graph decorated_tree {"]
     lines.append('  n [label="root"];')
-
-    def name(address):
-        return "n" + "_".join(str(k) for k in address)
-
-    def walk(node, address):
-        for k, child in enumerate(node):
-            child_address = address + (k,)
-            if isinstance(child, int):
-                lines.append('  %s [label="%d", shape=box];' % (name(child_address), child))
-            else:
-                lines.append('  %s [label=""];' % (name(child_address),))
-            lines.append("  %s -- %s;" % (name(address), name(child_address)))
-            if not isinstance(child, int):
-                walk(child, child_address)
-
-    walk(tree.root, ())
+    # a node is named after its address: "n" then the child indices joined by "_"
+    names = ["n"]  # name of each open internal node
+    counts = [0]  # children named so far under each open internal node
+    for tok in tree.code[1:-1]:
+        if tok == trees.CLOSE:
+            names.pop()
+            counts.pop()
+            continue
+        parent = names[-1]
+        child = "%s%s%d" % (parent, "_" if len(names) > 1 else "", counts[-1])
+        counts[-1] += 1
+        if tok == trees.OPEN:
+            lines.append('  %s [label=""];' % (child,))
+            names.append(child)
+            counts.append(0)
+        else:
+            lines.append('  %s [label="%d", shape=box];' % (child, tok))
+        lines.append("  %s -- %s;" % (parent, child))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

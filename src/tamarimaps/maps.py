@@ -17,6 +17,8 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import permutations
 
+from .paths import ParseError
+
 
 MapStats = namedtuple("MapStats", ["outer_face_degree", "root_vertex_degree", "edge_count"])
 
@@ -270,21 +272,27 @@ class PlanarMap:
 
     @staticmethod
     def from_text(text: str) -> "PlanarMap":
+        """Read the format of :meth:`to_text`.  Text not in that format
+        raises :class:`ParseError`; a readable rotation system that is not a
+        planar map raises a plain ValueError."""
         fields = {}
         for line in text.strip().splitlines():
             parts = line.split()
             if not parts:
                 continue
             if parts[0] not in ("darts", "root", "sigma") or parts[0] in fields:
-                raise ValueError("bad map line: %r" % (line,))
+                raise ParseError("bad map line: %r" % (line,))
             fields[parts[0]] = parts[1:]
         if set(fields) != {"darts", "root", "sigma"}:
-            raise ValueError("map text needs 'darts', 'root' and 'sigma' lines")
-        n = int(fields["darts"][0])
-        root = int(fields["root"][0]) - 1
-        sigma = [int(x) - 1 for x in fields["sigma"]]
+            raise ParseError("map text needs 'darts', 'root' and 'sigma' lines")
+        try:
+            n = int(fields["darts"][0])
+            root = int(fields["root"][0]) - 1
+            sigma = [int(x) - 1 for x in fields["sigma"]]
+        except (IndexError, ValueError):
+            raise ParseError("unreadable map text") from None
         if len(sigma) != n:
-            raise ValueError("sigma has %d images, expected %d" % (len(sigma), n))
+            raise ParseError("sigma has %d images, expected %d" % (len(sigma), n))
         return PlanarMap(sigma, root)
 
     def to_dot(self) -> str:
@@ -367,33 +375,48 @@ def _multigraph_blocks(nv: int, edges):
     if nv == 0:
         return blocks, cuts
 
-    def dfs(vertex, parent_eid, d):
-        depth[vertex] = low[vertex] = d
-        children = 0
-        for eid, other in adjacency[vertex]:
-            if eid == parent_eid:
-                parent_eid = -1  # skip the tree edge once; parallels recurse
-                continue
-            if depth[other] < 0:
-                children += 1
-                edge_stack.append(eid)
-                dfs(other, eid, d + 1)
-                low[vertex] = min(low[vertex], low[other])
-                if low[other] >= d:
-                    if d > 0 or children > 1:
-                        cuts.add(vertex)
-                    block = set()
-                    while True:
-                        e = edge_stack.pop()
-                        block.add(e)
-                        if e == eid:
-                            break
-                    blocks.append(frozenset(block))
-            elif depth[other] < depth[vertex]:
-                edge_stack.append(eid)
-                low[vertex] = min(low[vertex], depth[other])
+    # depth-first search with an explicit stack of vertices.  The tree edge
+    # is skipped by its id, not by its far end, so parallel edges count as
+    # back edges.
+    position = [0] * nv  # next adjacency entry to scan
+    tree_edge = [-1] * nv  # edge each vertex was reached by
+    children = [0] * nv  # DFS children so far
+    depth[0] = low[0] = 0
+    stack = [0]
+    while stack:
+        vertex = stack[-1]
+        i = position[vertex]
+        if i == len(adjacency[vertex]):
+            stack.pop()
+            if not stack:
+                break
+            up = stack[-1]
+            low[up] = min(low[up], low[vertex])
+            if low[vertex] >= depth[up]:
+                if depth[up] > 0 or children[up] > 1:
+                    cuts.add(up)
+                block = set()
+                while True:
+                    e = edge_stack.pop()
+                    block.add(e)
+                    if e == tree_edge[vertex]:
+                        break
+                blocks.append(frozenset(block))
+            continue
+        position[vertex] = i + 1
+        eid, other = adjacency[vertex][i]
+        if eid == tree_edge[vertex]:
+            continue
+        if depth[other] < 0:
+            children[vertex] += 1
+            edge_stack.append(eid)
+            depth[other] = low[other] = depth[vertex] + 1
+            tree_edge[other] = eid
+            stack.append(other)
+        elif depth[other] < depth[vertex]:
+            edge_stack.append(eid)
+            low[vertex] = min(low[vertex], depth[other])
 
-    dfs(0, -1, 0)
     if any(d < 0 for d in depth):
         raise ValueError("multigraph is not connected")
     return blocks, cuts
@@ -830,38 +853,36 @@ def enumerate_nonseparable_by_composition(m: int) -> list:
     """
     if m < 2:
         raise ValueError("non-separable maps need at least two edges")
-    cache = {}
-
-    def census(k):
-        if k not in cache:
-            cache[k] = _compose_census(k, census)
-        return cache[k]
-
-    return census(m)
+    censuses = {}
+    for k in range(2, m + 1):
+        censuses[k] = _compose_census(k, censuses)
+    return censuses[m]
 
 
-def _compose_census(m, census):
+def _compose_census(m, censuses):
     brick_choices = [(single_edge_map(), 1, 1)]
     for e in range(2, m):
-        for K in census(e):
+        for K in censuses[e]:
             for j in range(1, K.outer_face_degree):
                 brick_choices.append((K, j, e))
 
     out = {}
-
-    def extend(budget, acc):
-        if budget == 0:
-            M = compose_series(acc)
-            code = M.canonical_code()
-            if code in out:
-                raise AssertionError("series composition produced a duplicate")
-            out[code] = M
-            return
-        for K, j, cost in brick_choices:
-            if cost <= budget:
-                acc.append(SeriesBrick(K, j))
-                extend(budget - cost, acc)
-                acc.pop()
-
-    extend(m - 1, [])
+    _extend_series(m - 1, [], brick_choices, out)
     return [out[c] for c in sorted(out)]
+
+
+def _extend_series(budget, acc, brick_choices, out):
+    """Close every chain of bricks that extends ``acc`` by ``budget`` edges
+    into a map, keyed by canonical code in ``out``."""
+    if budget == 0:
+        M = compose_series(acc)
+        code = M.canonical_code()
+        if code in out:
+            raise AssertionError("series composition produced a duplicate")
+        out[code] = M
+        return
+    for K, j, cost in brick_choices:
+        if cost <= budget:
+            acc.append(SeriesBrick(K, j))
+            _extend_series(budget - cost, acc, brick_choices, out)
+            acc.pop()

@@ -16,6 +16,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 
+class ParseError(ValueError):
+    """Text that cannot be read as an object at all, as opposed to readable
+    text describing an object that breaks a condition (a plain ValueError)."""
+
+
 class DyckPath:
     """A Dyck path stored as its word over ``u``/``d``.
 

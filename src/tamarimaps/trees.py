@@ -12,37 +12,81 @@ child order):
    a leaf of T' labeled exactly p admits no earlier leaf of T' (in
    traversal order) with a label smaller than p.
 
-Trees are stored as nested tuples: an internal node is a nonempty tuple of
-children, a leaf is its integer label, and the root is always a tuple (the
-empty tuple is the empty tree, which has no decorations).  Text form:
+Trees are given as nested tuples (or lists): an internal node is a nonempty
+tuple of children, a leaf is its integer label, and the root is always a
+tuple (the empty tuple is the empty tree, which has no decorations).  They
+are stored flat, as the preorder token sequence ``code``: ``OPEN`` on
+entering an internal node, ``CLOSE`` on leaving it, and the label of each
+leaf.  Every walk is a loop over that sequence, so no operation recurses,
+whatever the depth of the tree.  Text form:
 ``tree := label | "(" tree+ ")"``, e.g. ``((-1))`` and ``(-1 -1)``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
+from operator import itemgetter
 
+# tokens of the flat code; leaf labels are at least -1, so they never collide
+OPEN = -2
+CLOSE = -3
 
 Violation = namedtuple("Violation", ["condition", "address", "detail"])
 
 Leaf = namedtuple("Leaf", ["address", "label", "parent_depth"])
 
 
-def _check_structure(node, address=()):
-    if isinstance(node, int):
-        if node < -1:
-            raise ValueError("leaf label %d below -1 at %r" % (node, address))
-        return
-    if not isinstance(node, tuple):
-        raise ValueError("tree nodes must be tuples or integer labels, got %r" % (node,))
-    if not node and address:
-        raise ValueError("internal node without children at %r" % (address,))
-    for k, child in enumerate(node):
-        _check_structure(child, address + (k,))
+def _encode(root) -> tuple:
+    """The flat code of a tree given as nested tuples or lists, checking its
+    structure on the way."""
+    if isinstance(root, int):
+        raise ValueError("the root must be a tuple of children")
+    if not isinstance(root, (tuple, list)):
+        raise ValueError("tree nodes must be tuples or integer labels, got %r" % (root,))
+    code = [OPEN]
+    stack = [enumerate(root)]
+    path = [0]  # index of the current child at each open level
+    while stack:
+        for k, child in stack[-1]:
+            if isinstance(child, int):
+                if child < -1:
+                    path[-1] = k
+                    raise ValueError("leaf label %d below -1 at %r" % (child, tuple(path)))
+                code.append(child)
+                continue
+            path[-1] = k
+            if not isinstance(child, (tuple, list)):
+                raise ValueError("tree nodes must be tuples or integer labels, got %r" % (child,))
+            if not child:
+                raise ValueError("internal node without children at %r" % (tuple(path),))
+            code.append(OPEN)
+            stack.append(enumerate(child))
+            path.append(0)
+            break
+        else:
+            code.append(CLOSE)
+            stack.pop()
+            path.pop()
+    return tuple(code)
+
+
+def _preorder(code):
+    """(address, token) of every node below the root, in traversal order;
+    the token is the label of a leaf, or OPEN for an internal node."""
+    path = [-1]  # index of the current child at each open level
+    for tok in code[1:-1]:
+        if tok == CLOSE:
+            path.pop()
+            continue
+        path[-1] += 1
+        yield tuple(path), tok
+        if tok == OPEN:
+            path.append(-1)
 
 
 class DecoratedTree:
-    """A plane tree with integer leaf labels, stored as nested tuples.
+    """A plane tree with integer leaf labels, stored as its flat code.
 
     >>> T = DecoratedTree.from_text("((-1))")
     >>> T.edge_count
@@ -51,34 +95,40 @@ class DecoratedTree:
     True
     """
 
-    __slots__ = ("root",)
+    __slots__ = ("code",)
 
     def __init__(self, root):
-        root = _freeze(root)
-        if isinstance(root, int):
-            raise ValueError("the root must be a tuple of children")
-        _check_structure(root)
-        self.root = root
+        self.code = _encode(root)
+
+    @property
+    def root(self) -> tuple:
+        """The tree as nested tuples, rebuilt from the code."""
+        stack = [[]]
+        for tok in self.code[1:-1]:
+            if tok == OPEN:
+                stack.append([])
+            elif tok == CLOSE:
+                node = tuple(stack.pop())
+                stack[-1].append(node)
+            else:
+                stack[-1].append(tok)
+        return tuple(stack[0])
 
     def __repr__(self):
-        return "DecoratedTree(%r)" % (self.root,)
+        return "DecoratedTree.from_text(%r)" % (self.to_text(),)
 
     def __eq__(self, other):
-        return isinstance(other, DecoratedTree) and self.root == other.root
+        return isinstance(other, DecoratedTree) and self.code == other.code
 
     def __hash__(self):
-        return hash(("DecoratedTree", self.root))
+        return hash(("DecoratedTree", self.code))
 
     # -- shape -------------------------------------------------------------
 
     @property
     def edge_count(self) -> int:
-        def count(node):
-            if isinstance(node, int):
-                return 0
-            return sum(1 + count(child) for child in node)
-
-        return count(self.root)
+        # one edge above every node but the root; a CLOSE ends each internal node
+        return len(self.code) - self.code.count(CLOSE) - 1
 
     def node(self, address: tuple):
         cur = self.root
@@ -91,87 +141,116 @@ class DecoratedTree:
 
     def leaves_in_traversal_order(self) -> list:
         """Leaves as (address, label, parent depth), in traversal order."""
-        out = []
-
-        def walk(node, address):
-            for k, child in enumerate(node):
-                if isinstance(child, int):
-                    out.append(Leaf(address + (k,), child, len(address)))
-                else:
-                    walk(child, address + (k,))
-
-        walk(self.root, ())
-        return out
+        return [
+            Leaf(address, tok, len(address) - 1)
+            for address, tok in _preorder(self.code)
+            if tok != OPEN
+        ]
 
     def internal_nodes(self) -> list:
         """Addresses of internal nodes (root included), in traversal order."""
-        out = []
-
-        def walk(node, address):
-            out.append(address)
-            for k, child in enumerate(node):
-                if not isinstance(child, int):
-                    walk(child, address + (k,))
-
-        walk(self.root, ())
-        return out
+        return [()] + [address for address, tok in _preorder(self.code) if tok == OPEN]
 
     # -- decoration conditions ----------------------------------------------
 
+    def _scan(self):
+        """Violations, per-leaf charges and the number of internal non-root
+        nodes, in one pass over the code.
+
+        Condition 2 and the charges: the open non-root nodes that still lack
+        a leaf <= depth - 2 form a stack, deepest on top.  A leaf labeled l
+        pops every one of depth >= l + 2 and takes one charge per node; a node
+        still on the stack when it closes violates condition 2.  Condition 3:
+        a leaf labeled l >= 0 under a node of depth > l belongs to the subtree
+        of its ancestor at depth l + 1, which holds the leaves from the one
+        that ancestor was entered at; the suffix minima of the labels seen so
+        far give the smallest of them.
+        """
+        cond1 = []
+        later = []  # (order key, violation) for conditions 2 and 3
+        flagged = set()  # nodes whose subtree already has its condition-3 violation
+        charges = []
+        path = [-1]  # index of the current child at each open level
+        pre = [0]  # preorder number of each open internal node, root first
+        entered = [0]  # leaves seen before each open internal node was entered
+        waiting = []  # depths of the open non-root nodes still without a small leaf
+        min_at, min_label = [], []  # suffix minima: leaf index and label
+        internal = 0
+        for tok in self.code[1:-1]:
+            if tok == CLOSE:
+                p = len(pre) - 1
+                if waiting and waiting[-1] == p:
+                    waiting.pop()
+                    later.append(
+                        (
+                            (pre[-1], 0, 0),
+                            Violation(
+                                2,
+                                tuple(path[:-1]),
+                                "internal node of depth %d with no descendant leaf <= %d"
+                                % (p, p - 2),
+                            ),
+                        )
+                    )
+                pre.pop()
+                entered.pop()
+                path.pop()
+                continue
+            path[-1] += 1
+            if tok == OPEN:
+                internal += 1
+                waiting.append(len(pre))
+                pre.append(internal)
+                entered.append(len(charges))
+                path.append(-1)
+                continue
+            depth = len(pre) - 1
+            if tok >= depth:
+                cond1.append(
+                    Violation(
+                        1,
+                        tuple(path),
+                        "leaf labeled %d under a node of depth %d" % (tok, depth),
+                    )
+                )
+            elif tok >= 0:
+                j = bisect_left(min_at, entered[tok + 1])
+                if j < len(min_label) and min_label[j] < tok and pre[tok + 1] not in flagged:
+                    flagged.add(pre[tok + 1])
+                    later.append(
+                        (
+                            (pre[tok], 1, pre[tok + 1]),
+                            Violation(
+                                3,
+                                tuple(path),
+                                "leaf labeled %d preceded in its subtree by a smaller label"
+                                % (tok,),
+                            ),
+                        )
+                    )
+            charge = 0
+            while waiting and waiting[-1] >= tok + 2:
+                waiting.pop()
+                charge += 1
+            while min_label and min_label[-1] >= tok:
+                min_label.pop()
+                min_at.pop()
+            min_label.append(tok)
+            min_at.append(len(charges))
+            charges.append(charge)
+        later.sort(key=itemgetter(0))
+        return cond1 + [v for _key, v in later], charges, internal
+
     def validate(self) -> list:
-        """All condition violations, empty when the tree is decorated.
+        """All condition violations, empty when the tree is decorated: those
+        of condition 1 in traversal order, then, for each internal node in
+        traversal order, its own condition-2 violation followed by the
+        condition-3 violation of each child subtree.
 
         >>> DecoratedTree.from_text("((0))").validate()[0].condition
         2
         """
-        violations = []
-        leaves = self.leaves_in_traversal_order()
-
-        for leaf in leaves:
-            if leaf.label >= leaf.parent_depth:
-                violations.append(
-                    Violation(
-                        1,
-                        leaf.address,
-                        "leaf labeled %d under a node of depth %d"
-                        % (leaf.label, leaf.parent_depth),
-                    )
-                )
-
-        def subtree_leaves(address):
-            return [lf for lf in leaves if lf.address[: len(address)] == address]
-
-        for address in self.internal_nodes():
-            p = len(address)
-            if p > 0:
-                if all(lf.label > p - 2 for lf in subtree_leaves(address)):
-                    violations.append(
-                        Violation(
-                            2,
-                            address,
-                            "internal node of depth %d with no descendant leaf <= %d"
-                            % (p, p - 2),
-                        )
-                    )
-            node = self.node(address)
-            for k, child in enumerate(node):
-                if isinstance(child, int):
-                    continue
-                seen_smaller = False
-                for lf in subtree_leaves(address + (k,)):
-                    if lf.label == p and seen_smaller:
-                        violations.append(
-                            Violation(
-                                3,
-                                lf.address,
-                                "leaf labeled %d preceded in its subtree by a smaller label"
-                                % (p,),
-                            )
-                        )
-                        break
-                    if lf.label < p:
-                        seen_smaller = True
-        return violations
+        return self._scan()[0]
 
     def is_valid(self) -> bool:
         return not self.validate()
@@ -186,72 +265,51 @@ class DecoratedTree:
         >>> DecoratedTree.from_text("((-1))").compute_charges().charges
         (1,)
         """
-        violations = self.validate()
+        violations, charges, internal = self._scan()
         if violations:
             raise ValueError("not a decorated tree: %s" % (violations[0],))
-        leaves = self.leaves_in_traversal_order()
-        charges = [0] * len(leaves)
-        for address in self.internal_nodes():
-            p = len(address)
-            if p == 0:
-                continue
-            for idx, lf in enumerate(leaves):
-                if lf.address[:p] == address and lf.label <= p - 2:
-                    charges[idx] += 1
-                    break
-            else:
-                raise AssertionError("condition 2 should have provided a leaf")
-        return ChargeAssignment(tuple(charges), len(self.internal_nodes()) - 1)
+        return ChargeAssignment(tuple(charges), internal)
 
     # -- text form -----------------------------------------------------------
 
     def to_text(self) -> str:
-        def render(node):
-            if isinstance(node, int):
-                return str(node)
-            return "(" + " ".join(render(child) for child in node) + ")"
-
-        return render(self.root)
+        # tokens joined by spaces, then no space after "(" or before ")"
+        words = ["(" if tok == OPEN else ")" if tok == CLOSE else str(tok) for tok in self.code]
+        return " ".join(words).replace("( ", "(").replace(" )", ")")
 
     @staticmethod
     def from_text(text: str) -> "DecoratedTree":
         tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-        pos = 0
-
-        def parse():
-            nonlocal pos
-            if pos >= len(tokens):
-                raise ValueError("unexpected end of tree text")
-            tok = tokens[pos]
-            pos += 1
+        if not tokens:
+            raise ValueError("unexpected end of tree text")
+        stack = []
+        root = None
+        for pos, tok in enumerate(tokens):
+            if root is not None:
+                raise ValueError("trailing tokens in tree text")
             if tok == "(":
-                children = []
-                while pos < len(tokens) and tokens[pos] != ")":
-                    children.append(parse())
-                if pos >= len(tokens):
-                    raise ValueError("unbalanced '(' in tree text")
-                pos += 1
-                return tuple(children)
-            if tok == ")":
-                raise ValueError("unexpected ')' in tree text")
-            try:
-                label = int(tok)
-            except ValueError:
-                raise ValueError("bad token %r in tree text" % (tok,)) from None
-            return label
-
-        root = parse()
-        if pos != len(tokens):
-            raise ValueError("trailing tokens in tree text")
-        if isinstance(root, int):
-            raise ValueError("the outermost node must be parenthesized")
+                stack.append([])
+            elif tok == ")":
+                if not stack:
+                    raise ValueError("unexpected ')' in tree text")
+                node = stack.pop()
+                if stack:
+                    stack[-1].append(node)
+                else:
+                    root = node
+            else:
+                try:
+                    label = int(tok)
+                except ValueError:
+                    raise ValueError("bad token %r in tree text" % (tok,)) from None
+                if not stack:
+                    if pos + 1 < len(tokens):
+                        raise ValueError("trailing tokens in tree text")
+                    raise ValueError("the outermost node must be parenthesized")
+                stack[-1].append(label)
+        if stack:
+            raise ValueError("unbalanced '(' in tree text")
         return DecoratedTree(root)
-
-
-def _freeze(node):
-    if isinstance(node, int):
-        return node
-    return tuple(_freeze(child) for child in node)
 
 
 class ChargeAssignment:

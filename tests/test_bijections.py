@@ -17,6 +17,7 @@ from tamarimaps import (
     map_to_tree,
     recursive_interval_to_map,
     recursive_map_to_interval,
+    sync_to_canopy,
     tree_to_interval,
     tree_to_lower,
     tree_to_map,
@@ -119,6 +120,31 @@ class TestTreeToInterval:
                 T = interval_to_tree(I)
                 assert T.is_valid()
                 assert tree_to_interval(T) == I
+
+    def test_leftward_ray_definition(self, sync_by_size):
+        # the one-pass labelling agrees with drawing every ray: from the end
+        # of the down run after the i-th up step of the lower path, leftwards
+        # to the nearest midpoint of a double up step at the same height
+        for n in range(1, 8):
+            for I in sync_by_size[n]:
+                Q, P = I.upper, I.lower
+                qh, ph, pw = Q.heights(), P.heights(), P.word
+                expected = []
+                for i in range(1, n + 1):
+                    if Q.word[Q.up_position(i)] == "u":
+                        continue  # an internal edge, no leaf
+                    end = P.up_position(i)
+                    while end < len(pw) and pw[end] == "d":
+                        end += 1
+                    label = -1
+                    for q in range(end - 1, 0, -1):
+                        if ph[q] == ph[end] and pw[q - 1] == pw[q] == "u":
+                            label = qh[Q.up_position(pw[:q].count("u")) - 1]
+                            break
+                    expected.append(label)
+                T = interval_to_tree(I)
+                assert tree_to_upper(T) == Q
+                assert [lf.label for lf in T.leaves_in_traversal_order()] == expected
 
     def test_trivial_intervals(self):
         assert interval_to_tree(SyncInterval(DyckPath("ud"), DyckPath("ud"))).to_text() == "(-1)"
@@ -236,6 +262,25 @@ class TestStatisticTransfer:
             "per-object contact/root-degree transfer mismatches:",
             len(mismatches) or "none",
         )
+
+
+class TestLargeObjects:
+    """Whole-chain round trips far past desk sizes and past the interpreter's
+    default recursion limit.  Every step is linear, so each runs in well
+    under a second; a quadratic step would take minutes."""
+
+    @pytest.mark.parametrize(
+        "word", ["ud" * 20000, "u" * 5000 + "d" * 5000], ids=["comb", "spine"]
+    )
+    def test_round_trip(self, word):
+        start = SyncInterval(DyckPath(word), DyckPath(word))
+        I = canopy_to_sync(sync_to_canopy(start))
+        assert I == start
+        T = interval_to_tree(I)
+        M = tree_to_map(T)
+        assert M.edge_count == I.size + 1
+        assert map_to_tree(M) == T
+        assert tree_to_interval(T) == start
 
 
 class TestRecursiveBijection:

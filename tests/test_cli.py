@@ -139,6 +139,35 @@ class TestConvert:
         )
         assert code == 1
 
+    def test_duplicate_map_line_is_a_parse_error(self, capsys):
+        # the library's map parser rejects the text, so the CLI does too
+        code, out, err = run(
+            ["convert", "--from", "map", "--to", "tree"],
+            "darts 4\nroot 1\nsigma 3 4 1 2\nsigma 2 1 4 3\n",
+            capsys=capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: bad map line")
+
+    def test_invalid_map_exit_code(self, capsys):
+        code, _, err = run(
+            ["convert", "--from", "map", "--to", "tree"],
+            "darts 4\nroot 1\nsigma 1 2 3 4\n",
+            capsys=capsys,
+        )
+        assert code == 1
+        assert "not connected" in err
+
+    def test_deep_spine(self, capsys):
+        n = 1000
+        word = "u" * n + "d" * n
+        code, out, _ = run(
+            ["convert", "--from", "sync-interval", "--to", "tree"],
+            "%s|%s" % (word, word),
+            capsys=capsys,
+        )
+        assert (code, out) == (0, "(" * n + "-1" + ")" * n + "\n")
+
     def test_file_input(self, tmp_path, capsys):
         f = tmp_path / "interval.txt"
         f.write_text("uudd|uudd\n")
@@ -159,6 +188,20 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
         assert out.count("ok ") >= 1
+
+    def test_tsv_rows(self, capsys):
+        code, text, _ = run(["verify", "partition", "3"], capsys=capsys)
+        code_tsv, tsv, _ = run(["verify", "partition", "3", "--format", "tsv"], capsys=capsys)
+        assert code == code_tsv == 0
+        rows = [line.split("\t") for line in tsv.splitlines()]
+        assert all(len(row) == 2 and row[0] == "ok" for row in rows)
+        assert [" ".join(row) for row in rows] == text.splitlines()
+        assert run(["verify", "partition", "3", "--format", "tsv"], capsys=capsys)[1] == tsv
+
+    def test_dot_format_rejected(self, capsys):
+        code, _, err = run(["verify", "partition", "3", "--format", "dot"], capsys=capsys)
+        assert code == 2
+        assert "format" in err
 
     def test_deterministic_output(self, capsys):
         first = run(["verify", "partition", "4"], capsys=capsys)

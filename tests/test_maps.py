@@ -1,6 +1,7 @@
 import pytest
 
 from tamarimaps import (
+    ParseError,
     PlanarMap,
     closed_form,
     compose_parallel,
@@ -101,6 +102,19 @@ class TestPlanarMapBasics:
             PlanarMap.from_text("darts 4\nroot 1\n")
         with pytest.raises(ValueError):
             PlanarMap.from_text("darts 4\nroot 1\nsigma 3 4 1\n")
+
+    def test_text_parse_errors_are_told_from_invalid_maps(self):
+        for text in (
+            "darts 4\nroot 1\nsigma 3 4 1 2\nsigma 2 1 4 3\n",  # duplicate line
+            "darts\nroot 1\nsigma 3 4 1 2\n",
+            "darts 4\nroot x\nsigma 3 4 1 2\n",
+            "darts 4\nroot 1\nsigma 3 4 1 2\ncomment\n",
+        ):
+            with pytest.raises(ParseError):
+                PlanarMap.from_text(text)
+        with pytest.raises(ValueError) as caught:
+            PlanarMap.from_text("darts 4\nroot 1\nsigma 1 2 3 4\n")  # disconnected
+        assert not isinstance(caught.value, ParseError)
 
 
 class TestNonSeparability:

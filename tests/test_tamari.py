@@ -28,6 +28,7 @@ from tamarimaps import (
     tam_covers,
     tamari_leq,
 )
+from tamarimaps.paths import grid_path_from_north_abscissas
 from tamarimaps.tamari import dyck_paths_by_type, enumerate_pointed_intervals, tam_leq
 
 
@@ -129,6 +130,25 @@ class TestPathPairBijection:
         assert pathpair_to_dyck(PathPair(GridPath(""), GridPath(""))).word == "ud"
         assert pathpair_to_dyck(PathPair(GridPath("N"), GridPath("N"))).word == "udud"
         assert pathpair_to_dyck(PathPair(GridPath("E"), GridPath("E"))).word == "uudd"
+
+    def test_containment_count_definition(self):
+        # c_k read off the heights equals its definition: the up steps whose
+        # arc strictly contains both the r_k-th and the r_{k+1}-th up steps
+        for n in range(1, 10):
+            for P in enumerate_dyck_paths(n):
+                v = P.type_of()
+                ranks = [k + 1 for k, c in enumerate(v.word) if c == "N"] + [n]
+                abscissas = []
+                for k, x in enumerate(v.north_abscissas()):
+                    inner, outer = P.up_position(ranks[k]), P.up_position(ranks[k + 1])
+                    c_k = sum(
+                        1
+                        for m in range(1, ranks[k])
+                        if P.up_position(m) < inner and outer < P.match_up(m)
+                    )
+                    abscissas.append(x - c_k)
+                upper = grid_path_from_north_abscissas(abscissas, v.east_count)
+                assert dyck_to_pathpair(P) == PathPair(upper, v)
 
     def test_search_oracle(self):
         # the reconstruction agrees with a brute-force preimage search

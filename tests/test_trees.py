@@ -76,6 +76,88 @@ class TestValidation:
                             assert candidate.node(violation.address) >= 0
 
 
+def _definitional_check(T):
+    """The three conditions and the charges read literally off the nested
+    tuples, prefix-scanning every subtree: the (condition, address) pairs in
+    the order ``validate`` reports them, and the charges when there are none."""
+    leaves = []  # (address, label, parent depth) in traversal order
+    internal = []  # addresses, root first, in traversal order
+
+    def walk(node, address):
+        internal.append(address)
+        for k, child in enumerate(node):
+            if isinstance(child, int):
+                leaves.append((address + (k,), child, len(address)))
+            else:
+                walk(child, address + (k,))
+
+    walk(T.root, ())
+
+    def below(address):
+        return [lf for lf in leaves if lf[0][: len(address)] == address]
+
+    found = [(1, a) for a, label, p in leaves if label >= p]
+    for address in internal:
+        p = len(address)
+        if p > 0 and all(label > p - 2 for _a, label, _p in below(address)):
+            found.append((2, address))
+        node = T.root
+        for k in address:
+            node = node[k]
+        for k, child in enumerate(node):
+            if isinstance(child, int):
+                continue
+            subtree = below(address + (k,))
+            for i, (a, label, _p) in enumerate(subtree):
+                if label == p and any(e[1] < p for e in subtree[:i]):
+                    found.append((3, a))
+                    break
+    if found:
+        return found, None
+    charges = [0] * len(leaves)
+    for address in internal[1:]:
+        p = len(address)
+        first = next(
+            i for i, (a, label, _p) in enumerate(leaves)
+            if a[:p] == address and label <= p - 2
+        )
+        charges[first] += 1
+    return found, tuple(charges)
+
+
+class TestOnePassScan:
+    def test_every_labelling_up_to_six_edges(self):
+        # labels range up to the parent depth, so condition 1 fails too
+        from itertools import product
+
+        from tamarimaps.trees import _shape_with_labels
+
+        checked = 0
+        for n in range(1, 7):
+            for shape in enumerate_plane_shapes(n):
+                skeleton = DecoratedTree(_shape_with_labels(shape, None))
+                depths = [lf.parent_depth for lf in skeleton.leaves_in_traversal_order()]
+                for labels in product(*[range(-1, p + 1) for p in depths]):
+                    T = DecoratedTree(_shape_with_labels(shape, list(labels)))
+                    violations, charges = _definitional_check(T)
+                    assert [(v.condition, v.address) for v in T.validate()] == violations
+                    if charges is not None:
+                        assert T.compute_charges().charges == charges
+                    checked += 1
+        assert checked == 9518
+
+    def test_deep_trees(self):
+        # a spine far deeper than the interpreter's recursion limit
+        n = 5000
+        T = tree("(" * n + "-1" + ")" * n)
+        assert T.edge_count == n
+        assert T.is_valid()
+        assert T.compute_charges().charges == (n - 1,)
+        assert T.to_text() == "(" * n + "-1" + ")" * n
+        assert T == DecoratedTree.from_text(T.to_text())
+        assert T.leaves_in_traversal_order()[0].parent_depth == n - 1
+
+
 class TestCharges:
     def test_chain(self):
         assert tree("((-1))").compute_charges().charges == (1,)
