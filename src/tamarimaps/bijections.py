@@ -95,6 +95,8 @@ def tree_to_map(T: DecoratedTree) -> PlanarMap:
     the edge through which the ancestor reaches the leaf; several leaves
     reached through the same edge follow it in traversal order.
     """
+    if T.edge_count == 0:
+        raise ValueError("needs a tree with at least one edge")
     violations = T.validate()
     if violations:
         raise ValueError("not a decorated tree: %s" % (violations[0],))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import permutations
+from operator import itemgetter
 
 from .paths import ParseError
 
@@ -49,19 +50,7 @@ class PlanarMap:
         self._vlabel, self._nv = _orbit_labels(sigma)
         phi = tuple(sigma[d ^ 1] for d in range(n))
         self._flabel, self._nf = _orbit_labels(phi)
-        # connectivity: sigma and twin together must reach every dart
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            d = stack.pop()
-            for e in (sigma[d], d ^ 1):
-                if not seen[e]:
-                    seen[e] = True
-                    count += 1
-                    stack.append(e)
-        if count != n:
+        if len(_root_first(sigma, root)[1]) != n:
             raise ValueError("rotation system is not connected")
         if self._nv - n // 2 + self._nf != 2:
             raise ValueError("Euler relation fails: the map is not planar")
@@ -222,39 +211,17 @@ class PlanarMap:
 
     # -- canonical form ------------------------------------------------------------
 
-    def _canonical_order(self):
-        sigma = self.sigma
-        n = len(sigma)
-        new = [-1] * n
-        new[self.root] = 0
-        new[self.root ^ 1] = 1
-        order = [self.root, self.root ^ 1]
-        i = 0
-        while i < len(order):
-            e = sigma[order[i]]
-            i += 1
-            if new[e] < 0:
-                new[e] = len(order)
-                new[e ^ 1] = len(order) + 1
-                order.append(e)
-                order.append(e ^ 1)
-        return new, order
-
     def canonical_code(self) -> bytes:
         """A byte string equal for two maps exactly when they are isomorphic
         as rooted maps (root-first traversal relabeling; rooted maps have no
         nontrivial automorphisms)."""
-        new, order = self._canonical_order()
+        new, order = _root_first(self.sigma, self.root)
         return bytes(new[self.sigma[d]] for d in order)
 
     def canonical_form(self) -> "PlanarMap":
         """The same rooted map with darts renamed by the canonical traversal
         (root dart 0, twin pairing 2i <-> 2i+1 preserved)."""
-        new, order = self._canonical_order()
-        sigma = [0] * len(order)
-        for d, nd in enumerate(new):
-            sigma[nd] = new[self.sigma[d]]
-        return PlanarMap(sigma, 0)
+        return PlanarMap(_renamed(self.sigma, _root_first(self.sigma, self.root)[0]), 0)
 
     def is_isomorphic_to(self, other: "PlanarMap") -> bool:
         return self.canonical_code() == other.canonical_code()
@@ -316,14 +283,46 @@ class PlanarMap:
         return "\n".join(lines) + "\n"
 
 
+def _root_first(sigma, root):
+    """Root-first traversal of the darts connected to ``root``, with twin
+    d <-> d^1: the root dart and its twin come first, then, taking visited
+    darts in turn, the sigma-image of each and its twin, when not yet seen.
+    Returns the new label of each dart (-1 when not reached) and the visit
+    order; the map is connected exactly when every dart is visited."""
+    new = [-1] * len(sigma)
+    new[root] = 0
+    new[root ^ 1] = 1
+    order = [root, root ^ 1]
+    i = 0
+    while i < len(order):
+        e = sigma[order[i]]
+        i += 1
+        if new[e] < 0:
+            new[e] = len(order)
+            new[e ^ 1] = len(order) + 1
+            order.append(e)
+            order.append(e ^ 1)
+    return new, order
+
+
+def _renamed(sigma, new):
+    """Sigma with each dart d renamed new[d]."""
+    out = [0] * len(sigma)
+    for d, nd in enumerate(new):
+        out[nd] = new[sigma[d]]
+    return out
+
+
 def _orbit_labels(perm):
-    n = len(perm)
-    label = [-1] * n
+    """The orbit number of each dart, orbits numbered by least dart, and
+    the number of orbits."""
+    label = [-1] * len(perm)
     count = 0
-    for d in range(n):
+    for d in range(len(perm)):
         if label[d] < 0:
-            e = d
-            while label[e] < 0:
+            label[d] = count
+            e = perm[d]
+            while e != d:
                 label[e] = count
                 e = perm[e]
             count += 1
@@ -439,26 +438,21 @@ def map_from_rotations(rotations, twin: dict, root) -> PlanarMap:
             sigma[d] = cyc[(k + 1) % len(cyc)]
     if set(twin) != set(sigma):
         raise ValueError("twin and rotations cover different dart sets")
+    # number the darts so that twins are 2i and 2i + 1
+    number = {}
     for d, e in twin.items():
         if d == e or twin[e] != d:
             raise ValueError("twin is not a fixed-point-free involution")
-    new = {root: 0, twin[root]: 1}
-    order = [root, twin[root]]
-    i = 0
-    while i < len(order):
-        e = sigma[order[i]]
-        i += 1
-        if e not in new:
-            new[e] = len(order)
-            new[twin[e]] = len(order) + 1
-            order.append(e)
-            order.append(twin[e])
-    if len(order) != len(sigma):
+        if d not in number:
+            number[d] = len(number)
+            number[e] = len(number)
+    numbered = [0] * len(number)
+    for d, k in number.items():
+        numbered[k] = number[sigma[d]]
+    new, order = _root_first(numbered, number[root])
+    if len(order) != len(numbered):
         raise ValueError("rotation system is not connected")
-    out = [0] * len(order)
-    for d, nd in new.items():
-        out[nd] = new[sigma[d]]
-    return PlanarMap(out, 0)
+    return PlanarMap(_renamed(numbered, new), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -481,20 +475,13 @@ def enumerate_nonseparable(m: int) -> list:
         raise ValueError("non-separable maps need at least two edges")
     n = 2 * m
     target_vf = m + 2
+    phi_of = itemgetter(*[d ^ 1 for d in range(n)])  # sigma -> sigma o twin
     seen = set()
     kept = []
     for sigma in permutations(range(n)):
         # vertex orbits and loop rejection (a loop beside other edges is
         # always separable)
-        vlabel = [-1] * n
-        nv = 0
-        for d in range(n):
-            if vlabel[d] < 0:
-                e = d
-                while vlabel[e] < 0:
-                    vlabel[e] = nv
-                    e = sigma[e]
-                nv += 1
+        vlabel, nv = _orbit_labels(sigma)
         ok = True
         for i in range(0, n, 2):
             if vlabel[i] == vlabel[i + 1]:
@@ -503,51 +490,13 @@ def enumerate_nonseparable(m: int) -> list:
         if not ok:
             continue
         # faces, then the Euler relation
-        flabel = [-1] * n
-        nf = 0
-        for d in range(n):
-            if flabel[d] < 0:
-                e = d
-                while flabel[e] < 0:
-                    flabel[e] = nf
-                    e = sigma[e ^ 1]
-                nf += 1
-        if nv + nf != target_vf:
+        if nv + _orbit_labels(phi_of(sigma))[1] != target_vf:
             continue
-        # connectivity
-        seen_d = [False] * n
-        seen_d[0] = True
-        stack = [0]
-        cnt = 1
-        while stack:
-            d = stack.pop()
-            e = sigma[d]
-            if not seen_d[e]:
-                seen_d[e] = True
-                cnt += 1
-                stack.append(e)
-            e = d ^ 1
-            if not seen_d[e]:
-                seen_d[e] = True
-                cnt += 1
-                stack.append(e)
-        if cnt != n:
+        # connectivity, then canonical dedup and the full cut-vertex test
+        # on new codes only
+        new, order = _root_first(sigma, 0)
+        if len(order) != n:
             continue
-        # canonical dedup (inline root-first relabeling), then the full
-        # cut-vertex test on new codes only
-        new = [-1] * n
-        new[0] = 0
-        new[1] = 1
-        order = [0, 1]
-        i = 0
-        while i < len(order):
-            e = sigma[order[i]]
-            i += 1
-            if new[e] < 0:
-                new[e] = len(order)
-                new[e ^ 1] = len(order) + 1
-                order.append(e)
-                order.append(e ^ 1)
         code = bytes(new[sigma[d]] for d in order)
         if code in seen:
             continue

@@ -37,7 +37,7 @@ class DyckPath:
 
     def __init__(self, word: str = ""):
         if any(c not in "ud" for c in word):
-            raise ValueError("Dyck word may only contain 'u' and 'd': %r" % (word,))
+            raise ParseError("Dyck word may only contain 'u' and 'd': %r" % (word,))
         heights = [0]
         ups = []
         stack = []
@@ -50,12 +50,12 @@ class DyckPath:
                 h += 1
             else:
                 if not stack:
-                    raise ValueError("not a Dyck word (prefix goes below 0): %r" % (word,))
+                    raise ParseError("not a Dyck word (prefix goes below 0): %r" % (word,))
                 match[stack.pop()] = j + 1
                 h -= 1
             heights.append(h)
         if h != 0:
-            raise ValueError("not a Dyck word (unbalanced): %r" % (word,))
+            raise ParseError("not a Dyck word (unbalanced): %r" % (word,))
         self.word = word
         self.size = len(ups)
         self._heights = tuple(heights)
@@ -173,7 +173,7 @@ class GridPath:
 
     def __init__(self, word: str = ""):
         if any(c not in "NE" for c in word):
-            raise ValueError("grid word may only contain 'N' and 'E': %r" % (word,))
+            raise ParseError("grid word may only contain 'N' and 'E': %r" % (word,))
         self.word = word
         # levels[y] = largest abscissa the path reaches at ordinate y
         levels = []
@@ -296,22 +296,23 @@ def enumerate_dyck_paths(n: int) -> list:
     if n < 0:
         raise ValueError("size must be nonnegative")
     words = []
-
-    def extend(prefix, ups_left, height):
-        if ups_left == 0 and height == 0:
-            words.append("".join(prefix))
-            return
-        if height > 0:
-            prefix.append("d")
-            extend(prefix, ups_left, height - 1)
-            prefix.pop()
-        if ups_left > 0:
-            prefix.append("u")
-            extend(prefix, ups_left - 1, height + 1)
-            prefix.pop()
-
-    extend([], n, 0)
+    _extend_dyck([], n, 0, words)
     return [DyckPath(w) for w in words]
+
+
+def _extend_dyck(prefix, ups_left, height, words):
+    """Append to ``words`` every Dyck word extending ``prefix``, 'd' first."""
+    if ups_left == 0 and height == 0:
+        words.append("".join(prefix))
+        return
+    if height > 0:
+        prefix.append("d")
+        _extend_dyck(prefix, ups_left, height - 1, words)
+        prefix.pop()
+    if ups_left > 0:
+        prefix.append("u")
+        _extend_dyck(prefix, ups_left - 1, height + 1, words)
+        prefix.pop()
 
 
 def grid_path_from_north_abscissas(abscissas, east_count: int) -> GridPath:

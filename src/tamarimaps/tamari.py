@@ -10,9 +10,13 @@ lattice (``tam_covers``).
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import product
+
 from .paths import (
     DyckPath,
     GridPath,
+    ParseError,
     PathPair,
     enumerate_dyck_paths,
     grid_path_from_north_abscissas,
@@ -106,25 +110,43 @@ def enumerate_tam(v: GridPath) -> list:
     >>> [p.word for p in enumerate_tam(GridPath("EN"))]
     ['EN', 'NE']
     """
-    levels = v.levels()
-    q = v.north_count
     words = []
-
-    def extend(prefix, x, y):
-        if len(prefix) == len(v):
-            words.append("".join(prefix))
-            return
-        if x < levels[y]:
-            prefix.append("E")
-            extend(prefix, x + 1, y)
-            prefix.pop()
-        if y < q:
-            prefix.append("N")
-            extend(prefix, x, y + 1)
-            prefix.pop()
-
-    extend([], 0, 0)
+    _extend_tam([], 0, 0, v, words)
     return [GridPath(w) for w in sorted(words)]
+
+
+def _extend_tam(prefix, x, y, v, words):
+    """Append to ``words`` every element word above ``v`` extending
+    ``prefix``, which ends at the point (x, y)."""
+    if len(prefix) == len(v):
+        words.append("".join(prefix))
+        return
+    if x < v.levels()[y]:
+        prefix.append("E")
+        _extend_tam(prefix, x + 1, y, v, words)
+        prefix.pop()
+    if y < v.north_count:
+        prefix.append("N")
+        _extend_tam(prefix, x, y + 1, v, words)
+        prefix.pop()
+
+
+def cover_closure(start, covers) -> set:
+    """Words of the elements reachable from ``start`` through the covering
+    relation ``covers`` (element -> covering elements), ``start`` included:
+    the reflexive-transitive closure, read from one element.
+
+    >>> sorted(cover_closure(DyckPath("ududud"), dyck_rotation_covers))
+    ['ududud', 'uduudd', 'uuddud', 'uududd', 'uuuddd']
+    """
+    reach = {start.word}
+    stack = [start]
+    while stack:
+        for c in covers(stack.pop()):
+            if c.word not in reach:
+                reach.add(c.word)
+                stack.append(c)
+    return reach
 
 
 def tam_leq(v: GridPath, v1: GridPath, v2: GridPath) -> bool:
@@ -249,9 +271,12 @@ class SyncInterval:
 
     @staticmethod
     def from_text(text: str) -> "SyncInterval":
+        """Read ``lower|upper``.  Text not in that form raises
+        :class:`ParseError`; two paths that form no interval raise a plain
+        ValueError."""
         parts = text.strip().split("|")
         if len(parts) != 2:
-            raise ValueError("interval text must be two Dyck words joined by '|'")
+            raise ParseError("interval text must be two Dyck words joined by '|'")
         return SyncInterval(DyckPath(parts[0]), DyckPath(parts[1]))
 
 
@@ -303,9 +328,12 @@ class CanopyInterval:
 
     @staticmethod
     def from_text(text: str) -> "CanopyInterval":
+        """Read ``upper|lower|canopy``.  Text not in that form raises
+        :class:`ParseError`; three paths that form no interval raise a plain
+        ValueError."""
         parts = text.strip().split("|")
         if len(parts) != 3:
-            raise ValueError("canopy interval text must be three grid words joined by '|'")
+            raise ParseError("canopy interval text must be three grid words joined by '|'")
         return CanopyInterval(GridPath(parts[0]), GridPath(parts[1]), GridPath(parts[2]))
 
 
@@ -470,31 +498,20 @@ def enumerate_canopy_intervals(v: GridPath) -> list:
     """All intervals of the lattice attached to ``v``, from the reflexive-
     transitive closure of the covering relation (independent of the Dyck-path
     order test)."""
-    elements = enumerate_tam(v)
-    index = {e.word: k for k, e in enumerate(elements)}
-    above = []
-    for e in elements:
-        reach = {e.word}
-        stack = [e]
-        while stack:
-            cur = stack.pop()
-            for c in tam_covers(v, cur):
-                if c.word not in reach:
-                    reach.add(c.word)
-                    stack.append(c)
-        above.append(reach)
+    covers = partial(tam_covers, v)
     out = []
-    for k, low in enumerate(elements):
-        for upw in sorted(above[k]):
-            out.append(CanopyInterval(elements[index[upw]], low, v))
+    for low in enumerate_tam(v):
+        for upw in sorted(cover_closure(low, covers)):
+            out.append(CanopyInterval(GridPath(upw), low, v))
     return sorted(out, key=lambda ci: (ci.lower.word, ci.upper.word))
 
 
 def count_canopy_intervals_of_length(n: int) -> int:
-    """Total number of canopy intervals over all canopies of length ``n``."""
-    from itertools import product
-
+    """Total number of canopy intervals over all canopies of length ``n``:
+    the sizes of the cover closures of every element of every lattice."""
     total = 0
     for letters in product("EN", repeat=n):
-        total += len(enumerate_canopy_intervals(GridPath("".join(letters))))
+        v = GridPath("".join(letters))
+        covers = partial(tam_covers, v)
+        total += sum(len(cover_closure(e, covers)) for e in enumerate_tam(v))
     return total

@@ -28,6 +28,8 @@ from bisect import bisect_left
 from collections import namedtuple
 from operator import itemgetter
 
+from .paths import ParseError
+
 # tokens of the flat code; leaf labels are at least -1, so they never collide
 OPEN = -2
 CLOSE = -3
@@ -279,19 +281,22 @@ class DecoratedTree:
 
     @staticmethod
     def from_text(text: str) -> "DecoratedTree":
+        """Read the text form.  Text not in that form, a label below -1
+        included, raises :class:`ParseError`; a readable tree may still
+        break the decoration conditions (see :meth:`validate`)."""
         tokens = text.replace("(", " ( ").replace(")", " ) ").split()
         if not tokens:
-            raise ValueError("unexpected end of tree text")
+            raise ParseError("unexpected end of tree text")
         stack = []
         root = None
         for pos, tok in enumerate(tokens):
             if root is not None:
-                raise ValueError("trailing tokens in tree text")
+                raise ParseError("trailing tokens in tree text")
             if tok == "(":
                 stack.append([])
             elif tok == ")":
                 if not stack:
-                    raise ValueError("unexpected ')' in tree text")
+                    raise ParseError("unexpected ')' in tree text")
                 node = stack.pop()
                 if stack:
                     stack[-1].append(node)
@@ -301,15 +306,18 @@ class DecoratedTree:
                 try:
                     label = int(tok)
                 except ValueError:
-                    raise ValueError("bad token %r in tree text" % (tok,)) from None
+                    raise ParseError("bad token %r in tree text" % (tok,)) from None
                 if not stack:
                     if pos + 1 < len(tokens):
-                        raise ValueError("trailing tokens in tree text")
-                    raise ValueError("the outermost node must be parenthesized")
+                        raise ParseError("trailing tokens in tree text")
+                    raise ParseError("the outermost node must be parenthesized")
                 stack[-1].append(label)
         if stack:
-            raise ValueError("unbalanced '(' in tree text")
-        return DecoratedTree(root)
+            raise ParseError("unbalanced '(' in tree text")
+        try:
+            return DecoratedTree(root)
+        except ValueError as exc:  # a label below -1 or an empty inner node
+            raise ParseError(str(exc)) from None
 
 
 class ChargeAssignment:
@@ -346,32 +354,31 @@ def enumerate_plane_shapes(n: int) -> list:
     the leaves, in a deterministic order."""
     if n < 0:
         raise ValueError("edge count must be nonnegative")
-
-    cache = {}
-
-    def shapes_with(e):
-        # all node shapes with e edges below; a child of size s costs 1 + s
-        if e in cache:
-            return cache[e]
-        out = []
-
-        def split(remaining, acc):
-            if remaining == 0:
-                out.append(tuple(acc))
-                return
-            for child_edges in range(remaining):
-                for child in ([None] if child_edges == 0 else shapes_with(child_edges)):
-                    acc.append(child)
-                    split(remaining - 1 - child_edges, acc)
-                    acc.pop()
-
-        split(e, [])
-        cache[e] = out
-        return out
-
     if n == 0:
         return [()]
-    return list(shapes_with(n))
+    return list(_shapes_with(n, {}))
+
+
+def _shapes_with(e, cache):
+    """All node shapes with ``e`` edges below, memoised in ``cache``."""
+    if e not in cache:
+        out = []
+        _split_shapes(e, [], out, cache)
+        cache[e] = out
+    return cache[e]
+
+
+def _split_shapes(remaining, acc, out, cache):
+    """Append to ``out`` every child list extending ``acc`` by ``remaining``
+    edges; a child with s edges below costs 1 + s."""
+    if remaining == 0:
+        out.append(tuple(acc))
+        return
+    for child_edges in range(remaining):
+        for child in ([None] if child_edges == 0 else _shapes_with(child_edges, cache)):
+            acc.append(child)
+            _split_shapes(remaining - 1 - child_edges, acc, out, cache)
+            acc.pop()
 
 
 def enumerate_decorated_trees(n: int) -> list:
@@ -393,21 +400,24 @@ def enumerate_decorated_trees(n: int) -> list:
         leaves = skeleton.leaves_in_traversal_order()
         addresses = [lf.address for lf in leaves]
         depths = [lf.parent_depth for lf in leaves]
-
-        def assign(idx, labels):
-            if idx == len(leaves):
-                tree = DecoratedTree(_shape_with_labels(shape, labels))
-                if tree.is_valid():
-                    out.append(tree)
-                return
-            for label in range(-1, depths[idx]):
-                labels.append(label)
-                if _condition3_prefix_ok(addresses, labels):
-                    assign(idx + 1, labels)
-                labels.pop()
-
-        assign(0, [])
+        _assign_labels(shape, addresses, depths, [], out)
     return sorted(out, key=lambda t: t.to_text())
+
+
+def _assign_labels(shape, addresses, depths, labels, out):
+    """Append to ``out`` every decorated tree of the shape whose labels
+    extend ``labels``, in traversal order."""
+    idx = len(labels)
+    if idx == len(depths):
+        tree = DecoratedTree(_shape_with_labels(shape, labels))
+        if tree.is_valid():
+            out.append(tree)
+        return
+    for label in range(-1, depths[idx]):
+        labels.append(label)
+        if _condition3_prefix_ok(addresses, labels):
+            _assign_labels(shape, addresses, depths, labels, out)
+        labels.pop()
 
 
 def _condition3_prefix_ok(addresses, labels):
@@ -429,15 +439,15 @@ def _shape_with_labels(shape, labels):
     """Fill a shape's leaves (None placeholders) with labels in traversal
     order; with ``labels=None``, fill with -1 placeholders."""
     it = iter(labels) if labels is not None else None
-
-    def fill(node):
-        if node is None:
-            return -1 if it is None else next(it)
-        return tuple(fill(child) for child in node)
-
-    filled = fill(shape)
+    filled = _fill(shape, it)
     if it is not None:
         rest = list(it)
         if rest:
             raise ValueError("too many labels for the shape")
     return filled
+
+
+def _fill(node, it):
+    if node is None:
+        return -1 if it is None else next(it)
+    return tuple(_fill(child, it) for child in node)

@@ -165,10 +165,11 @@ def test_criterion_08_statistic_distributions(sync_by_size, maps_by_edges):
             for Mp in maps_by_edges[n + 1]
             if map_to_interval(Mp).lower.contacts() - 1 == Mp.root_vertex_degree - 1
         )
+        assert matched == len(maps_by_edges[n + 1])
         transfers.append("%d/%d" % (matched, len(maps_by_edges[n + 1])))
     print(
-        "criterion 8 pass: degree multisets match to n=5 "
-        "(diagnostic per-object transfer: %s)" % ", ".join(transfers)
+        "criterion 8 pass: degree multisets and the per-object transfer "
+        "match to n=5 (%s)" % ", ".join(transfers)
     )
 
 

@@ -62,6 +62,12 @@ class TestTreeToMap:
         with pytest.raises(ValueError):
             tree_to_map(tree("((0))"))
 
+    def test_empty_tree_rejected(self):
+        # the tree with no edges is decorated, but no map has zero edges
+        assert tree("()").is_valid()
+        with pytest.raises(ValueError, match="at least one edge"):
+            tree_to_map(tree("()"))
+
     def test_images_are_non_separable(self, trees_by_edges):
         for n in range(1, 5):
             for T in trees_by_edges[n]:

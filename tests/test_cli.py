@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from tamarimaps import CanopyInterval, DecoratedTree, GridPath, ParseError, PlanarMap, SyncInterval
 from tamarimaps.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -168,6 +169,21 @@ class TestConvert:
         )
         assert (code, out) == (0, "(" * n + "-1" + ")" * n + "\n")
 
+    def test_empty_tree_is_invalid(self, capsys):
+        code, out, err = run(["convert", "--from", "tree", "--to", "map"], "()", capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == "invalid: needs a tree with at least one edge\n"
+
+    def test_non_ascii_file_is_a_parse_error(self, tmp_path, capsys):
+        f = tmp_path / "interval.txt"
+        f.write_bytes(b"u\xe9|ud\n")
+        code, out, err = run(
+            ["convert", "--from", "sync-interval", "--to", "tree", "--file", str(f)],
+            capsys=capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: ") and err.count("\n") == 1
+
     def test_file_input(self, tmp_path, capsys):
         f = tmp_path / "interval.txt"
         f.write_text("uudd|uudd\n")
@@ -176,6 +192,71 @@ class TestConvert:
             capsys=capsys,
         )
         assert (code, out) == (0, "((-1))\n")
+
+
+# how the library reads each encoding: a tree must also be decorated
+LIBRARY_READERS = {
+    "sync-interval": SyncInterval.from_text,
+    "canopy-interval": CanopyInterval.from_text,
+    "tree": lambda text: DecoratedTree.from_text(text).compute_charges(),
+    "map": PlanarMap.from_text,
+    "lattice": lambda text: GridPath(text.strip()),
+}
+
+DOUBLE_EDGE = "darts 4\nroot 1\nsigma 3 4 1 2\n"
+
+
+class TestLibraryParity:
+    """The CLI accepts and rejects exactly the text the library does: a
+    ParseError from the library means exit status 2, any other ValueError
+    exit status 1, success exit status 0."""
+
+    @pytest.mark.parametrize(
+        "kind,text,status",
+        [
+            ("sync-interval", "uudd|uudd", 0),
+            ("sync-interval", "udu|ud", 2),
+            ("sync-interval", "uq|ud", 2),
+            ("sync-interval", "ud|ud|", 2),
+            ("sync-interval", "udud|uudd", 1),
+            ("sync-interval", "uududd|uuddud", 1),
+            ("canopy-interval", "NE|EN|EN", 0),
+            ("canopy-interval", "N|X|N", 2),
+            ("canopy-interval", "N|N", 2),
+            ("canopy-interval", "N|E|N", 1),
+            ("canopy-interval", "EN|NE|EN", 1),
+            ("tree", "((-1))", 0),
+            ("tree", "(-2)", 2),
+            ("tree", "(-1", 2),
+            ("tree", "(())", 2),
+            ("tree", "((0))", 1),
+            ("map", DOUBLE_EDGE, 0),
+            ("map", "sigma 2 1", 2),
+            ("map", DOUBLE_EDGE + "root 2\n", 2),
+            ("map", "darts 4\nroot 1\nsigma 1 2 3 4\n", 1),
+            ("map", "darts 2\nroot 1\nsigma 1 1\n", 1),
+            ("lattice", "EEN", 0),
+            ("lattice", "EXN", 2),
+        ],
+    )
+    def test_same_verdict(self, kind, text, status, capsys):
+        try:
+            LIBRARY_READERS[kind](text)
+        except ParseError:
+            library = 2
+        except ValueError:
+            library = 1
+        else:
+            library = 0
+        if kind == "lattice":
+            argv = ["export-dot", "--object", "lattice"]
+        else:
+            argv = ["convert", "--from", kind, "--to", kind]
+        code, out, err = run(argv, text, capsys=capsys)
+        assert library == code == status
+        prefix = {0: "", 1: "invalid: ", 2: "parse error: "}[status]
+        assert err.startswith(prefix) and err.count("\n") == (status != 0)
+        assert (out == "") == (status != 0)
 
 
 class TestVerify:

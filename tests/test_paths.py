@@ -1,22 +1,22 @@
 import pytest
 from hypothesis import given
 
-from tamarimaps import DyckPath, GridPath, PathPair, enumerate_dyck_paths
+from tamarimaps import DyckPath, GridPath, ParseError, PathPair, enumerate_dyck_paths
 
 from conftest import dyck_paths
 
 
 class TestDyckBasics:
     def test_rejects_bad_characters(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             DyckPath("uxd")
 
     def test_rejects_negative_prefix(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             DyckPath("du")
 
     def test_rejects_unbalanced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             DyckPath("uud")
 
     def test_empty_path_is_legal(self):
@@ -133,7 +133,7 @@ class TestDistanceInvariants:
 
 class TestGridPath:
     def test_rejects_bad_characters(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             GridPath("NX")
 
     def test_any_word_is_allowed(self):

@@ -1,0 +1,38 @@
+"""The exhaustive enumerators leave no reference cycles: everything they
+allocate is freed by reference counting, without the cycle collector."""
+
+import gc
+
+import pytest
+
+from tamarimaps import (
+    GridPath,
+    count_canopy_intervals_of_length,
+    enumerate_decorated_trees,
+    enumerate_dyck_paths,
+    enumerate_tam,
+)
+from tamarimaps.trees import enumerate_plane_shapes
+
+
+@pytest.mark.parametrize(
+    "enumerator,argument",
+    [
+        (enumerate_dyck_paths, 5),
+        (enumerate_tam, GridPath("ENEEN")),
+        (count_canopy_intervals_of_length, 4),
+        (enumerate_plane_shapes, 5),
+        (enumerate_decorated_trees, 5),
+    ],
+    ids=["dyck_paths", "tam", "canopy_count", "plane_shapes", "decorated_trees"],
+)
+def test_enumerator_leaves_no_garbage(enumerator, argument):
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        enumerator(argument)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

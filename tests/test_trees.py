@@ -1,6 +1,6 @@
 import pytest
 
-from tamarimaps import DecoratedTree, closed_form, enumerate_decorated_trees
+from tamarimaps import DecoratedTree, ParseError, closed_form, enumerate_decorated_trees
 from tamarimaps.trees import enumerate_plane_shapes
 
 
@@ -19,16 +19,9 @@ class TestTextForm:
             assert tree(text).to_text() == text
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            tree("(-1")
-        with pytest.raises(ValueError):
-            tree("(x)")
-        with pytest.raises(ValueError):
-            tree("-1")
-        with pytest.raises(ValueError):
-            tree("(-1) (-1)")
-        with pytest.raises(ValueError):
-            tree("(-2)")
+        for text in ("(-1", "(x)", "-1", "(-1) (-1)", "(-2)", "(())", "", ")"):
+            with pytest.raises(ParseError):
+                tree(text)
 
     def test_enumeration_is_reserialization_stable(self):
         for T in enumerate_decorated_trees(4):
