@@ -171,6 +171,8 @@ def tree_to_lower(T: DecoratedTree) -> DyckPath:
 
 def tree_to_interval(T: DecoratedTree) -> SyncInterval:
     """The synchronized interval [lower, upper] attached to a decorated tree."""
+    if T.edge_count == 0:
+        raise ValueError("needs a tree with at least one edge")
     return SyncInterval(tree_to_lower(T), tree_to_upper(T))
 
 

@@ -359,9 +359,8 @@ def _suite_series(size):
     F = series.solve_interval_equation(order)
     Ms = series.solve_map_equation(order)
     checks = [(F.rows == Ms.rows, "interval and map equations agree to order %d" % order)]
-    ok = all(
-        F.at_x_one()[n] == series.closed_form(n - 1) for n in range(1, order + 1)
-    )
+    totals = F.at_x_one()
+    ok = all(totals[n] == series.closed_form(n - 1) for n in range(1, order + 1))
     checks.append((ok, "F(1,t) matches the closed form to order %d" % order))
     for n in range(1, size + 1):
         histogram = {}

@@ -101,44 +101,20 @@ class PlanarMap:
 
     def vertex_darts(self, d: int) -> list:
         """The sigma-cycle through ``d``, starting at ``d`` (clockwise)."""
-        out = [d]
-        e = self.sigma[d]
-        while e != d:
-            out.append(e)
-            e = self.sigma[e]
-        return out
+        return _cycle(self.sigma, d, 0)
 
     def rotations(self) -> list:
         """One clockwise dart cycle per vertex, each starting at its least
         dart, ordered by that least dart."""
-        seen = set()
-        out = []
-        for d in range(len(self.sigma)):
-            if d not in seen:
-                cyc = self.vertex_darts(d)
-                seen.update(cyc)
-                out.append(cyc)
-        return out
+        return [self.vertex_darts(d) for d in _orbit_starts(self._vlabel)]
 
     def face_of(self, d: int) -> list:
         """The phi-orbit through ``d``, starting at ``d``."""
-        out = [d]
-        e = self.phi(d)
-        while e != d:
-            out.append(e)
-            e = self.phi(e)
-        return out
+        return _cycle(self.sigma, d, 1)
 
     def faces(self) -> list:
         """All faces as dart cycles, each starting at its least dart."""
-        seen = set()
-        out = []
-        for d in range(len(self.sigma)):
-            if d not in seen:
-                cyc = self.face_of(d)
-                seen.update(cyc)
-                out.append(cyc)
-        return out
+        return [self.face_of(d) for d in _orbit_starts(self._flabel)]
 
     def outer_face(self) -> list:
         """The face on the left of the root dart, starting at the root."""
@@ -327,6 +303,27 @@ def _orbit_labels(perm):
                 e = perm[e]
             count += 1
     return label, count
+
+
+def _orbit_starts(label):
+    """The least dart of each orbit, in orbit order, from the labels of
+    :func:`_orbit_labels` (which numbers the orbits by least dart)."""
+    starts = []
+    for d, orbit in enumerate(label):
+        if orbit == len(starts):
+            starts.append(d)
+    return starts
+
+
+def _cycle(sigma, d, flip):
+    """The cycle through ``d``, starting at ``d``, of sigma (``flip`` 0) or
+    of phi, d -> sigma[d ^ 1] (``flip`` 1)."""
+    out = [d]
+    e = sigma[d ^ flip]
+    while e != d:
+        out.append(e)
+        e = sigma[e ^ flip]
+    return out
 
 
 # ---------------------------------------------------------------------------

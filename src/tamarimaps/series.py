@@ -3,7 +3,9 @@ r"""Exact bivariate generating series and closed-form counts.
 Series are truncated in the size variable t; the coefficient of t^n is a
 dense integer polynomial in the catalytic variable x (row ``n`` has x-degree
 at most ``n``).  Everything is exact big-integer arithmetic; the divided
-difference (G(x) - G(1))/(x - 1) is an exact polynomial quotient.
+difference (G(x) - G(1))/(x - 1) is an exact polynomial quotient.  Both
+functional equations are solved in one triangular pass: row n of the
+right-hand side only involves rows below n, so each row is computed once.
 """
 
 from __future__ import annotations
@@ -136,50 +138,6 @@ class BiSeries:
     def __repr__(self):
         return "BiSeries(order=%d)" % self.order
 
-    # -- arithmetic, all truncated to the common order ----------------------
-
-    def _binary(self, other):
-        if self.order != other.order:
-            raise ValueError("series have different truncation orders")
-        return BiSeries(self.order)
-
-    def add(self, other: "BiSeries") -> "BiSeries":
-        out = self._binary(other)
-        out.rows = [_poly_add(a, b) for a, b in zip(self.rows, other.rows)]
-        return out
-
-    def mul(self, other: "BiSeries") -> "BiSeries":
-        out = self._binary(other)
-        rows = [[] for _ in range(self.order + 1)]
-        for i, a in enumerate(self.rows):
-            if not a:
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.rows[j]
-                if b:
-                    rows[i + j] = _poly_add(rows[i + j], _poly_mul(a, b))
-        out.rows = rows
-        return out
-
-    def add_constant_one(self) -> "BiSeries":
-        out = BiSeries(self.order, self.rows)
-        out.rows[0] = _poly_add(out.rows[0], [1])
-        return out
-
-    def mul_xt(self) -> "BiSeries":
-        """Multiply by x*t (shift every row up one t-order and one x-degree)."""
-        out = BiSeries(self.order)
-        for n in range(self.order):
-            if self.rows[n]:
-                out.rows[n + 1] = [0] + self.rows[n]
-        return out
-
-    def divided_difference(self) -> "BiSeries":
-        """(G(x,t) - G(1,t)) / (x - 1), rowwise."""
-        out = BiSeries(self.order)
-        out.rows = [_poly_divided_difference(r) for r in self.rows]
-        return out
-
     def to_tsv(self) -> str:
         """Coefficient triangle as TSV: one line per t-order, columns by
         x-degree (row n padded to n+1 columns)."""
@@ -190,18 +148,11 @@ class BiSeries:
         return "\n".join(lines) + "\n"
 
 
-def _xt_series(order: int) -> BiSeries:
-    out = BiSeries(order)
-    if order >= 1:
-        out.rows[1] = [0, 1]
-    return out
-
-
 def solve_interval_equation(order: int) -> BiSeries:
     """Unique series solution of F = x*t * (1 + (F(x,t)-F(1,t))/(x-1)) * (1+F)
-    to the given t-order, by fixed-point iteration.  The right-hand side at
-    t^n only involves rows below n, so ``order`` rounds suffice; the
-    iteration runs exactly that many rounds.
+    to the given t-order, in one triangular pass.  Row n only involves rows
+    below n: F_n = x * sum_{i+j=n-1} (1 + dF)_i * (1 + F)_j, where dF is the
+    divided difference, so each row is computed once.
 
     >>> F = solve_interval_equation(5)
     >>> F.row(2)
@@ -211,37 +162,47 @@ def solve_interval_equation(order: int) -> BiSeries:
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    F = BiSeries(order)
-    for _ in range(order):
-        F = (
-            F.divided_difference()
-            .add_constant_one()
-            .mul_xt()
-            .mul(F.add_constant_one())
-        )
-    return F
+    one_plus_f = [[1]]  # rows of 1 + F
+    one_plus_df = [[1]]  # rows of 1 + (F(x,t)-F(1,t))/(x-1)
+    for n in range(1, order + 1):
+        inner = []
+        for i in range(n):
+            inner = _poly_add(inner, _poly_mul(one_plus_df[i], one_plus_f[n - 1 - i]))
+        row = _poly_mul([0, 1], inner)
+        one_plus_f.append(row)
+        one_plus_df.append(_poly_divided_difference(row))
+    return BiSeries(order, [[]] + one_plus_f[1:])
 
 
 def solve_map_equation(order: int) -> BiSeries:
     """Unique series solution of M = A / (1 - A) with
     A = x*t + x*t*(M(x,t)-M(1,t))/(x-1), to the given t-order.
 
-    The quotient is expanded as the geometric series sum_k A^k (A has
+    The quotient is expanded as the geometric series sum_{k>=1} A^k (A has
     positive t-valuation, so the sum truncates), which is a genuinely
     different computation route from :func:`solve_interval_equation`; the
-    two must agree coefficientwise.
+    two must agree coefficientwise.  One triangular pass: row n of A needs
+    row n-1 of M, then every power A^k gains its row n from rows below n,
+    and M_n is the sum of those rows.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    M = BiSeries(order)
-    for _ in range(order):
-        A = M.divided_difference().add_constant_one().mul_xt()
-        geom = BiSeries(order)
-        geom.rows[0] = [1]
-        power = BiSeries(order)
-        power.rows[0] = [1]
-        for _k in range(order):
-            power = power.mul(A)
-            geom = geom.add(power)
-        M = A.mul(geom)
-    return M
+    one_plus_dm = [[1]]  # rows of 1 + (M(x,t)-M(1,t))/(x-1)
+    powers = []  # powers[k - 1][m] is [t^m] A^k; A^k has t-valuation k
+    rows = [[]]
+    for n in range(1, order + 1):
+        powers.append([[]] * n)
+        a = powers[0]
+        a.append(_poly_mul([0, 1], one_plus_dm[n - 1]))
+        for j in range(1, n):  # row n of A^(j+1) = A * A^j
+            lower = powers[j - 1]
+            row = []
+            for i in range(1, n - j + 1):
+                row = _poly_add(row, _poly_mul(a[i], lower[n - i]))
+            powers[j].append(row)
+        row = []
+        for power in powers:
+            row = _poly_add(row, power[n])
+        rows.append(row)
+        one_plus_dm.append(_poly_divided_difference(row))
+    return BiSeries(order, rows)

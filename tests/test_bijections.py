@@ -67,6 +67,8 @@ class TestTreeToMap:
         assert tree("()").is_valid()
         with pytest.raises(ValueError, match="at least one edge"):
             tree_to_map(tree("()"))
+        with pytest.raises(ValueError, match="at least one edge"):
+            tree_to_interval(tree("()"))
 
     def test_images_are_non_separable(self, trees_by_edges):
         for n in range(1, 5):

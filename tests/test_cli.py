@@ -174,6 +174,14 @@ class TestConvert:
         assert (code, out) == (1, "")
         assert err == "invalid: needs a tree with at least one edge\n"
 
+    @pytest.mark.parametrize("target", ["sync-interval", "canopy-interval"])
+    def test_empty_tree_has_no_interval(self, target, capsys):
+        # the size-0 interval '|' is rejected on the way in, so it is not
+        # produced on the way out either
+        code, out, err = run(["convert", "--from", "tree", "--to", target], "()", capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == "invalid: needs a tree with at least one edge\n"
+
     def test_non_ascii_file_is_a_parse_error(self, tmp_path, capsys):
         f = tmp_path / "interval.txt"
         f.write_bytes(b"u\xe9|ud\n")

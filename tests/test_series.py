@@ -7,7 +7,7 @@ from tamarimaps import (
     solve_interval_equation,
     solve_map_equation,
 )
-from tamarimaps.series import BiSeries, _poly_divided_difference
+from tamarimaps.series import _poly_divided_difference
 
 
 class TestClosedForm:
@@ -61,13 +61,26 @@ class TestIntervalEquation:
         assert F.row(2) == [0, 1, 1]
 
     def test_row_sums_match_closed_form(self):
-        F = solve_interval_equation(12)
-        assert F.at_x_one() == [0] + [closed_form(n - 1) for n in range(1, 13)]
+        for order in (12, 40):
+            F = solve_interval_equation(order)
+            assert F.at_x_one() == [0] + [closed_form(n - 1) for n in range(1, order + 1)]
 
     def test_x_degree_bound(self):
         F = solve_interval_equation(10)
         for n in range(11):
             assert len(F.row(n)) <= n + 1
+
+    def test_triangle_edges(self):
+        # read off F = xt(1 + dF)(1 + F): F has no x-free term, so at x = 0
+        # the product is 1 + F(1,t) and [t^n x^1]F = [t^(n-1)]F(1,t); the
+        # top degree comes from x^(n-1) in [t^(n-1)]F alone
+        F = solve_interval_equation(40)
+        for n in range(1, 41):
+            assert len(F.row(n)) == n + 1
+            assert F.coefficient(n, 0) == 0
+            assert F.coefficient(n, n) == 1
+            if n >= 2:
+                assert F.coefficient(n, 1) == closed_form(n - 2)
 
     def test_rows_match_contact_histograms(self, sync_by_size):
         F = solve_interval_equation(7)
@@ -81,12 +94,19 @@ class TestIntervalEquation:
 
 class TestMapEquation:
     def test_agrees_with_interval_equation(self):
-        F = solve_interval_equation(12)
-        M = solve_map_equation(12)
-        assert M.rows == F.rows
+        for order in (12, 40):
+            assert solve_map_equation(order).rows == solve_interval_equation(order).rows
 
     def test_first_row(self):
         assert solve_map_equation(3).row(1) == [0, 1]
+
+
+@pytest.mark.parametrize("solve", [solve_interval_equation, solve_map_equation])
+def test_truncation(solve):
+    # each row only depends on rows below it, so a lower order is a prefix
+    rows = solve(24).rows
+    for k in range(1, 25):
+        assert solve(k).rows == rows[: k + 1]
 
 
 class TestBiSeries:
@@ -102,7 +122,3 @@ class TestBiSeries:
         lines = text.strip("\n").split("\n")
         assert len(lines) == 4
         assert lines[2].split("\t") == ["0", "1", "1"]
-
-    def test_order_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            BiSeries(3).add(BiSeries(4))
