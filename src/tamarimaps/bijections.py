@@ -262,45 +262,53 @@ def canopy_to_map(ci: CanopyInterval) -> PlanarMap:
 # ---------------------------------------------------------------------------
 
 def recursive_map_to_interval(M: PlanarMap) -> SyncInterval:
-    """The recursively defined bijection: peel the first parallel brick off
-    the map and translate it into a pointed interval, translate the rest
-    recursively, and compose.
+    """The recursively defined bijection: peel every parallel brick off the
+    map at once, translate each brick into a pointed interval, and fold them
+    from the right with ``compose_intervals``, starting from the empty
+    interval.
 
     A loop brick is the empty pointed interval.  A map brick is re-rooted at
     the first of its darts on the head side of the contracted root edge,
     translated recursively, and pointed at the contact numbered contacts
     minus the brick's root-side dart count.  This convention makes the
     recursion coincide with ``map_to_interval`` at every tested size; the
-    coincidence is a reported test, not an assumption.
+    coincidence is a reported test, not an assumption.  The recursion goes
+    only into brick interiors, one level per nesting of bricks.
+
+    >>> from tamarimaps.maps import double_edge_map
+    >>> recursive_map_to_interval(double_edge_map()).to_text()
+    'ud|ud'
     """
-    bricks = parallel_components(M)
-    first = bricks[0]
-    rest = bricks[1:]
-    K, j = first.component, first.root_side
-    if K.edge_count == 1:
-        pointed = PointedSyncInterval(SyncInterval(DyckPath(""), DyckPath("")), 0)
-    else:
-        rot = K.vertex_darts(K.root)
-        inner = recursive_map_to_interval(PlanarMap(K.sigma, rot[j]))
-        pointed = PointedSyncInterval(inner, inner.lower.contacts() - j)
-    if rest:
-        other = recursive_map_to_interval(compose_parallel(rest))
-    else:
-        other = SyncInterval(DyckPath(""), DyckPath(""))
-    return compose_intervals(pointed, other)
+    empty = SyncInterval(DyckPath(""), DyckPath(""))
+    out = empty
+    for K, j in reversed(parallel_components(M)):
+        if K.edge_count == 1:
+            pointed = PointedSyncInterval(empty, 0)
+        else:
+            rot = K.vertex_darts(K.root)
+            inner = recursive_map_to_interval(PlanarMap(K.sigma, rot[j]))
+            pointed = PointedSyncInterval(inner, inner.lower.contacts() - j)
+        out = compose_intervals(pointed, out)
+    return out
 
 
 def recursive_interval_to_map(interval: SyncInterval) -> PlanarMap:
-    """Inverse of :func:`recursive_map_to_interval`."""
-    pointed, other = decompose_interval(interval)
-    if pointed.size == 0:
-        brick = ParallelBrick(single_loop_map(), 1)
-    else:
-        K = recursive_interval_to_map(pointed.base)
-        j = pointed.base.lower.contacts() - pointed.cut
-        rot = K.vertex_darts(K.root)
-        brick = ParallelBrick(PlanarMap(K.sigma, rot[len(rot) - j]), j)
-    if other.size == 0:
-        return compose_parallel([brick])
-    rest = parallel_components(recursive_interval_to_map(other))
-    return compose_parallel([brick] + rest)
+    """Inverse of :func:`recursive_map_to_interval`: split the interval into
+    all its pointed factors with repeated ``decompose_interval``, turn each
+    factor into a parallel brick (the empty one into a loop, any other by
+    translating its base recursively and re-rooting it), and compose the
+    whole brick list once with ``compose_parallel``.  The empty interval has
+    no map and raises ValueError."""
+    bricks = []
+    rest = interval
+    while True:
+        pointed, rest = decompose_interval(rest)
+        if pointed.size == 0:
+            bricks.append(ParallelBrick(single_loop_map(), 1))
+        else:
+            K = recursive_interval_to_map(pointed.base)
+            j = pointed.base.lower.contacts() - pointed.cut
+            rot = K.vertex_darts(K.root)
+            bricks.append(ParallelBrick(PlanarMap(K.sigma, rot[len(rot) - j]), j))
+        if rest.size == 0:
+            return compose_parallel(bricks)

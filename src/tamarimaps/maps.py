@@ -190,9 +190,18 @@ class PlanarMap:
     def canonical_code(self) -> bytes:
         """A byte string equal for two maps exactly when they are isomorphic
         as rooted maps (root-first traversal relabeling; rooted maps have no
-        nontrivial automorphisms)."""
+        nontrivial automorphisms).
+
+        Each dart's new label takes one byte up to 256 darts and, past that,
+        the fewest big-endian bytes that hold the largest label; the code
+        length then grows strictly with the dart count, so maps of different
+        sizes never share a code."""
         new, order = _root_first(self.sigma, self.root)
-        return bytes(new[self.sigma[d]] for d in order)
+        sigma = self.sigma
+        if len(sigma) <= 256:
+            return bytes(new[sigma[d]] for d in order)
+        width = ((len(sigma) - 1).bit_length() + 7) // 8
+        return b"".join(new[sigma[d]].to_bytes(width, "big") for d in order)
 
     def canonical_form(self) -> "PlanarMap":
         """The same rooted map with darts renamed by the canonical traversal
@@ -725,6 +734,7 @@ def parallel_components(M: PlanarMap) -> list:
         raise AssertionError("parallel components are not properly nested")
 
     arcs_b = {ci: darts for ci, darts in runs_b}
+    inner_rotations = [cyc for cyc in M.rotations() if vl[cyc[0]] not in (vl[r], vl[rt])]
     bricks = []
     for ci, arc_a in runs_a:
         comp_darts = set()
@@ -732,9 +742,7 @@ def parallel_components(M: PlanarMap) -> list:
             comp_darts.add(2 * eid)
             comp_darts.add(2 * eid + 1)
         rotations = [arc_a + arcs_b[ci]]
-        for cyc in M.rotations():
-            if M.vertex_of(cyc[0]) in (vl[r], vl[rt]):
-                continue
+        for cyc in inner_rotations:
             sub = [d for d in cyc if d in comp_darts]
             if sub:
                 rotations.append(sub)

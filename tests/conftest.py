@@ -29,9 +29,11 @@ def brute_maps_by_edges():
 
 @pytest.fixture(scope="session")
 def maps_by_edges(brute_maps_by_edges):
-    """Census through 6 edges: brute force below, composition closure at 6."""
+    """Census through 7 edges: brute force below, composition closure at 6
+    and 7."""
     out = dict(brute_maps_by_edges)
-    out[6] = enumerate_nonseparable_by_composition(6)
+    for m in (6, 7):
+        out[m] = enumerate_nonseparable_by_composition(m)
     return out
 
 

@@ -294,7 +294,7 @@ class TestLargeObjects:
 class TestRecursiveBijection:
     def test_coincides_with_the_composed_bijection(self, maps_by_edges):
         # the coincidence claimed in the closing remark, reported per size
-        for m in range(2, 7):
+        for m in range(2, 8):
             agree = sum(
                 1
                 for M in maps_by_edges[m]
@@ -305,7 +305,27 @@ class TestRecursiveBijection:
             assert agree == len(maps_by_edges[m])
 
     def test_inverse(self, maps_by_edges):
-        for m in range(2, 6):
+        for m in range(2, 8):
             for M in maps_by_edges[m]:
                 I = recursive_map_to_interval(M)
                 assert recursive_interval_to_map(I).is_isomorphic_to(M)
+
+    @pytest.mark.parametrize(
+        "word", ["ud" * 200, "u" * 60 + "d" * 60], ids=["comb", "spine"]
+    )
+    def test_large_objects(self, word):
+        # the comb's map has 201 edges, past one byte per canonical label
+        start = SyncInterval(DyckPath(word), DyckPath(word))
+        M = interval_to_map(start)
+        assert recursive_map_to_interval(M) == start
+        assert recursive_interval_to_map(start).is_isomorphic_to(M)
+
+    def test_errors_keep_their_class(self):
+        from tamarimaps import single_edge_map, single_loop_map
+
+        with pytest.raises(ValueError):
+            recursive_interval_to_map(SyncInterval(DyckPath(""), DyckPath("")))
+        # a single edge, a loop, and a path of two edges
+        for M in (single_edge_map(), single_loop_map(), PlanarMap((0, 2, 1, 3), 0)):
+            with pytest.raises(ValueError):
+                recursive_map_to_interval(M)

@@ -201,6 +201,24 @@ class TestCanonicalCode:
         M = triangle_map()
         assert PlanarMap(M.sigma, 1).canonical_code() == M.canonical_code()
 
+    def test_large_maps(self):
+        # 202 edges: dart labels no longer fit in one byte
+        M = compose_series(
+            [SeriesBrick(double_edge_map(), 1), SeriesBrick(single_edge_map(), 1)] * 67
+        )
+        assert M.edge_count == 202
+        # rename the edges in reverse, keeping twin pairs 2i <-> 2i + 1
+        swap = [M.dart_count - 2 + (d & 1) - (d & ~1) for d in range(M.dart_count)]
+        sigma = [0] * M.dart_count
+        for d in range(M.dart_count):
+            sigma[swap[d]] = swap[M.sigma[d]]
+        relabeled = PlanarMap(sigma, swap[M.root])
+        assert M.is_isomorphic_to(M)
+        assert relabeled.is_isomorphic_to(M)
+        assert relabeled.is_isomorphic_to(relabeled.canonical_form())
+        assert relabeled.canonical_form() == M.canonical_form()
+        assert not PlanarMap(M.sigma, M.root ^ 1).is_isomorphic_to(M)
+
 
 class TestDuality:
     def test_degree_swap(self, maps_by_edges):
