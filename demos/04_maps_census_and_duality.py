@@ -1,8 +1,9 @@
-"""The brute-force map census, duality, and the two recursive decompositions.
+"""The direct map census, duality, and the two recursive decompositions.
 
-Every rotation system on a fixed dart set is tried and filtered down to the
-non-separable planar ones; duality swaps the two degree statistics; deleting
-or contracting the root edge splits a map into bricks that rebuild it.
+Each connected rooted map on a fixed dart set is generated once, as its
+canonical rotation system, and filtered down to the non-separable planar
+ones; duality swaps the two degree statistics; deleting or contracting the
+root edge splits a map into bricks that rebuild it.
 """
 
 from tamarimaps import (

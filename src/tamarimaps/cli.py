@@ -24,7 +24,7 @@ SIZE_CAPS = {
     "sync-intervals": 10,
     "canopy-intervals": 9,
     "decorated-trees": 8,
-    "nonsep-maps": 5,
+    "nonsep-maps": 6,
 }
 
 COUNT_OBJECTS = ("sync-intervals", "canopy-intervals", "decorated-trees", "nonsep-maps")

@@ -33,7 +33,7 @@ class DyckPath:
     2
     """
 
-    __slots__ = ("word", "size", "_heights", "_ups", "_match")
+    __slots__ = ("word", "size", "_heights", "_ups", "_match", "_distances", "_type")
 
     def __init__(self, word: str = ""):
         if any(c not in "ud" for c in word):
@@ -61,6 +61,8 @@ class DyckPath:
         self._heights = tuple(heights)
         self._ups = tuple(ups)
         self._match = tuple(match)
+        self._distances = None  # distance vector, computed on first use
+        self._type = None       # type word, computed on first use
 
     # -- basic protocol ----------------------------------------------------
 
@@ -78,10 +80,6 @@ class DyckPath:
 
     def __len__(self):
         return len(self.word)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.word
 
     # -- statistics --------------------------------------------------------
 
@@ -117,7 +115,26 @@ class DyckPath:
         return self.match_up(i) - self.up_position(i)
 
     def distance_vector(self) -> tuple:
-        return tuple(self._match[p - 1] - p for p in self._ups)
+        """The distance of every up step, in order (computed once).
+
+        >>> DyckPath("uududd").distance_vector()
+        (5, 1, 1)
+        """
+        if self._distances is None:
+            self._distances = tuple(self._match[p - 1] - p for p in self._ups)
+        return self._distances
+
+    def type_word(self) -> str:
+        """The word of :meth:`type_of` (computed once); empty for the empty
+        path.
+
+        >>> DyckPath("uududd").type_word()
+        'EN'
+        """
+        if self._type is None:
+            w = self.word
+            self._type = "".join(["E" if w[p] == "u" else "N" for p in self._ups[:-1]])
+        return self._type
 
     def type_of(self) -> "GridPath":
         """The type of the path: a grid word of length n-1 whose k-th letter
@@ -131,9 +148,7 @@ class DyckPath:
         """
         if self.size < 1:
             raise ValueError("type is defined for nonempty Dyck paths only")
-        w = self.word
-        letters = ["E" if w[p] == "u" else "N" for p in self._ups[:-1]]
-        return GridPath("".join(letters))
+        return GridPath(self.type_word())
 
     def contains(self, i: int, j: int) -> bool:
         """Whether the j-th up step lies strictly inside the matching arc of

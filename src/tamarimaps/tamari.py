@@ -218,7 +218,7 @@ def pathpair_to_dyck(pp: PathPair) -> DyckPath:
     word.append("u" * (n - (north_ranks[-1] if north_ranks else 0)))
     word.append("d" * (n - total_down))
     P = DyckPath("".join(word))
-    if P.type_of() != v:
+    if P.type_word() != v.word:
         raise ValueError("invalid pair: no Dyck path reproduces it")
     return P
 
@@ -239,10 +239,10 @@ class SyncInterval:
         if lower.size != upper.size:
             raise ValueError("paths of an interval must have equal size")
         if lower.size > 0:
-            if lower.type_of() != upper.type_of():
+            if lower.type_word() != upper.type_word():
                 raise ValueError(
                     "paths have different types: %s vs %s"
-                    % (lower.type_of().word, upper.type_of().word)
+                    % (lower.type_word(), upper.type_word())
                 )
             if not tamari_leq(lower, upper):
                 raise ValueError("%r is not below %r" % (lower.word, upper.word))
@@ -458,7 +458,7 @@ def dyck_paths_by_type(n: int) -> dict:
     """Group all size-n Dyck paths by type word."""
     fibers = {}
     for P in enumerate_dyck_paths(n):
-        fibers.setdefault(P.type_of().word if n else "", []).append(P)
+        fibers.setdefault(P.type_word(), []).append(P)
     return fibers
 
 

@@ -22,14 +22,15 @@ def trees_by_edges():
 
 @pytest.fixture(scope="session")
 def brute_maps_by_edges():
-    """Brute-forced non-separable census, 2..5 edges (the 5-edge pass is the
-    slow part of the whole suite, a few seconds)."""
+    """Direct non-separable census (``enumerate_nonseparable``, the orderly
+    generation of rotation systems), 2..5 edges, about 0.05 s.  It shares no
+    code with the composition census, which the tests check it against."""
     return {m: enumerate_nonseparable(m) for m in range(2, 6)}
 
 
 @pytest.fixture(scope="session")
 def maps_by_edges(brute_maps_by_edges):
-    """Census through 7 edges: brute force below, composition closure at 6
+    """Census through 7 edges: direct census below, composition closure at 6
     and 7."""
     out = dict(brute_maps_by_edges)
     for m in (6, 7):

@@ -38,6 +38,18 @@ class TestCount:
             "",
         )
 
+    def test_nonsep_maps_at_the_cap(self, capsys):
+        assert run(["count", "nonsep-maps", "6"], capsys=capsys) == (
+            0,
+            "enumerated 91\nclosed-form 91\n",
+            "",
+        )
+
+    def test_nonsep_maps_cap_enforced(self, capsys):
+        code, _, err = run(["count", "nonsep-maps", "7"], capsys=capsys)
+        assert code == 2
+        assert "--unsafe-size" in err
+
     def test_canopy_intervals(self, capsys):
         code, out, _ = run(["count", "canopy-intervals", "2"], capsys=capsys)
         assert code == 0 and out.startswith("enumerated 6\n")

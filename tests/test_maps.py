@@ -14,7 +14,13 @@ from tamarimaps import (
     single_edge_map,
     single_loop_map,
 )
-from tamarimaps.maps import SeriesBrick, _multigraph_blocks
+from tamarimaps.maps import (
+    SeriesBrick,
+    _canonical_sigmas,
+    _multigraph_blocks,
+    _orbit_labels,
+    _root_first,
+)
 
 
 def triangle_map():
@@ -282,6 +288,44 @@ class TestCensus:
             for M in maps_by_edges[m]:
                 assert M.is_non_separable()
                 assert M.vertex_count - M.edge_count + M.face_count == 2
+
+    def test_direct_census_equals_composition_census_at_six_edges(self):
+        # same maps in the same (canonical-code) order
+        direct = enumerate_nonseparable(6)
+        assert len(direct) == 91
+        assert direct == enumerate_nonseparable_by_composition(6)
+
+
+class TestCanonicalSigmas:
+    """The orderly generator behind :func:`enumerate_nonseparable`."""
+
+    @staticmethod
+    def _genus_zero(sigma):
+        n = len(sigma)
+        nv = _orbit_labels(sigma)[1]
+        nf = _orbit_labels([sigma[d ^ 1] for d in range(n)])[1]
+        return nv - n // 2 + nf == 2
+
+    def test_counts_all_genera(self):
+        # rooted maps of any genus with m edges (OEIS A000698)
+        assert [sum(1 for _ in _canonical_sigmas(m)) for m in range(1, 6)] == [
+            2, 10, 74, 706, 8162,
+        ]
+
+    def test_counts_genus_zero(self):
+        # rooted planar maps with m edges (OEIS A000168)
+        assert [
+            sum(1 for s in _canonical_sigmas(m) if self._genus_zero(s)) for m in range(1, 6)
+        ] == [2, 9, 54, 378, 2916]
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_each_is_its_own_root_first_labelling(self, m):
+        sigmas = list(_canonical_sigmas(m))
+        for s in sigmas:
+            assert sorted(s) == list(range(2 * m))
+            assert _root_first(s, 0)[0] == list(range(2 * m))
+        assert len(set(sigmas)) == len(sigmas)
+        assert sigmas == sorted(sigmas)
 
 
 class TestSeriesDecomposition:

@@ -10,6 +10,7 @@ from tamarimaps import (
     count_canopy_intervals_of_length,
     enumerate_decorated_trees,
     enumerate_dyck_paths,
+    enumerate_nonseparable,
     enumerate_tam,
 )
 from tamarimaps.trees import enumerate_plane_shapes
@@ -23,8 +24,16 @@ from tamarimaps.trees import enumerate_plane_shapes
         (count_canopy_intervals_of_length, 4),
         (enumerate_plane_shapes, 5),
         (enumerate_decorated_trees, 5),
+        (enumerate_nonseparable, 4),
     ],
-    ids=["dyck_paths", "tam", "canopy_count", "plane_shapes", "decorated_trees"],
+    ids=[
+        "dyck_paths",
+        "tam",
+        "canopy_count",
+        "plane_shapes",
+        "decorated_trees",
+        "nonseparable_maps",
+    ],
 )
 def test_enumerator_leaves_no_garbage(enumerator, argument):
     gc.collect()
