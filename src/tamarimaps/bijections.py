@@ -13,8 +13,9 @@ from __future__ import annotations
 from .maps import (
     PlanarMap,
     ParallelBrick,
+    _link,
+    canonical_map,
     compose_parallel,
-    map_from_rotations,
     parallel_components,
     single_loop_map,
 )
@@ -93,7 +94,8 @@ def tree_to_map(T: DecoratedTree) -> PlanarMap:
 
     Around that ancestor, the new dart sits just after, in clockwise order,
     the edge through which the ancestor reaches the leaf; several leaves
-    reached through the same edge follow it in traversal order.
+    reached through the same edge follow it in traversal order.  Each vertex
+    cycle is written straight into an integer sigma, twin d <-> d^1.
     """
     if T.edge_count == 0:
         raise ValueError("needs a tree with at least one edge")
@@ -103,7 +105,7 @@ def tree_to_map(T: DecoratedTree) -> PlanarMap:
 
     # edges are numbered in traversal order, 0 being the new root edge; edge
     # k has dart 2k at its end nearer the root and dart 2k + 1 at the other
-    rotations = []
+    sigma = [0] * (2 * T.edge_count + 2)
     hosted = {}  # edge -> darts of the leaves re-attached just after it
     path = [0]  # edge above each open node, the tree root first
     kids = [[]]  # child edges of each open internal node
@@ -116,7 +118,7 @@ def tree_to_map(T: DecoratedTree) -> PlanarMap:
             for child in reversed(kids.pop()):
                 rotation.append(2 * child)
                 rotation += hosted.pop(child, ())
-            rotations.append(rotation)
+            _link(sigma, rotation)
             continue
         edges += 1
         kids[-1].append(edges)
@@ -127,10 +129,9 @@ def tree_to_map(T: DecoratedTree) -> PlanarMap:
             # a leaf labeled l hangs after the edge from its ancestor of depth
             # l to the next one down (the root edge when l = -1)
             hosted.setdefault(path[tok + 1], []).append(2 * edges + 1)
-    rotations.append([0] + hosted.pop(0, []))
+    _link(sigma, [0] + hosted.pop(0, []))
 
-    twin = {d: d ^ 1 for d in range(2 * edges + 2)}
-    M = map_from_rotations(rotations, twin, 0)
+    M = canonical_map(sigma, 0)
     if not M.is_non_separable():
         raise AssertionError("reconstruction produced a separable map")
     return M

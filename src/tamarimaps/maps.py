@@ -10,6 +10,8 @@ Faces are the orbits of phi = sigma o twin; the orbit of a dart d is the
 face on the left of d, so the outer face is the phi-orbit of the root dart.
 Planarity is the Euler relation V - E + F = 2 (genus 0 only); it is checked
 at construction, as is connectivity (sigma and twin must act transitively).
+Every map the package builds is written as such an integer sigma and put
+in canonical form by :func:`canonical_map`.
 """
 
 from __future__ import annotations
@@ -71,13 +73,6 @@ class PlanarMap:
     @property
     def face_count(self) -> int:
         return self._nf
-
-    def twin(self, d: int) -> int:
-        return d ^ 1
-
-    def phi(self, d: int) -> int:
-        """Face permutation: next dart of the face on the left of ``d``."""
-        return self.sigma[d ^ 1]
 
     def vertex_of(self, d: int) -> int:
         """Vertex id (orbit label of sigma) the dart is attached to."""
@@ -205,7 +200,7 @@ class PlanarMap:
     def canonical_form(self) -> "PlanarMap":
         """The same rooted map with darts renamed by the canonical traversal
         (root dart 0, twin pairing 2i <-> 2i+1 preserved)."""
-        return PlanarMap(_renamed(self.sigma, _root_first(self.sigma, self.root)[0]), 0)
+        return canonical_map(self.sigma, self.root)
 
     def is_isomorphic_to(self, other: "PlanarMap") -> bool:
         return self.canonical_code() == other.canonical_code()
@@ -287,14 +282,6 @@ def _root_first(sigma, root):
             order.append(e)
             order.append(e ^ 1)
     return new, order
-
-
-def _renamed(sigma, new):
-    """Sigma with each dart d renamed new[d]."""
-    out = [0] * len(sigma)
-    for d, nd in enumerate(new):
-        out[nd] = new[sigma[d]]
-    return out
 
 
 def _orbit_labels(perm):
@@ -427,37 +414,43 @@ def _multigraph_blocks(nv: int, edges):
 
 
 # ---------------------------------------------------------------------------
-# Building maps from ad-hoc rotation systems
+# Building maps from integer rotation systems
 # ---------------------------------------------------------------------------
 
-def map_from_rotations(rotations, twin: dict, root) -> PlanarMap:
-    """Build a PlanarMap from clockwise dart cycles with arbitrary hashable
-    dart ids and an explicit twin involution.  Darts are renamed by the
-    root-first canonical traversal, so the result is in canonical form.
+def canonical_map(sigma, root) -> PlanarMap:
+    """The map (sigma, root), twin d <-> d^1, renamed by the root-first
+    traversal into canonical form.  A path rooted at its middle vertex:
+
+    >>> canonical_map([0, 2, 1, 3], 1)
+    PlanarMap(sigma=[2, 1, 0, 3], root=0)
     """
-    sigma = {}
-    for cyc in rotations:
-        for k, d in enumerate(cyc):
-            if d in sigma:
-                raise ValueError("dart %r appears in two rotations" % (d,))
-            sigma[d] = cyc[(k + 1) % len(cyc)]
-    if set(twin) != set(sigma):
-        raise ValueError("twin and rotations cover different dart sets")
-    # number the darts so that twins are 2i and 2i + 1
-    number = {}
-    for d, e in twin.items():
-        if d == e or twin[e] != d:
-            raise ValueError("twin is not a fixed-point-free involution")
-        if d not in number:
-            number[d] = len(number)
-            number[e] = len(number)
-    numbered = [0] * len(number)
-    for d, k in number.items():
-        numbered[k] = number[sigma[d]]
-    new, order = _root_first(numbered, number[root])
-    if len(order) != len(numbered):
+    n = len(sigma)
+    if n < 2 or n % 2 or sorted(sigma) != list(range(n)):
+        raise ValueError("sigma is not a permutation of a positive even number of darts")
+    if not 0 <= root < n:
+        raise ValueError("root dart %d out of range" % (root,))
+    new, order = _root_first(sigma, root)
+    if len(order) != n:
         raise ValueError("rotation system is not connected")
-    return PlanarMap(_renamed(numbered, new), 0)
+    return PlanarMap([new[sigma[d]] for d in order], 0)
+
+
+def _link(sigma, cycle):
+    """Make the darts of ``cycle`` one vertex, in that clockwise order."""
+    prev = cycle[-1]
+    for d in cycle:
+        sigma[prev] = d
+        prev = d
+
+
+def _splice(sigma, a, b):
+    """Insert the vertex cycle of ``b``, read from ``b``, just after ``a``;
+    the two darts must lie at different vertices, which become one."""
+    p = b
+    while sigma[p] != b:
+        p = sigma[p]
+    sigma[p] = sigma[a]
+    sigma[a] = b
 
 
 # ---------------------------------------------------------------------------
@@ -568,54 +561,15 @@ def series_components(M: PlanarMap) -> list:
     outer face degree).  Blocks are listed in the order the outer face walk
     of ``M`` meets them, starting from the head of the root; each block's
     root is its first exposed dart, so the block's root vertex is the
-    linking vertex nearer the root's head.
+    linking vertex nearer the root's head.  Blocks are built by :func:`_bricks`.
     """
     if not M.is_non_separable():
         raise ValueError("series decomposition needs a non-separable map")
-    r = M.root
-    rt = r ^ 1
-    outer = M.face_of(r)
-
-    # rotation system of the remainder
-    rot = {}
-    for cyc in M.rotations():
-        cyc = [d for d in cyc if d not in (r, rt)]
-        if cyc:
-            rot[M.vertex_of(cyc[0])] = cyc
-    vl = M._vlabel
-    edges = [(i, vl[2 * i], vl[2 * i + 1]) for i in range(M.edge_count) if 2 * i != (r & ~1)]
-    blocks, _cuts = _multigraph_blocks(M.vertex_count, edges)
-    block_of_edge = {}
-    for bi, block in enumerate(blocks):
-        for eid in block:
-            block_of_edge[eid] = bi
-
-    # group the outer walk (minus the root dart) into one run per block
-    runs = []
-    for d in outer[1:]:
-        bi = block_of_edge[d >> 1]
-        if runs and runs[-1][0] == bi:
-            runs[-1][1].append(d)
-        else:
-            runs.append((bi, [d]))
-    if sorted(bi for bi, _ in runs) != sorted(range(len(blocks))):
+    block_of, count = _blocks(M._vlabel, M.vertex_count, M.root >> 1)
+    runs = _runs(M.face_of(M.root)[1:], block_of)
+    if sorted(bi for bi, _ in runs) != sorted(range(count)):
         raise AssertionError("outer walk does not expose each block exactly once")
-
-    bricks = []
-    for bi, exposed_darts in runs:
-        block_darts = set()
-        for eid in blocks[bi]:
-            block_darts.add(2 * eid)
-            block_darts.add(2 * eid + 1)
-        rotations = []
-        for cyc in rot.values():
-            sub = [d for d in cyc if d in block_darts]
-            if sub:
-                rotations.append(sub)
-        twin = {d: d ^ 1 for d in block_darts}
-        component = map_from_rotations(rotations, twin, exposed_darts[0])
-        bricks.append(SeriesBrick(component, len(exposed_darts)))
-    return bricks
+    return [SeriesBrick(*brick) for brick in _bricks(M.sigma, block_of, runs)]
 
 
 def compose_series(bricks) -> PlanarMap:
@@ -625,7 +579,8 @@ def compose_series(bricks) -> PlanarMap:
     Each brick is a rooted map (a single edge or a non-separable map) plus
     the number of outer-walk darts it exposes, between 1 and its outer
     degree minus one; the exposed walk ends at the linking vertex shared
-    with the next brick.
+    with the next brick.  The bricks' sigmas are laid side by side and
+    each link vertex, then each end of the root edge, is one splice.
     """
     bricks = [SeriesBrick(b[0], b[1]) for b in bricks]
     if not bricks:
@@ -642,59 +597,21 @@ def compose_series(bricks) -> PlanarMap:
             raise ValueError(
                 "exposed count %d out of range 1..%d" % (j, K.outer_face_degree - 1)
             )
-
-    rotations = {}  # (brick index, vertex id) -> clockwise dart list
-    tags = {}
-    for i, (K, _j) in enumerate(bricks):
-        for cyc in K.rotations():
-            rotations[(i, K.vertex_of(cyc[0]))] = [(i, d) for d in cyc]
-        for d in range(K.dart_count):
-            tags[(i, d)] = (i, d ^ 1)
-
-    def rotate_to(lst, first):
-        k = lst.index(first)
-        return lst[k:] + lst[:k]
-
-    # walk data per brick: the dart closing its exposed arc and the vertices
-    enter_vertex = []  # root vertex of the brick (walk enters here)
-    exit_dart = []  # twin of the last exposed dart (at the far link vertex)
-    exit_vertex = []
-    for i, (K, j) in enumerate(bricks):
-        walk = K.face_of(K.root)
-        last = walk[j - 1]
-        enter_vertex.append((i, K.vertex_of(K.root)))
-        exit_dart.append((i, last ^ 1))
-        exit_vertex.append((i, K.vertex_of(last ^ 1)))
-
-    # glue brick i+1's root vertex onto brick i's exit vertex
-    merged = {key: list(cyc) for key, cyc in rotations.items()}
-    alias = {}
-
-    def resolve(key):
-        while key in alias:
-            key = alias[key]
-        return key
-
-    for i in range(len(bricks) - 1):
-        host = resolve(exit_vertex[i])
-        guest = resolve(enter_vertex[i + 1])
-        host_cyc = rotate_to(merged[host], exit_dart[i])
-        guest_cyc = rotate_to(merged[guest], (i + 1, bricks[i + 1].component.root))
-        merged[host] = [host_cyc[0]] + guest_cyc + host_cyc[1:]
-        del merged[guest]
-        alias[guest] = host
-
-    # close with the root edge: R at the final exit vertex, R' at the first
-    # brick's root vertex
-    R, Rt = ("root", 0), ("root", 1)
-    tags[R], tags[Rt] = Rt, R
-    u_key = resolve(enter_vertex[0])
-    u_cyc = rotate_to(merged[u_key], (0, bricks[0].component.root))
-    merged[u_key] = [Rt] + u_cyc
-    v_key = resolve(exit_vertex[-1])
-    v_cyc = rotate_to(merged[v_key], exit_dart[-1])
-    merged[v_key] = [v_cyc[0], R] + v_cyc[1:]
-    return map_from_rotations(list(merged.values()), tags, R)
+    sigma = []
+    roots = []
+    exits = []  # twin of each brick's last exposed dart, at its far link vertex
+    for K, j in bricks:
+        offset = len(sigma)
+        sigma += [offset + e for e in K.sigma]
+        roots.append(offset + K.root)
+        exits.append(offset + (K.face_of(K.root)[j - 1] ^ 1))
+    R = len(sigma)
+    sigma += [R, R + 1]
+    for a, b in zip(exits, roots[1:]):
+        _splice(sigma, a, b)
+    _splice(sigma, exits[-1], R)
+    _splice(sigma, R + 1, roots[0])
+    return canonical_map(sigma, R)
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +630,8 @@ def parallel_components(M: PlanarMap) -> list:
     root vertex is its copy of the merged endpoint, together with the number
     of its darts that came from the root vertex of ``M`` (its contribution
     to the root vertex degree).  Components are ordered clockwise after the
-    root dart.
+    root dart.  The two endpoints are linked into one vertex of a copy of
+    sigma, where the root edge stays as a loop, and split by :func:`_bricks`.
     """
     if not M.is_non_separable():
         raise ValueError("parallel decomposition needs a non-separable map")
@@ -721,79 +639,23 @@ def parallel_components(M: PlanarMap) -> list:
     rt = r ^ 1
     side_a = M.vertex_darts(r)[1:]  # clockwise after the root dart
     side_b = M.vertex_darts(rt)[1:]
-    merged_rot = side_a + side_b
-    at_w = set(merged_rot)
-
-    # components of the contracted map: loops at the merged vertex are their
-    # own components; the rest are blocks of the loopless contracted graph
-    comp_of_edge = {}
-    loop_eids = []
-    other_edges = []
-    vl = M._vlabel
-    wv = M.vertex_count  # id for the merged vertex
-    for i in range(M.edge_count):
-        if 2 * i == (r & ~1):
-            continue
-        a = wv if 2 * i in at_w else vl[2 * i]
-        b = wv if 2 * i + 1 in at_w else vl[2 * i + 1]
-        if a == b:
-            loop_eids.append(i)
-        else:
-            other_edges.append((i, a, b))
-    # compact vertex ids for the block finder
-    used = sorted({x for _e, a, b in other_edges for x in (a, b)})
-    compact = {x: k for k, x in enumerate(used)}
-    if other_edges:
-        blocks, _cuts = _multigraph_blocks(
-            len(used), [(e, compact[a], compact[b]) for e, a, b in other_edges]
-        )
-    else:
-        blocks = []
-    components = [frozenset([e]) for e in loop_eids] + list(blocks)
-    for ci, comp in enumerate(components):
-        for eid in comp:
-            comp_of_edge[eid] = ci
-
-    # runs of component darts along the merged rotation
-    def runs_of(lst):
-        runs = []
-        for d in lst:
-            ci = comp_of_edge[d >> 1]
-            if runs and runs[-1][0] == ci:
-                runs[-1][1].append(d)
-            else:
-                runs.append((ci, [d]))
-        return runs
-
-    runs_a, runs_b = runs_of(side_a), runs_of(side_b)
-    if len(runs_a) != len(components) or len(runs_b) != len(components):
+    sigma = list(M.sigma)
+    _link(sigma, [r] + side_a + [rt] + side_b)
+    block_of, count = _blocks(*_orbit_labels(sigma), r >> 1)
+    runs_a, runs_b = _runs(side_a, block_of), _runs(side_b, block_of)
+    if len(runs_a) != count or len(runs_b) != count:
         raise AssertionError("components do not form single arcs on both sides")
     if [ci for ci, _ in runs_b] != [ci for ci, _ in reversed(runs_a)]:
         raise AssertionError("parallel components are not properly nested")
-
-    arcs_b = {ci: darts for ci, darts in runs_b}
-    inner_rotations = [cyc for cyc in M.rotations() if vl[cyc[0]] not in (vl[r], vl[rt])]
-    bricks = []
-    for ci, arc_a in runs_a:
-        comp_darts = set()
-        for eid in components[ci]:
-            comp_darts.add(2 * eid)
-            comp_darts.add(2 * eid + 1)
-        rotations = [arc_a + arcs_b[ci]]
-        for cyc in inner_rotations:
-            sub = [d for d in cyc if d in comp_darts]
-            if sub:
-                rotations.append(sub)
-        twin = {d: d ^ 1 for d in comp_darts}
-        component = map_from_rotations(rotations, twin, arc_a[0])
-        bricks.append(ParallelBrick(component, len(arc_a)))
-    return bricks
+    return [ParallelBrick(*brick) for brick in _bricks(sigma, block_of, runs_a)]
 
 
 def compose_parallel(bricks) -> PlanarMap:
     """Inverse of :func:`parallel_components`: split each brick's root
     vertex after ``root_side`` darts, stack the first parts clockwise after
     a new root dart and the second parts counter-clockwise after its twin.
+    The bricks' sigmas are laid side by side and the two new vertex cycles
+    of the root edge R, R + 1 are written over their root vertices.
     """
     bricks = [ParallelBrick(b[0], b[1]) for b in bricks]
     if not bricks:
@@ -810,25 +672,85 @@ def compose_parallel(bricks) -> PlanarMap:
             raise ValueError(
                 "root-side count %d out of range 1..%d" % (j, K.root_vertex_degree - 1)
             )
-    rotations = []
-    tags = {}
+    sigma = []
     side_a = []
     side_b = []
-    for i, (K, j) in enumerate(bricks):
-        root_cyc = [(i, d) for d in K.vertex_darts(K.root)]
-        side_a.extend(root_cyc[:j])
-        side_b[:0] = root_cyc[j:]
-        for cyc in K.rotations():
-            if K.vertex_of(cyc[0]) == K.vertex_of(K.root):
-                continue
-            rotations.append([(i, d) for d in cyc])
-        for d in range(K.dart_count):
-            tags[(i, d)] = (i, d ^ 1)
-    R, Rt = ("root", 0), ("root", 1)
-    tags[R], tags[Rt] = Rt, R
-    rotations.append([R] + side_a)
-    rotations.append([Rt] + side_b)
-    return map_from_rotations(rotations, tags, R)
+    for K, j in bricks:
+        offset = len(sigma)
+        sigma += [offset + e for e in K.sigma]
+        root_cycle = [offset + d for d in K.vertex_darts(K.root)]
+        side_a += root_cycle[:j]
+        side_b[:0] = root_cycle[j:]
+    R = len(sigma)
+    sigma += [R, R + 1]
+    _link(sigma, [R] + side_a)
+    _link(sigma, [R + 1] + side_b)
+    return canonical_map(sigma, R)
+
+
+def _blocks(vlabel, nv, root_edge):
+    """The blocks of a rotation system with vertex labels ``vlabel`` once
+    its edge ``root_edge`` is deleted: each loop is a block of its own, the
+    other edges fall into the blocks of the loopless multigraph.  Returns
+    the block index of each edge (-1 for ``root_edge``) and the block count.
+    """
+    edges = [(i, vlabel[2 * i], vlabel[2 * i + 1]) for i in range(len(vlabel) // 2)]
+    del edges[root_edge]
+    blocks = [frozenset([i]) for i, a, b in edges if a == b]
+    blocks += _multigraph_blocks(nv, [e for e in edges if e[1] != e[2]])[0]
+    block_of = [-1] * (len(vlabel) // 2)
+    for bi, block in enumerate(blocks):
+        for eid in block:
+            block_of[eid] = bi
+    return block_of, len(blocks)
+
+
+def _runs(walk, block_of):
+    """Group a walk of darts into maximal runs of darts of the same block:
+    a list of (block index, darts)."""
+    runs = []
+    for d in walk:
+        bi = block_of[d >> 1]
+        if runs and runs[-1][0] == bi:
+            runs[-1][1].append(d)
+        else:
+            runs.append((bi, [d]))
+    return runs
+
+
+def _bricks(sigma, block_of, runs):
+    """One brick per run, one run per block: sigma restricted to the block's
+    darts (edges renumbered in order) as a canonical map rooted at the run's
+    first dart, and the run length.  One walk over the vertex cycles links
+    consecutive darts of each block; darts in no block are skipped."""
+    size = [0] * len(runs)
+    local = [0] * len(sigma)
+    for eid, bi in enumerate(block_of):
+        if bi >= 0:
+            local[2 * eid], local[2 * eid + 1] = size[bi], size[bi] + 1
+            size[bi] += 2
+    restricted = [[0] * k for k in size]
+    last = [-1] * len(runs)
+    seen = [False] * len(sigma)
+    for start in range(len(sigma)):
+        if seen[start]:
+            continue
+        touched = []
+        d = start
+        while not seen[d]:
+            seen[d] = True
+            bi = block_of[d >> 1]
+            if bi >= 0:
+                if last[bi] < 0:
+                    touched.append((bi, d))
+                else:
+                    restricted[bi][local[last[bi]]] = local[d]
+                last[bi] = d
+            d = sigma[d]
+        for bi, first in touched:
+            restricted[bi][local[last[bi]]] = local[first]
+            last[bi] = -1
+    return [(canonical_map(restricted[bi], local[run[0]]), len(run)) for bi, run in runs]
 
 
 # ---------------------------------------------------------------------------
@@ -841,40 +763,35 @@ def enumerate_nonseparable_by_composition(m: int) -> list:
     chain of bricks (single edges and pointed smaller non-separable maps)
     whose edges sum to m - 1.  Complete and duplicate-free by the series
     decomposition bijection; cross-checked against the direct census
-    :func:`enumerate_nonseparable` in the test suite.
+    :func:`enumerate_nonseparable` in the test suite.  The maps are in
+    canonical form, so sorting their sigmas puts them in canonical-code order.
     """
     if m < 2:
         raise ValueError("non-separable maps need at least two edges")
-    censuses = {}
+    bricks_by_cost = [[], [SeriesBrick(single_edge_map(), 1)]]
     for k in range(2, m + 1):
-        censuses[k] = _compose_census(k, censuses)
-    return censuses[m]
+        out = {}
+        _extend_series(k - 1, [], bricks_by_cost, out)
+        census = [out[sigma] for sigma in sorted(out)]
+        if k < m:
+            bricks_by_cost.append(
+                [SeriesBrick(K, j) for K in census for j in range(1, K.outer_face_degree)]
+            )
+    return census
 
 
-def _compose_census(m, censuses):
-    brick_choices = [(single_edge_map(), 1, 1)]
-    for e in range(2, m):
-        for K in censuses[e]:
-            for j in range(1, K.outer_face_degree):
-                brick_choices.append((K, j, e))
-
-    out = {}
-    _extend_series(m - 1, [], brick_choices, out)
-    return [out[c] for c in sorted(out)]
-
-
-def _extend_series(budget, acc, brick_choices, out):
+def _extend_series(budget, acc, bricks_by_cost, out):
     """Close every chain of bricks that extends ``acc`` by ``budget`` edges
-    into a map, keyed by canonical code in ``out``."""
+    into a map, keyed in ``out`` by its sigma (the map is in canonical form,
+    so the sigma identifies the rooted map)."""
     if budget == 0:
         M = compose_series(acc)
-        code = M.canonical_code()
-        if code in out:
+        if M.sigma in out:
             raise AssertionError("series composition produced a duplicate")
-        out[code] = M
+        out[M.sigma] = M
         return
-    for K, j, cost in brick_choices:
-        if cost <= budget:
-            acc.append(SeriesBrick(K, j))
-            _extend_series(budget - cost, acc, brick_choices, out)
+    for cost in range(1, budget + 1):
+        for brick in bricks_by_cost[cost]:
+            acc.append(brick)
+            _extend_series(budget - cost, acc, bricks_by_cost, out)
             acc.pop()

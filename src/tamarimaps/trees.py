@@ -138,9 +138,6 @@ class DecoratedTree:
             cur = cur[k]
         return cur
 
-    def depth(self, address: tuple) -> int:
-        return len(address)
-
     def leaves_in_traversal_order(self) -> list:
         """Leaves as (address, label, parent depth), in traversal order."""
         return [

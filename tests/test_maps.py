@@ -15,11 +15,14 @@ from tamarimaps import (
     single_loop_map,
 )
 from tamarimaps.maps import (
+    ParallelBrick,
     SeriesBrick,
     _canonical_sigmas,
     _multigraph_blocks,
     _orbit_labels,
     _root_first,
+    _splice,
+    canonical_map,
 )
 
 
@@ -31,33 +34,21 @@ def triangle_map():
 
 
 def _with_pendant(M):
-    # attach a new degree-1 vertex at the root vertex (always separable)
-    from tamarimaps.maps import map_from_rotations
-
-    rotations = [list(cyc) for cyc in M.rotations()]
-    for cyc in rotations:
-        if M.root in cyc:
-            cyc.insert(cyc.index(M.root) + 1, "pendant-in")
-    rotations.append(["pendant-out"])
-    twin = {d: d ^ 1 for d in range(M.dart_count)}
-    twin["pendant-in"] = "pendant-out"
-    twin["pendant-out"] = "pendant-in"
-    return map_from_rotations(rotations, twin, M.root)
+    # attach a new degree-1 vertex at the root vertex (always separable):
+    # new edge 2m, 2m + 1 with dart 2m spliced in just after the root
+    n = M.dart_count
+    sigma = list(M.sigma) + [n, n + 1]
+    _splice(sigma, M.root, n)
+    return canonical_map(sigma, M.root)
 
 
 def _with_loop(M):
-    # attach a contractible loop at the root vertex (always separable)
-    from tamarimaps.maps import map_from_rotations
-
-    rotations = [list(cyc) for cyc in M.rotations()]
-    for cyc in rotations:
-        if M.root in cyc:
-            at = cyc.index(M.root) + 1
-            cyc[at:at] = ["loop-a", "loop-b"]
-    twin = {d: d ^ 1 for d in range(M.dart_count)}
-    twin["loop-a"] = "loop-b"
-    twin["loop-b"] = "loop-a"
-    return map_from_rotations(rotations, twin, M.root)
+    # attach a contractible loop at the root vertex (always separable): new
+    # darts 2m, 2m + 1 spliced in, in that order, just after the root
+    n = M.dart_count
+    sigma = list(M.sigma) + [n + 1, n]
+    _splice(sigma, M.root, n)
+    return canonical_map(sigma, M.root)
 
 
 class TestPlanarMapBasics:
@@ -68,6 +59,13 @@ class TestPlanarMapBasics:
             PlanarMap((0, 0, 1, 2), 0)  # not a permutation
         with pytest.raises(ValueError):
             PlanarMap((1, 0, 3, 2), 0)  # disconnected (two loops apart)
+
+    def test_canonical_map_validation(self):
+        with pytest.raises(ValueError, match="not a permutation"):
+            canonical_map([0, 0, 1, 2], 0)
+        with pytest.raises(ValueError, match="not connected"):
+            canonical_map([1, 0, 3, 2], 0)  # two loops apart
+        assert canonical_map([0, 2, 1, 3], 1) == PlanarMap((2, 1, 0, 3), 0)
 
     def test_euler_gate_rejects_torus(self):
         # one vertex, two crossing loops: V=1, E=2, F=1 -> genus 1
@@ -385,6 +383,18 @@ class TestParallelDecomposition:
             for M in maps_by_edges[m]:
                 bricks = parallel_components(M)
                 assert M.root_vertex_degree - 1 == sum(j for _, j in bricks)
+
+    def test_compose_validates_bricks(self):
+        with pytest.raises(ValueError, match="at least one brick"):
+            compose_parallel([])
+        with pytest.raises(ValueError, match="plain edge"):
+            compose_parallel([ParallelBrick(single_edge_map(), 1)])
+        with pytest.raises(ValueError, match="exactly one dart"):
+            compose_parallel([ParallelBrick(single_loop_map(), 2)])
+        with pytest.raises(ValueError, match="loops or non-separable"):
+            compose_parallel([ParallelBrick(PlanarMap((0, 2, 1, 3), 0), 1)])
+        with pytest.raises(ValueError, match="out of range 1..1"):
+            compose_parallel([ParallelBrick(double_edge_map(), 2)])
 
     def test_duality_exchanges_the_decompositions(self, maps_by_edges):
         # series bricks of the dual are the duals of the parallel bricks
