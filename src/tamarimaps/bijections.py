@@ -25,8 +25,8 @@ from .tamari import (
     PointedSyncInterval,
     SyncInterval,
     canopy_to_sync,
-    compose_intervals,
-    decompose_interval,
+    compose_factors,
+    split_interval,
     sync_to_canopy,
 )
 from .trees import CLOSE, OPEN, DecoratedTree
@@ -262,54 +262,73 @@ def canopy_to_map(ci: CanopyInterval) -> PlanarMap:
 # The recursive bijection of the closing remark
 # ---------------------------------------------------------------------------
 
+_EMPTY = SyncInterval(DyckPath(""), DyckPath(""))  # the base of every loop brick's factor
+
+
 def recursive_map_to_interval(M: PlanarMap) -> SyncInterval:
     """The recursively defined bijection: peel every parallel brick off the
-    map at once, translate each brick into a pointed interval, and fold them
-    from the right with ``compose_intervals``, starting from the empty
-    interval.
+    map at once, translate each brick into a pointed interval, and compose
+    the whole factor list once with ``compose_factors``.
 
     A loop brick is the empty pointed interval.  A map brick is re-rooted at
     the first of its darts on the head side of the contracted root edge,
     translated recursively, and pointed at the contact numbered contacts
     minus the brick's root-side dart count.  This convention makes the
     recursion coincide with ``map_to_interval`` at every tested size; the
-    coincidence is a reported test, not an assumption.  The recursion goes
-    only into brick interiors, one level per nesting of bricks.
+    coincidence is a reported test, not an assumption.  The recursion into
+    brick interiors runs on an explicit stack, one frame per map brick being
+    translated, so nesting depth is not bounded by the interpreter's
+    recursion limit.
 
     >>> from tamarimaps.maps import double_edge_map
     >>> recursive_map_to_interval(double_edge_map()).to_text()
     'ud|ud'
     """
-    empty = SyncInterval(DyckPath(""), DyckPath(""))
-    out = empty
-    for K, j in reversed(parallel_components(M)):
-        if K.edge_count == 1:
-            pointed = PointedSyncInterval(empty, 0)
-        else:
-            rot = K.vertex_darts(K.root)
-            inner = recursive_map_to_interval(PlanarMap(K.sigma, rot[j]))
-            pointed = PointedSyncInterval(inner, inner.lower.contacts() - j)
-        out = compose_intervals(pointed, out)
-    return out
+    # one frame per map being translated: its bricks not yet taken (last
+    # first), the factors of those taken, and its root-side count as a brick
+    stack = [(parallel_components(M)[::-1], [], 0)]
+    while True:
+        bricks, factors, _ = stack[-1]
+        if bricks:
+            K, j = bricks.pop()
+            if K.edge_count == 1:
+                factors.append(PointedSyncInterval(_EMPTY, 0))
+            else:
+                rot = K.vertex_darts(K.root)
+                stack.append((parallel_components(PlanarMap(K.sigma, rot[j]))[::-1], [], j))
+            continue
+        _, factors, j = stack.pop()
+        inner = compose_factors(factors)
+        if not stack:
+            return inner
+        stack[-1][1].append(PointedSyncInterval(inner, inner.lower.contacts() - j))
 
 
 def recursive_interval_to_map(interval: SyncInterval) -> PlanarMap:
     """Inverse of :func:`recursive_map_to_interval`: split the interval into
-    all its pointed factors with repeated ``decompose_interval``, turn each
-    factor into a parallel brick (the empty one into a loop, any other by
-    translating its base recursively and re-rooting it), and compose the
-    whole brick list once with ``compose_parallel``.  The empty interval has
-    no map and raises ValueError."""
-    bricks = []
-    rest = interval
+    all its pointed factors with ``split_interval``, turn each factor into a
+    parallel brick (the empty one into a loop, any other by translating its
+    base recursively and re-rooting it), and compose the whole brick list
+    once with ``compose_parallel``.  The recursion runs on an explicit
+    stack, one frame per factor base being translated.  The empty interval
+    has no map and raises ValueError."""
+    # one frame per interval being translated: its factors not yet taken
+    # (last first), the bricks of those taken, and its root-side count as the
+    # base of a factor
+    stack = [(split_interval(interval)[::-1], [], 0)]
     while True:
-        pointed, rest = decompose_interval(rest)
-        if pointed.size == 0:
-            bricks.append(ParallelBrick(single_loop_map(), 1))
-        else:
-            K = recursive_interval_to_map(pointed.base)
-            j = pointed.base.lower.contacts() - pointed.cut
-            rot = K.vertex_darts(K.root)
-            bricks.append(ParallelBrick(PlanarMap(K.sigma, rot[len(rot) - j]), j))
-        if rest.size == 0:
-            return compose_parallel(bricks)
+        factors, bricks, _ = stack[-1]
+        if factors:
+            pointed = factors.pop()
+            if pointed.size == 0:
+                bricks.append(ParallelBrick(single_loop_map(), 1))
+            else:
+                j = pointed.base.lower.contacts() - pointed.cut
+                stack.append((split_interval(pointed.base)[::-1], [], j))
+            continue
+        _, bricks, j = stack.pop()
+        K = compose_parallel(bricks)
+        if not stack:
+            return K
+        rot = K.vertex_darts(K.root)
+        stack[-1][1].append(ParallelBrick(PlanarMap(K.sigma, rot[len(rot) - j]), j))

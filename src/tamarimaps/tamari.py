@@ -412,42 +412,92 @@ def canopy_to_sync(ci: CanopyInterval) -> SyncInterval:
 
 def compose_intervals(pointed: PointedSyncInterval, other: SyncInterval) -> SyncInterval:
     """Compose a pointed interval [Pl Pr, Q1] and an interval [P2, Q2] into
-    the interval [u Pl d Pr P2, u Q1 d Q2].  Sizes add up plus one.
+    the interval [u Pl d Pr P2, u Q1 d Q2].  Sizes add up plus one.  This is
+    the one-factor case of :func:`compose_factors`: it equals
+    ``compose_factors([pointed] + split_interval(other))``.
 
     >>> empty = SyncInterval(DyckPath(""), DyckPath(""))
     >>> compose_intervals(PointedSyncInterval(empty, 0), empty).to_text()
     'ud|ud'
     """
-    left, right = pointed.split_lower()
-    lower = DyckPath("u" + left.word + "d" + right.word + other.lower.word)
-    upper = DyckPath("u" + pointed.base.upper.word + "d" + other.upper.word)
-    return SyncInterval(lower, upper)
+    lower, upper = _lift(pointed)
+    return SyncInterval(DyckPath(lower + other.lower.word), DyckPath(upper + other.upper.word))
+
+
+def compose_factors(factors) -> SyncInterval:
+    """Compose a list of pointed intervals from the right, starting from the
+    empty interval: the lifted words u Pl d Pr and u Q1 d of every factor
+    are joined, left to right, into one lower and one upper path.  Inverse
+    of :func:`split_interval`; the empty list gives the empty interval.
+
+    >>> empty = SyncInterval(DyckPath(""), DyckPath(""))
+    >>> compose_factors([PointedSyncInterval(empty, 0)] * 2).to_text()
+    'udud|udud'
+    >>> compose_factors([]).size
+    0
+    """
+    lifts = [_lift(pointed) for pointed in factors]
+    return SyncInterval(
+        DyckPath("".join(low for low, _ in lifts)), DyckPath("".join(up for _, up in lifts))
+    )
+
+
+def _lift(pointed: PointedSyncInterval) -> tuple:
+    """The words u Pl d Pr and u Q1 d of one pointed factor [Pl Pr, Q1]."""
+    base = pointed.base
+    pos = base.lower.contact_positions()[pointed.cut]
+    w = base.lower.word
+    return "u" + w[:pos] + "d" + w[pos:], "u" + base.upper.word + "d"
 
 
 def decompose_interval(interval: SyncInterval) -> tuple:
-    """Inverse of :func:`compose_intervals` on nonempty intervals.
-
-    The upper path is cut at its first return to the axis, the lower path at
-    the same position (necessarily a contact), and the left lower piece is
-    cut again at its own first return to locate the pointed contact.
+    """Inverse of :func:`compose_intervals` on nonempty intervals: the first
+    factor of :func:`split_interval`, and the rest as an interval.
     """
     if interval.size == 0:
         raise ValueError("cannot decompose the empty interval")
-    P, Q = interval.lower.word, interval.upper.word
-    qcut = interval.upper.contact_positions()[1]
-    Q1, Q2 = DyckPath(Q[1 : qcut - 1]), DyckPath(Q[qcut:])
-    if interval.lower.heights()[qcut] != 0:
-        raise ValueError("lower path has no contact under the upper first return")
-    P1, P2 = DyckPath(P[:qcut]), DyckPath(P[qcut:])
-    pcut = P1.contact_positions()[1]
-    left, right = DyckPath(P[1 : pcut - 1]), DyckPath(P[pcut:qcut])
-    lower1 = DyckPath(left.word + right.word)
-    base = SyncInterval(lower1, Q1)
-    if base.size == 0:
-        cut = 0
-    else:
-        cut = lower1.contact_positions().index(len(left))
-    return PointedSyncInterval(base, cut), SyncInterval(P2, Q2)
+    P, Q = interval.lower, interval.upper
+    pointed, b = _factor(P, Q, 0)
+    return pointed, SyncInterval(DyckPath(P.word[b:]), DyckPath(Q.word[b:]))
+
+
+def split_interval(interval: SyncInterval) -> list:
+    """All pointed factors of an interval, left to right, in one scan of the
+    upper path's contacts: ``compose_factors(split_interval(I)) == I``, and
+    there are contacts - 1 of them (none for the empty interval).
+
+    >>> split_interval(SyncInterval(DyckPath("uuddud"), DyckPath("uududd")))
+    [PointedSyncInterval(SyncInterval('udud', 'udud'), cut=1)]
+    >>> [(p.size, p.cut) for p in split_interval(SyncInterval(DyckPath("udud"), DyckPath("udud")))]
+    [(0, 0), (0, 0)]
+    """
+    P, Q = interval.lower, interval.upper
+    factors = []
+    a = 0
+    while a < len(Q):
+        pointed, a = _factor(P, Q, a)
+        factors.append(pointed)
+    return factors
+
+
+def _factor(P: DyckPath, Q: DyckPath, a: int) -> tuple:
+    """The pointed factor of the interval [P, Q] that starts at the contact
+    ``a`` of the upper path Q, and Q's next return b, where it ends.  Q[a:b]
+    is u Q1 d; P must touch the axis at b, and P[a:b] is u Pl d Pr with
+    u Pl d its first excursion.  The factor is [Pl Pr, Q1], pointed at the
+    contact where Pl ends.
+    """
+    heights = P.heights()
+    up = a // 2 + 1  # a contact of both paths follows a // 2 up steps
+    b = Q.match_up(up)
+    if heights[b] != 0:
+        raise ValueError("lower path has no contact under the upper return at %d" % (b,))
+    pcut = P.match_up(up)
+    p, q = P.word, Q.word
+    base = SyncInterval(DyckPath(p[a + 1 : pcut - 1] + p[pcut:b]), DyckPath(q[a + 1 : b - 1]))
+    # the pointed contact is the end of Pl: its index among the contacts of
+    # Pl Pr is Pl's contact count (read at height 1 inside P) minus one
+    return PointedSyncInterval(base, heights[a + 1 : pcut].count(1) - 1), b
 
 
 # ---------------------------------------------------------------------------

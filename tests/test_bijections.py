@@ -1,5 +1,10 @@
-import pytest
+import inspect
+import sys
 
+import pytest
+from hypothesis import assume, given, settings
+
+from conftest import dyck_paths
 from tamarimaps import (
     DecoratedTree,
     DyckPath,
@@ -311,14 +316,43 @@ class TestRecursiveBijection:
                 assert recursive_interval_to_map(I).is_isomorphic_to(M)
 
     @pytest.mark.parametrize(
-        "word", ["ud" * 200, "u" * 60 + "d" * 60], ids=["comb", "spine"]
+        "word",
+        ["ud" * 200, "u" * 60 + "d" * 60, "ud" * 1500],
+        ids=["comb", "spine", "long-comb"],
     )
     def test_large_objects(self, word):
-        # the comb's map has 201 edges, past one byte per canonical label
+        # the comb's map has 201 edges, past one byte per canonical label; the
+        # long comb has 1500 bricks in one level, each factor found and
+        # composed once
         start = SyncInterval(DyckPath(word), DyckPath(word))
         M = interval_to_map(start)
         assert recursive_map_to_interval(M) == start
         assert recursive_interval_to_map(start).is_isomorphic_to(M)
+
+    def test_nesting_past_the_recursion_limit(self):
+        # the spine nests its bricks 150 deep; each level is a frame of the
+        # oracle's own stack, not an interpreter frame
+        word = "u" * 150 + "d" * 150
+        start = SyncInterval(DyckPath(word), DyckPath(word))
+        M = interval_to_map(start)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 60)
+        try:
+            forward = recursive_map_to_interval(M)
+            inverse = recursive_interval_to_map(start)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert forward == start
+        assert inverse.is_isomorphic_to(M)
+
+    @settings(max_examples=30, deadline=None)
+    @given(dyck_paths(max_size=150))
+    def test_trivial_intervals_past_desk_scale(self, P):
+        assume(P.size > 0)
+        I = SyncInterval(P, P)
+        M = interval_to_map(I)
+        assert recursive_map_to_interval(M) == I
+        assert recursive_interval_to_map(I).is_isomorphic_to(M)
 
     def test_errors_keep_their_class(self):
         from tamarimaps import single_edge_map, single_loop_map

@@ -14,6 +14,7 @@ from tamarimaps import (
     canopy_to_sync,
     catalan,
     closed_form,
+    compose_factors,
     compose_intervals,
     count_canopy_intervals_of_length,
     decompose_interval,
@@ -24,6 +25,7 @@ from tamarimaps import (
     enumerate_sync_intervals,
     enumerate_tam,
     pathpair_to_dyck,
+    split_interval,
     sync_to_canopy,
     tam_covers,
     tamari_leq,
@@ -312,6 +314,29 @@ class TestComposition:
             for I in sync_by_size[n]:
                 pointed, rest = decompose_interval(I)
                 assert compose_intervals(pointed, rest) == I
+
+    def test_split_into_all_factors(self, sync_by_size):
+        # size 0 included: no factors, and no factors compose to it
+        for n in range(0, 8):
+            for I in sync_by_size[n]:
+                factors = split_interval(I)
+                assert compose_factors(factors) == I
+                assert len(factors) == I.upper.contacts() - 1
+                peeled = []
+                rest = I
+                while rest.size:
+                    pointed, rest = decompose_interval(rest)
+                    peeled.append(pointed)
+                assert factors == peeled
+
+    def test_compose_is_the_one_factor_case(self, sync_by_size):
+        for n in range(2, 6):
+            for k in range(0, n - 1):
+                for pointed in enumerate_pointed_intervals(k):
+                    for rest in sync_by_size[n - 1 - k]:
+                        assert compose_intervals(pointed, rest) == compose_factors(
+                            [pointed] + split_interval(rest)
+                        )
 
     def test_compose_is_bijective(self, sync_by_size):
         for n in range(1, 6):
