@@ -263,6 +263,7 @@ def canopy_to_map(ci: CanopyInterval) -> PlanarMap:
 # ---------------------------------------------------------------------------
 
 _EMPTY = SyncInterval(DyckPath(""), DyckPath(""))  # the base of every loop brick's factor
+_LOOP = ParallelBrick(single_loop_map(), 1)  # the brick of every empty factor
 
 
 def recursive_map_to_interval(M: PlanarMap) -> SyncInterval:
@@ -295,7 +296,7 @@ def recursive_map_to_interval(M: PlanarMap) -> SyncInterval:
                 factors.append(PointedSyncInterval(_EMPTY, 0))
             else:
                 rot = K.vertex_darts(K.root)
-                stack.append((parallel_components(PlanarMap(K.sigma, rot[j]))[::-1], [], j))
+                stack.append((parallel_components(K.rerooted(rot[j]))[::-1], [], j))
             continue
         _, factors, j = stack.pop()
         inner = compose_factors(factors)
@@ -321,7 +322,7 @@ def recursive_interval_to_map(interval: SyncInterval) -> PlanarMap:
         if factors:
             pointed = factors.pop()
             if pointed.size == 0:
-                bricks.append(ParallelBrick(single_loop_map(), 1))
+                bricks.append(_LOOP)
             else:
                 j = pointed.base.lower.contacts() - pointed.cut
                 stack.append((split_interval(pointed.base)[::-1], [], j))
@@ -331,4 +332,4 @@ def recursive_interval_to_map(interval: SyncInterval) -> PlanarMap:
         if not stack:
             return K
         rot = K.vertex_darts(K.root)
-        stack[-1][1].append(ParallelBrick(PlanarMap(K.sigma, rot[len(rot) - j]), j))
+        stack[-1][1].append(ParallelBrick(K.rerooted(rot[len(rot) - j]), j))

@@ -28,6 +28,11 @@ MapStats = namedtuple("MapStats", ["outer_face_degree", "root_vertex_degree", "e
 class PlanarMap:
     """A rooted planar map.
 
+    A map is immutable: ``sigma`` and ``root`` must not be reassigned.  Two
+    facts derived from them are computed on first use and stored: the
+    non-separability answer, which depends on sigma alone and so is shared
+    by :meth:`rerooted`, and the canonical code, which depends on the root.
+
     >>> M = double_edge_map()
     >>> M.edge_count, M.vertex_count, M.face_count
     (2, 2, 2)
@@ -35,7 +40,7 @@ class PlanarMap:
     True
     """
 
-    __slots__ = ("sigma", "root", "_vlabel", "_nv", "_flabel", "_nf")
+    __slots__ = ("sigma", "root", "_vlabel", "_nv", "_flabel", "_nf", "_non_separable", "_code")
 
     def __init__(self, sigma, root: int = 0):
         sigma = tuple(sigma)
@@ -55,6 +60,27 @@ class PlanarMap:
             raise ValueError("rotation system is not connected")
         if self._nv - n // 2 + self._nf != 2:
             raise ValueError("Euler relation fails: the map is not planar")
+        self._non_separable = None  # computed on first use
+        self._code = None           # computed on first use
+
+    def rerooted(self, d: int) -> "PlanarMap":
+        """The same map rooted at dart ``d``.  Every check of the
+        constructor but the root's range depends on sigma alone, so only that
+        one is repeated; the vertex and face labels and the non-separability
+        answer are shared.
+
+        >>> double_edge_map().rerooted(3)
+        PlanarMap(sigma=[2, 3, 0, 1], root=3)
+        """
+        if not 0 <= d < len(self.sigma):
+            raise ValueError("root dart %d out of range" % (d,))
+        M = object.__new__(PlanarMap)
+        M.sigma = self.sigma
+        M.root = d
+        M._vlabel, M._nv, M._flabel, M._nf = self._vlabel, self._nv, self._flabel, self._nf
+        M._non_separable = self._non_separable
+        M._code = None
+        return M
 
     # -- basics --------------------------------------------------------------
 
@@ -140,12 +166,15 @@ class PlanarMap:
 
         A loop beside any other edge yields the forbidden edge bipartition
         meeting at one vertex, so loops are rejected outright; the rest is
-        cut-vertex freeness of the underlying multigraph.
+        cut-vertex freeness of the underlying multigraph.  Computed once.
         """
-        if self.edge_count < 2 or self.has_loop():
-            return False
-        blocks, _cuts = _multigraph_blocks(self._nv, self._edge_list())
-        return len(blocks) == 1
+        if self._non_separable is None:
+            self._non_separable = (
+                self.edge_count >= 2
+                and not self.has_loop()
+                and len(_multigraph_blocks(self._nv, self._edge_list())[0]) == 1
+            )
+        return self._non_separable
 
     def separating_bipartition(self):
         """Definitional oracle: a pair of nonempty edge sets meeting at
@@ -189,13 +218,16 @@ class PlanarMap:
         Each dart's new label takes one byte up to 256 darts and, past that,
         the fewest big-endian bytes that hold the largest label; the code
         length then grows strictly with the dart count, so maps of different
-        sizes never share a code."""
-        new, order = _root_first(self.sigma, self.root)
-        sigma = self.sigma
-        if len(sigma) <= 256:
-            return bytes(new[sigma[d]] for d in order)
-        width = ((len(sigma) - 1).bit_length() + 7) // 8
-        return b"".join(new[sigma[d]].to_bytes(width, "big") for d in order)
+        sizes never share a code.  Computed once."""
+        if self._code is None:
+            new, order = _root_first(self.sigma, self.root)
+            sigma = self.sigma
+            if len(sigma) <= 256:
+                self._code = bytes(new[sigma[d]] for d in order)
+            else:
+                width = ((len(sigma) - 1).bit_length() + 7) // 8
+                self._code = b"".join(new[sigma[d]].to_bytes(width, "big") for d in order)
+        return self._code
 
     def canonical_form(self) -> "PlanarMap":
         """The same rooted map with darts renamed by the canonical traversal

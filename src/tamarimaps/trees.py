@@ -90,6 +90,10 @@ def _preorder(code):
 class DecoratedTree:
     """A plane tree with integer leaf labels, stored as its flat code.
 
+    A tree is immutable: ``code`` must not be reassigned.  The one scan of
+    the decoration conditions (violations and charges) is made on first use
+    and stored.
+
     >>> T = DecoratedTree.from_text("((-1))")
     >>> T.edge_count
     2
@@ -97,10 +101,11 @@ class DecoratedTree:
     True
     """
 
-    __slots__ = ("code",)
+    __slots__ = ("code", "_scanned")
 
     def __init__(self, root):
         self.code = _encode(root)
+        self._scanned = None  # result of _scan, computed on first use
 
     @property
     def root(self) -> tuple:
@@ -154,7 +159,7 @@ class DecoratedTree:
 
     def _scan(self):
         """Violations, per-leaf charges and the number of internal non-root
-        nodes, in one pass over the code.
+        nodes, in one pass over the code, made once per tree.
 
         Condition 2 and the charges: the open non-root nodes that still lack
         a leaf <= depth - 2 form a stack, deepest on top.  A leaf labeled l
@@ -165,6 +170,8 @@ class DecoratedTree:
         that ancestor was entered at; the suffix minima of the labels seen so
         far give the smallest of them.
         """
+        if self._scanned is not None:
+            return self._scanned
         cond1 = []
         later = []  # (order key, violation) for conditions 2 and 3
         flagged = set()  # nodes whose subtree already has its condition-3 violation
@@ -238,7 +245,8 @@ class DecoratedTree:
             min_at.append(len(charges))
             charges.append(charge)
         later.sort(key=itemgetter(0))
-        return cond1 + [v for _key, v in later], charges, internal
+        self._scanned = (tuple(cond1 + [v for _key, v in later]), tuple(charges), internal)
+        return self._scanned
 
     def validate(self) -> list:
         """All condition violations, empty when the tree is decorated: those
@@ -249,10 +257,10 @@ class DecoratedTree:
         >>> DecoratedTree.from_text("((0))").validate()[0].condition
         2
         """
-        return self._scan()[0]
+        return list(self._scan()[0])
 
     def is_valid(self) -> bool:
-        return not self.validate()
+        return not self._scan()[0]
 
     def compute_charges(self):
         """Charge of each leaf, aligned with the traversal order.
@@ -267,7 +275,7 @@ class DecoratedTree:
         violations, charges, internal = self._scan()
         if violations:
             raise ValueError("not a decorated tree: %s" % (violations[0],))
-        return ChargeAssignment(tuple(charges), internal)
+        return ChargeAssignment(charges, internal)
 
     # -- text form -----------------------------------------------------------
 

@@ -20,6 +20,7 @@ from tamarimaps import (
     map_to_canopy,
     map_to_interval,
     map_to_tree,
+    parallel_components,
     recursive_interval_to_map,
     recursive_map_to_interval,
     sync_to_canopy,
@@ -308,6 +309,32 @@ class TestRecursiveBijection:
             print("recursive bijection agreement at %d edges: %d/%d"
                   % (m, agree, len(maps_by_edges[m])))
             assert agree == len(maps_by_edges[m])
+
+    def test_second_pass_reads_the_same_answers(self, maps_by_edges):
+        # the first pass fills each map's stored non-separability answer and
+        # canonical code, the second reads them; both give the same results
+        maps = [PlanarMap(M.sigma, M.root) for M in maps_by_edges[7]]
+
+        def one_pass():
+            out = []
+            for M in maps:
+                I = recursive_map_to_interval(M)
+                M2 = recursive_interval_to_map(I)
+                out.append(
+                    (
+                        map_to_tree(M),
+                        [(K.sigma, K.root, j) for K, j in parallel_components(M)],
+                        I,
+                        (M2.sigma, M2.root),
+                        M2.is_isomorphic_to(M),
+                        M.canonical_code(),
+                    )
+                )
+            return out
+
+        first = one_pass()
+        assert one_pass() == first
+        assert all(row[4] for row in first)
 
     def test_inverse(self, maps_by_edges):
         for m in range(2, 8):

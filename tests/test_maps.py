@@ -224,6 +224,54 @@ class TestCanonicalCode:
         assert not PlanarMap(M.sigma, M.root ^ 1).is_isomorphic_to(M)
 
 
+class TestRerooted:
+    def test_equals_a_fresh_construction(self, maps_by_edges):
+        # every rooting of every map of 2-7 edges, each fact compared against
+        # a map built from scratch
+        for m in range(2, 8):
+            for M in maps_by_edges[m]:
+                for d in range(M.dart_count):
+                    R, fresh = M.rerooted(d), PlanarMap(M.sigma, d)
+                    assert (R.sigma, R.root) == (fresh.sigma, fresh.root)
+                    assert (R.vertex_count, R.face_count) == (fresh.vertex_count, fresh.face_count)
+                    assert R.rotations() == fresh.rotations()
+                    assert R.faces() == fresh.faces()
+                    assert R.is_non_separable() == fresh.is_non_separable()
+                    assert R.canonical_code() == fresh.canonical_code()
+
+    def test_separable_maps(self):
+        # the stored answer is shared whether or not the source computed it
+        for M in (_with_pendant(triangle_map()), _with_loop(double_edge_map())):
+            before = M.rerooted(1)
+            assert not M.is_non_separable()
+            after = M.rerooted(2)
+            assert not before.is_non_separable() and not after.is_non_separable()
+            assert after.canonical_code() == PlanarMap(M.sigma, 2).canonical_code()
+
+    def test_root_out_of_range(self):
+        M = triangle_map()
+        for d in (-1, M.dart_count):
+            with pytest.raises(ValueError, match="out of range"):
+                M.rerooted(d)
+
+
+class TestStoredFacts:
+    def test_composition_census_tests_each_map_once(self, monkeypatch):
+        # compose_series tests every brick it is given; a brick reused in many
+        # chains is one map object, tested once.  The bricks are the maps of
+        # 2-7 edges (530 of them); each test used to run per chain (2851 runs).
+        calls = []
+
+        def counted(nv, edges):
+            calls.append(nv)
+            return _multigraph_blocks(nv, edges)
+
+        monkeypatch.setattr("tamarimaps.maps._multigraph_blocks", counted)
+        census = enumerate_nonseparable_by_composition(8)
+        assert len(census) == closed_form(6)
+        assert 0 < len(calls) <= sum(closed_form(k) for k in range(0, 6)) == 530
+
+
 class TestDuality:
     def test_degree_swap(self, maps_by_edges):
         for m in range(2, 6):

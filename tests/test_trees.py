@@ -189,6 +189,20 @@ class TestCharges:
         with pytest.raises(ValueError):
             tree("((0))").compute_charges()
 
+    def test_stored_scan_is_not_exposed(self):
+        # the scan is made once and stored; validate hands out a copy, so a
+        # caller that edits the list changes nothing stored
+        bad = tree("((0) (1))")
+        first = bad.validate()
+        first.clear()
+        assert bad.validate() and not bad.is_valid()
+        with pytest.raises(ValueError):
+            bad.compute_charges()
+        good = tree("(((1 -1) -1))")
+        assert good.validate() == [] and good.validate() is not good.validate()
+        assert good.compute_charges() == good.compute_charges()
+        assert good.compute_charges().charges == (0, 2, 0)
+
 
 class TestEnumeration:
     def test_shape_counts_are_catalan(self):
