@@ -29,7 +29,7 @@ from .tamari import (
     split_interval,
     sync_to_canopy,
 )
-from .trees import CLOSE, OPEN, DecoratedTree
+from .trees import CLOSE, OPEN, DecoratedTree, contour_tree
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +195,11 @@ def interval_to_tree(interval: SyncInterval) -> DecoratedTree:
         raise ValueError("needs a nonempty interval")
     Q, P = interval.upper, interval.lower
 
-    # depth of the shallower endpoint of the edge owning each up step of Q
+    # where each up step of Q ends, and the depth of the shallower endpoint
+    # of the edge owning it
     qh = Q.heights()
-    up_parent_depth = [qh[Q.up_position(i) - 1] for i in range(1, Q.size + 1)]
+    ends = [Q.up_position(i) for i in range(1, Q.size + 1)]
+    up_parent_depth = [qh[j - 1] for j in ends]
 
     # the ray of an up step starts where the next up step does (or at the
     # end), and may stop at any earlier midpoint, so a label is read off just
@@ -222,20 +224,7 @@ def interval_to_tree(interval: SyncInterval) -> DecoratedTree:
 
     # the contour tree of Q; a leaf takes the label of its up step
     w = Q.word
-    stack = [[]]
-    i = 0
-    for j, c in enumerate(w):
-        if c == "u":
-            if w[j + 1] == "d":
-                stack[-1].append(labels[i])
-            else:
-                child = []
-                stack[-1].append(child)
-                stack.append(child)
-            i += 1
-        elif w[j - 1] == "d":
-            stack.pop()
-    return DecoratedTree(stack[0])
+    return contour_tree(Q, [label for label, j in zip(labels, ends) if w[j] == "d"])
 
 
 # ---------------------------------------------------------------------------

@@ -423,31 +423,6 @@ def _fails(bad) -> str:
 # export-dot
 # ---------------------------------------------------------------------------
 
-def _tree_to_dot(tree: trees.DecoratedTree) -> str:
-    lines = ["graph decorated_tree {"]
-    lines.append('  n [label="root"];')
-    # a node is named after its address: "n" then the child indices joined by "_"
-    names = ["n"]  # name of each open internal node
-    counts = [0]  # children named so far under each open internal node
-    for tok in tree.code[1:-1]:
-        if tok == trees.CLOSE:
-            names.pop()
-            counts.pop()
-            continue
-        parent = names[-1]
-        child = "%s%s%d" % (parent, "_" if len(names) > 1 else "", counts[-1])
-        counts[-1] += 1
-        if tok == trees.OPEN:
-            lines.append('  %s [label=""];' % (child,))
-            names.append(child)
-            counts.append(0)
-        else:
-            lines.append('  %s [label="%d", shape=box];' % (child, tok))
-        lines.append("  %s -- %s;" % (parent, child))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def _lattice_to_dot(v: GridPath) -> str:
     elements = tamari.enumerate_tam(v)
     lines = ["digraph canopy_lattice {", '  label="canopy %s";' % (v.word or "(empty)",)]
@@ -463,10 +438,8 @@ def _lattice_to_dot(v: GridPath) -> str:
 def _cmd_export_dot(args) -> int:
     _require_format(args, ("dot",))
     text = _read_input(args)
-    if args.object == "map":
-        sys.stdout.write(_parse_object("map", text).to_dot())
-    elif args.object == "tree":
-        sys.stdout.write(_tree_to_dot(_parse_object("tree", text)))
+    if args.object in ("map", "tree"):
+        sys.stdout.write(_parse_object(args.object, text).to_dot())
     else:
         sys.stdout.write(_lattice_to_dot(GridPath(text.strip())))
     return 0

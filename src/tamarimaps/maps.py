@@ -172,7 +172,7 @@ class PlanarMap:
             self._non_separable = (
                 self.edge_count >= 2
                 and not self.has_loop()
-                and len(_multigraph_blocks(self._nv, self._edge_list())[0]) == 1
+                and len(_multigraph_blocks(self._nv, self._edge_list())) == 1
             )
         return self._non_separable
 
@@ -380,9 +380,9 @@ def double_edge_map() -> PlanarMap:
 # ---------------------------------------------------------------------------
 
 def _multigraph_blocks(nv: int, edges):
-    """Biconnected blocks (as frozensets of edge ids) and cut vertices of a
-    connected loopless multigraph; bridges are blocks of size one.  Standard
-    lowpoint computation, tracking edge ids so parallel edges form cycles.
+    """Biconnected blocks (as frozensets of edge ids) of a connected
+    loopless multigraph; bridges are blocks of size one.  Standard lowpoint
+    computation, tracking edge ids so parallel edges form cycles.
     """
     adjacency = [[] for _ in range(nv)]
     for eid, a, b in edges:
@@ -392,18 +392,16 @@ def _multigraph_blocks(nv: int, edges):
         adjacency[b].append((eid, a))
     depth = [-1] * nv
     low = [0] * nv
-    cuts = set()
     blocks = []
     edge_stack = []
     if nv == 0:
-        return blocks, cuts
+        return blocks
 
     # depth-first search with an explicit stack of vertices.  The tree edge
     # is skipped by its id, not by its far end, so parallel edges count as
     # back edges.
     position = [0] * nv  # next adjacency entry to scan
     tree_edge = [-1] * nv  # edge each vertex was reached by
-    children = [0] * nv  # DFS children so far
     depth[0] = low[0] = 0
     stack = [0]
     while stack:
@@ -416,8 +414,6 @@ def _multigraph_blocks(nv: int, edges):
             up = stack[-1]
             low[up] = min(low[up], low[vertex])
             if low[vertex] >= depth[up]:
-                if depth[up] > 0 or children[up] > 1:
-                    cuts.add(up)
                 block = set()
                 while True:
                     e = edge_stack.pop()
@@ -431,7 +427,6 @@ def _multigraph_blocks(nv: int, edges):
         if eid == tree_edge[vertex]:
             continue
         if depth[other] < 0:
-            children[vertex] += 1
             edge_stack.append(eid)
             depth[other] = low[other] = depth[vertex] + 1
             tree_edge[other] = eid
@@ -442,7 +437,7 @@ def _multigraph_blocks(nv: int, edges):
 
     if any(d < 0 for d in depth):
         raise ValueError("multigraph is not connected")
-    return blocks, cuts
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +724,7 @@ def _blocks(vlabel, nv, root_edge):
     edges = [(i, vlabel[2 * i], vlabel[2 * i + 1]) for i in range(len(vlabel) // 2)]
     del edges[root_edge]
     blocks = [frozenset([i]) for i, a, b in edges if a == b]
-    blocks += _multigraph_blocks(nv, [e for e in edges if e[1] != e[2]])[0]
+    blocks += _multigraph_blocks(nv, [e for e in edges if e[1] != e[2]])
     block_of = [-1] * (len(vlabel) // 2)
     for bi, block in enumerate(blocks):
         for eid in block:

@@ -36,7 +36,7 @@ class DyckPath:
     __slots__ = ("word", "size", "_heights", "_ups", "_match", "_distances", "_type")
 
     def __init__(self, word: str = ""):
-        if any(c not in "ud" for c in word):
+        if word.count("u") + word.count("d") != len(word):
             raise ParseError("Dyck word may only contain 'u' and 'd': %r" % (word,))
         heights = [0]
         ups = []
@@ -187,7 +187,7 @@ class GridPath:
     __slots__ = ("word", "_levels")
 
     def __init__(self, word: str = ""):
-        if any(c not in "NE" for c in word):
+        if word.count("N") + word.count("E") != len(word):
             raise ParseError("grid word may only contain 'N' and 'E': %r" % (word,))
         self.word = word
         # levels[y] = largest abscissa the path reaches at ordinate y

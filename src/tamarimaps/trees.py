@@ -28,7 +28,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from operator import itemgetter
 
-from .paths import ParseError
+from .paths import DyckPath, ParseError, enumerate_dyck_paths
 
 # tokens of the flat code; leaf labels are at least -1, so they never collide
 OPEN = -2
@@ -284,6 +284,32 @@ class DecoratedTree:
         words = ["(" if tok == OPEN else ")" if tok == CLOSE else str(tok) for tok in self.code]
         return " ".join(words).replace("( ", "(").replace(" )", ")")
 
+    def to_dot(self) -> str:
+        """Deterministic DOT rendering: the root, a box per leaf with its
+        label, and an unlabeled node per internal node; a node is named
+        ``n`` followed by its address, its child indices joined by ``_``."""
+        lines = ["graph decorated_tree {"]
+        lines.append('  n [label="root"];')
+        names = ["n"]  # name of each open internal node
+        counts = [0]  # children named so far under each open internal node
+        for tok in self.code[1:-1]:
+            if tok == CLOSE:
+                names.pop()
+                counts.pop()
+                continue
+            parent = names[-1]
+            child = "%s%s%d" % (parent, "_" if len(names) > 1 else "", counts[-1])
+            counts[-1] += 1
+            if tok == OPEN:
+                lines.append('  %s [label=""];' % (child,))
+                names.append(child)
+                counts.append(0)
+            else:
+                lines.append('  %s [label="%d", shape=box];' % (child, tok))
+            lines.append("  %s -- %s;" % (parent, child))
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+
     @staticmethod
     def from_text(text: str) -> "DecoratedTree":
         """Read the text form.  Text not in that form, a label below -1
@@ -351,48 +377,47 @@ class ChargeAssignment:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive enumeration
+# Contour trees and exhaustive enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_plane_shapes(n: int) -> list:
-    """All plane trees with ``n`` edges, as nested tuples with ``None`` at
-    the leaves, in a deterministic order."""
-    if n < 0:
-        raise ValueError("edge count must be nonnegative")
-    if n == 0:
-        return [()]
-    return list(_shapes_with(n, {}))
+def contour_tree(path: DyckPath, labels) -> DecoratedTree:
+    """The contour tree of a Dyck path, its k-th leaf (traversal order)
+    labeled ``labels[k]``: each up step enters a new node, a leaf when a
+    down step follows it and otherwise an internal node, left at its
+    matching down step.  :func:`~tamarimaps.bijections.tree_to_upper` reads
+    the path back.
 
-
-def _shapes_with(e, cache):
-    """All node shapes with ``e`` edges below, memoised in ``cache``."""
-    if e not in cache:
-        out = []
-        _split_shapes(e, [], out, cache)
-        cache[e] = out
-    return cache[e]
-
-
-def _split_shapes(remaining, acc, out, cache):
-    """Append to ``out`` every child list extending ``acc`` by ``remaining``
-    edges; a child with s edges below costs 1 + s."""
-    if remaining == 0:
-        out.append(tuple(acc))
-        return
-    for child_edges in range(remaining):
-        for child in ([None] if child_edges == 0 else _shapes_with(child_edges, cache)):
-            acc.append(child)
-            _split_shapes(remaining - 1 - child_edges, acc, out, cache)
-            acc.pop()
+    >>> contour_tree(DyckPath("uuddud"), [-1, -1]).to_text()
+    '((-1) -1)'
+    """
+    # a peak "ud" is a leaf; every other "u" opens a node and "d" closes one
+    steps = path.word.replace("ud", "l")
+    if steps.count("l") != len(labels):
+        raise ValueError(
+            "%d labels for the %d leaves of %r" % (len(labels), steps.count("l"), path.word)
+        )
+    leaf_labels = iter(labels)
+    stack = [[]]
+    for c in steps:
+        if c == "l":
+            stack[-1].append(next(leaf_labels))
+        elif c == "u":
+            child = []
+            stack[-1].append(child)
+            stack.append(child)
+        else:
+            stack.pop()
+    return DecoratedTree(stack[0])
 
 
 def enumerate_decorated_trees(n: int) -> list:
     """All decorated trees with ``n`` edges, sorted by text encoding.
 
-    Labels are generated leaf by leaf in traversal order; condition 1 caps
-    each label by the parent depth and condition 3 is pruned incrementally
-    (it only constrains a leaf against earlier leaves).  Condition 2 is
-    checked at the end via the full validator.
+    The shapes are the contour trees of the Dyck paths of size ``n``.
+    Labels are chosen leaf by leaf in traversal order: condition 1 is the
+    label range, -1 up to the parent depth minus one, and condition 3,
+    which only constrains a leaf against earlier leaves, prunes each
+    prefix.  :meth:`DecoratedTree.is_valid` checks every candidate in full.
 
     >>> len(enumerate_decorated_trees(2))
     2
@@ -400,59 +425,36 @@ def enumerate_decorated_trees(n: int) -> list:
     if n < 1:
         raise ValueError("decorated trees need at least one edge")
     out = []
-    for shape in enumerate_plane_shapes(n):
-        skeleton = DecoratedTree(_shape_with_labels(shape, None))
-        leaves = skeleton.leaves_in_traversal_order()
-        addresses = [lf.address for lf in leaves]
-        depths = [lf.parent_depth for lf in leaves]
-        _assign_labels(shape, addresses, depths, [], out)
+    for path in enumerate_dyck_paths(n):
+        # per leaf, at index l: the first leaf under its ancestor at depth
+        # l + 1, one entry per depth from 1 down to the leaf's parent
+        firsts = []
+        entered = [0]  # leaves seen when each open node was entered, root first
+        for c in path.word.replace("ud", "l"):  # as in contour_tree
+            if c == "l":
+                firsts.append(entered[1:])
+            elif c == "u":
+                entered.append(len(firsts))
+            else:
+                entered.pop()
+        _label_leaves(path, firsts, [], out)
     return sorted(out, key=lambda t: t.to_text())
 
 
-def _assign_labels(shape, addresses, depths, labels, out):
-    """Append to ``out`` every decorated tree of the shape whose labels
-    extend ``labels``, in traversal order."""
-    idx = len(labels)
-    if idx == len(depths):
-        tree = DecoratedTree(_shape_with_labels(shape, labels))
+def _label_leaves(path, firsts, labels, out):
+    """Append to ``out`` every decorated tree on the contour tree of
+    ``path`` whose leaf labels extend ``labels``.  A label l >= 0 needs
+    every earlier leaf under the ancestor at depth l + 1 labeled at least l
+    (condition 3)."""
+    k = len(labels)
+    if k == len(firsts):
+        tree = contour_tree(path, labels)
         if tree.is_valid():
             out.append(tree)
         return
-    for label in range(-1, depths[idx]):
-        labels.append(label)
-        if _condition3_prefix_ok(addresses, labels):
-            _assign_labels(shape, addresses, depths, labels, out)
-        labels.pop()
-
-
-def _condition3_prefix_ok(addresses, labels):
-    """Incremental condition-3 check for the freshly assigned last label."""
-    idx = len(labels) - 1
-    addr, label = addresses[idx], labels[idx]
-    if label < 0:
-        return True
-    # the label names the depth of an ancestor t; the subtree T' is rooted at
-    # the child of t on the way to this leaf, i.e. shares addr[: label + 1]
-    prefix = addr[: label + 1]
-    for j in range(idx):
-        if addresses[j][: label + 1] == prefix and labels[j] < label:
-            return False
-    return True
-
-
-def _shape_with_labels(shape, labels):
-    """Fill a shape's leaves (None placeholders) with labels in traversal
-    order; with ``labels=None``, fill with -1 placeholders."""
-    it = iter(labels) if labels is not None else None
-    filled = _fill(shape, it)
-    if it is not None:
-        rest = list(it)
-        if rest:
-            raise ValueError("too many labels for the shape")
-    return filled
-
-
-def _fill(node, it):
-    if node is None:
-        return -1 if it is None else next(it)
-    return tuple(_fill(child, it) for child in node)
+    first = firsts[k]
+    for label in range(-1, len(first)):
+        if label < 0 or min(labels[first[label]:], default=label) >= label:
+            labels.append(label)
+            _label_leaves(path, firsts, labels, out)
+            labels.pop()

@@ -445,25 +445,27 @@ class TestParallelDecomposition:
             compose_parallel([ParallelBrick(double_edge_map(), 2)])
 
     def test_duality_exchanges_the_decompositions(self, maps_by_edges):
-        # series bricks of the dual are the duals of the parallel bricks
-        for m in range(2, 6):
+        # series bricks of the dual are the duals of the parallel bricks, in
+        # the same order, and composing either way commutes with duality
+        for m in range(2, 8):
             for M in maps_by_edges[m]:
                 series_of_dual = [
                     (K.canonical_code(), j) for K, j in series_components(M.dual())
                 ]
-                parallel_dualized = [
-                    (K.dual().canonical_code(), j) for K, j in parallel_components(M)
-                ]
-                assert sorted(series_of_dual) == sorted(parallel_dualized)
+                bricks = parallel_components(M)
+                parallel_dualized = [(K.dual().canonical_code(), j) for K, j in bricks]
+                assert series_of_dual == parallel_dualized
+                dual_bricks = [SeriesBrick(K.dual().canonical_form(), j) for K, j in bricks]
+                composed = compose_series(dual_bricks).dual().canonical_form()
+                assert compose_parallel(bricks) == composed
 
 
 class TestBlocks:
     def test_bridge_and_cycle(self):
-        # path a-b plus double edge b-c: two blocks, cut vertex b
+        # path a-b plus double edge b-c: two blocks, meeting at b
         edges = [(0, 0, 1), (1, 1, 2), (2, 1, 2)]
-        blocks, cuts = _multigraph_blocks(3, edges)
+        blocks = _multigraph_blocks(3, edges)
         assert sorted(sorted(b) for b in blocks) == [[0], [1, 2]]
-        assert cuts == {1}
 
     def test_loops_rejected(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from tamarimaps import (
     enumerate_nonseparable,
     enumerate_tam,
 )
-from tamarimaps.trees import enumerate_plane_shapes
 
 
 @pytest.mark.parametrize(
@@ -22,7 +21,6 @@ from tamarimaps.trees import enumerate_plane_shapes
         (enumerate_dyck_paths, 5),
         (enumerate_tam, GridPath("ENEEN")),
         (count_canopy_intervals_of_length, 4),
-        (enumerate_plane_shapes, 5),
         (enumerate_decorated_trees, 5),
         (enumerate_nonseparable, 4),
     ],
@@ -30,7 +28,6 @@ from tamarimaps.trees import enumerate_plane_shapes
         "dyck_paths",
         "tam",
         "canopy_count",
-        "plane_shapes",
         "decorated_trees",
         "nonseparable_maps",
     ],

@@ -1,11 +1,25 @@
 import pytest
 
-from tamarimaps import DecoratedTree, ParseError, closed_form, enumerate_decorated_trees
-from tamarimaps.trees import enumerate_plane_shapes
+from tamarimaps import (
+    DecoratedTree,
+    DyckPath,
+    ParseError,
+    closed_form,
+    enumerate_decorated_trees,
+    enumerate_dyck_paths,
+    tree_to_upper,
+)
+from tamarimaps.trees import contour_tree
 
 
 def tree(text):
     return DecoratedTree.from_text(text)
+
+
+def leaf_depths(P):
+    """Parent depth of each leaf of the contour tree of P, in traversal order."""
+    skeleton = contour_tree(P, [-1] * P.word.count("ud"))
+    return [lf.parent_depth for lf in skeleton.leaves_in_traversal_order()]
 
 
 class TestTextForm:
@@ -56,14 +70,10 @@ class TestValidation:
         # some node, hence a label >= 0: free leaves are never the culprit
         from itertools import product
 
-        from tamarimaps.trees import _shape_with_labels
-
         for n in range(1, 5):
-            for shape in enumerate_plane_shapes(n):
-                skeleton = DecoratedTree(_shape_with_labels(shape, None))
-                depths = [lf.parent_depth for lf in skeleton.leaves_in_traversal_order()]
-                for labels in product(*[range(-1, p) for p in depths]):
-                    candidate = DecoratedTree(_shape_with_labels(shape, list(labels)))
+            for P in enumerate_dyck_paths(n):
+                for labels in product(*[range(-1, p) for p in leaf_depths(P)]):
+                    candidate = contour_tree(P, labels)
                     for violation in candidate.validate():
                         if violation.condition == 3:
                             assert candidate.node(violation.address) >= 0
@@ -123,15 +133,11 @@ class TestOnePassScan:
         # labels range up to the parent depth, so condition 1 fails too
         from itertools import product
 
-        from tamarimaps.trees import _shape_with_labels
-
         checked = 0
         for n in range(1, 7):
-            for shape in enumerate_plane_shapes(n):
-                skeleton = DecoratedTree(_shape_with_labels(shape, None))
-                depths = [lf.parent_depth for lf in skeleton.leaves_in_traversal_order()]
-                for labels in product(*[range(-1, p + 1) for p in depths]):
-                    T = DecoratedTree(_shape_with_labels(shape, list(labels)))
+            for P in enumerate_dyck_paths(n):
+                for labels in product(*[range(-1, p + 1) for p in leaf_depths(P)]):
+                    T = contour_tree(P, labels)
                     violations, charges = _definitional_check(T)
                     assert [(v.condition, v.address) for v in T.validate()] == violations
                     if charges is not None:
@@ -205,11 +211,16 @@ class TestCharges:
 
 
 class TestEnumeration:
-    def test_shape_counts_are_catalan(self):
-        from tamarimaps import catalan
-
-        for n in range(1, 8):
-            assert len(enumerate_plane_shapes(n)) == catalan(n)
+    def test_contour_tree_reads_back_its_path(self):
+        for n in range(0, 7):
+            for P in enumerate_dyck_paths(n):
+                T = contour_tree(P, [-1] * P.word.count("ud"))
+                assert T.edge_count == n
+                assert tree_to_upper(T) == P
+        assert contour_tree(DyckPath("uuddud"), [0, -1]).to_text() == "((0) -1)"
+        for labels in ([-1], [-1, -1, -1]):
+            with pytest.raises(ValueError):
+                contour_tree(DyckPath("uuddud"), labels)
 
     def test_first_sizes(self):
         assert [T.to_text() for T in enumerate_decorated_trees(1)] == ["(-1)"]
