@@ -322,11 +322,11 @@ def _suite_order_oracle(size):
     checks = []
     for n in range(1, size + 1):
         paths = tamari.enumerate_dyck_paths(n)
-        closure = {P.word: tamari.cover_closure(P, tamari.dyck_rotation_covers) for P in paths}
+        closure = tamari.cover_closures(paths, tamari.dyck_rotation_covers)
         bad = []
-        for P in paths:
-            for Q in paths:
-                lhs = Q.word in closure[P.word]
+        for i, P in enumerate(paths):
+            for j, Q in enumerate(paths):
+                lhs = bool(closure[i] >> j & 1)
                 rhs = tamari.tamari_leq(P, Q)
                 if lhs != rhs:
                     bad.append("%s vs %s" % (P.word, Q.word))
@@ -339,11 +339,10 @@ def _suite_order_oracle(size):
         for letters in product("EN", repeat=k):
             v = GridPath("".join(letters))
             elements = tamari.enumerate_tam(v)
-            covers = partial(tamari.tam_covers, v)
-            closure = {e.word: tamari.cover_closure(e, covers) for e in elements}
-            for a in elements:
-                for b in elements:
-                    lhs = b.word in closure[a.word]
+            closure = tamari.cover_closures(elements, partial(tamari.tam_covers, v))
+            for i, a in enumerate(elements):
+                for j, b in enumerate(elements):
+                    lhs = bool(closure[i] >> j & 1)
                     rhs = tamari.tam_leq(v, a, b)
                     if lhs != rhs:
                         bad.append("%s: %s vs %s" % (v.word, a.word, b.word))

@@ -131,29 +131,53 @@ def _extend_tam(prefix, x, y, v, words):
         prefix.pop()
 
 
-def cover_closure(start, covers) -> set:
-    """Words of the elements reachable from ``start`` through the covering
-    relation ``covers`` (element -> covering elements), ``start`` included:
-    the reflexive-transitive closure, read from one element.
+def cover_closures(elements, covers) -> list:
+    """The up-set of every element under the reflexive-transitive closure of
+    the covering relation ``covers`` (element -> covering elements), as a
+    bitmask over positions in ``elements``: bit j of entry i is set when
+    ``elements[j]`` is reachable from ``elements[i]``.  Elements are told
+    apart by their ``word``.
 
-    >>> sorted(cover_closure(DyckPath("ududud"), dyck_rotation_covers))
+    ``elements`` must list every cover after the element it covers (a linear
+    extension of the order, such as the word order of :func:`enumerate_tam`
+    and :func:`enumerate_dyck_paths`).  One sweep from the last element to
+    the first calls ``covers`` once per element and ORs the element's own bit
+    with the finished up-sets of its covers.  A cover outside ``elements`` or
+    listed no later than the element it covers (as on any cycle of the
+    relation) raises ValueError.
+
+    >>> paths = enumerate_dyck_paths(3)
+    >>> up = cover_closures(paths, dyck_rotation_covers)[0]
+    >>> [P.word for j, P in enumerate(paths) if up >> j & 1]
     ['ududud', 'uduudd', 'uuddud', 'uududd', 'uuuddd']
     """
-    reach = {start.word}
-    stack = [start]
-    while stack:
-        for c in covers(stack.pop()):
-            if c.word not in reach:
-                reach.add(c.word)
-                stack.append(c)
-    return reach
+    position = {e.word: i for i, e in enumerate(elements)}
+    if len(position) != len(elements):
+        raise ValueError("elements must have distinct words")
+    up = [0] * len(elements)
+    for i in reversed(range(len(elements))):
+        mask = 1 << i
+        for c in covers(elements[i]):
+            j = position.get(c.word)
+            if j is None:
+                raise ValueError(
+                    "%r is covered by %r, which is not an element" % (elements[i].word, c.word)
+                )
+            if j <= i:
+                raise ValueError(
+                    "%r is covered by %r, listed no later: elements are not in a "
+                    "linear extension of the relation" % (elements[i].word, c.word)
+                )
+            mask |= up[j]
+        up[i] = mask
+    return up
 
 
 def tam_leq(v: GridPath, v1: GridPath, v2: GridPath) -> bool:
     """Order test in the lattice attached to ``v``, through the path-pair
     isomorphism onto a type fiber of the Tamari lattice.  The agreement of
-    this route with the reflexive-transitive closure of ``tam_covers`` is
-    part of the test surface.
+    this route with the reflexive-transitive closure of ``tam_covers``
+    (:func:`cover_closures`) is part of the test surface.
     """
     return tamari_leq(pathpair_to_dyck(PathPair(v1, v)), pathpair_to_dyck(PathPair(v2, v)))
 
@@ -360,12 +384,6 @@ class PointedSyncInterval:
     def size(self) -> int:
         return self.base.size
 
-    def split_lower(self) -> tuple:
-        """The two Dyck factors of the lower path at the pointed contact."""
-        pos = self.base.lower.contact_positions()[self.cut]
-        w = self.base.lower.word
-        return DyckPath(w[:pos]), DyckPath(w[pos:])
-
     def __repr__(self):
         return "PointedSyncInterval(%r, cut=%d)" % (self.base, self.cut)
 
@@ -533,35 +551,27 @@ def enumerate_sync_intervals(n: int) -> list:
     return sorted(out, key=lambda I: (I.lower.word, I.upper.word))
 
 
-def enumerate_pointed_intervals(n: int) -> list:
-    """All properly pointed synchronized intervals of size ``n``."""
-    if n == 0:
-        return [PointedSyncInterval(SyncInterval(DyckPath(""), DyckPath("")), 0)]
-    return [
-        PointedSyncInterval(I, c)
-        for I in enumerate_sync_intervals(n)
-        for c in range(1, I.lower.contacts())
-    ]
-
-
 def enumerate_canopy_intervals(v: GridPath) -> list:
     """All intervals of the lattice attached to ``v``, from the reflexive-
     transitive closure of the covering relation (independent of the Dyck-path
-    order test)."""
-    covers = partial(tam_covers, v)
+    order test), ordered by (lower, upper) words."""
+    elements = enumerate_tam(v)  # word order: a linear extension, and the output order
     out = []
-    for low in enumerate_tam(v):
-        for upw in sorted(cover_closure(low, covers)):
-            out.append(CanopyInterval(GridPath(upw), low, v))
-    return sorted(out, key=lambda ci: (ci.lower.word, ci.upper.word))
+    for low, up in zip(elements, cover_closures(elements, partial(tam_covers, v))):
+        for j, upper in enumerate(elements):
+            if up >> j & 1:
+                out.append(CanopyInterval(upper, low, v))
+    return out
 
 
 def count_canopy_intervals_of_length(n: int) -> int:
     """Total number of canopy intervals over all canopies of length ``n``:
-    the sizes of the cover closures of every element of every lattice."""
+    the sizes of the up-sets of every element of every lattice, from one
+    :func:`cover_closures` per canopy, so ``tam_covers`` runs once per
+    element rather than once per interval."""
     total = 0
     for letters in product("EN", repeat=n):
         v = GridPath("".join(letters))
-        covers = partial(tam_covers, v)
-        total += sum(len(cover_closure(e, covers)) for e in enumerate_tam(v))
+        ups = cover_closures(enumerate_tam(v), partial(tam_covers, v))
+        total += sum(up.bit_count() for up in ups)
     return total

@@ -151,10 +151,6 @@ class DecoratedTree:
             if tok != OPEN
         ]
 
-    def internal_nodes(self) -> list:
-        """Addresses of internal nodes (root included), in traversal order."""
-        return [()] + [address for address, tok in _preorder(self.code) if tok == OPEN]
-
     # -- decoration conditions ----------------------------------------------
 
     def _scan(self):
@@ -414,10 +410,13 @@ def enumerate_decorated_trees(n: int) -> list:
     """All decorated trees with ``n`` edges, sorted by text encoding.
 
     The shapes are the contour trees of the Dyck paths of size ``n``.
-    Labels are chosen leaf by leaf in traversal order: condition 1 is the
-    label range, -1 up to the parent depth minus one, and condition 3,
-    which only constrains a leaf against earlier leaves, prunes each
-    prefix.  :meth:`DecoratedTree.is_valid` checks every candidate in full.
+    Labels are chosen leaf by leaf in traversal order, and each prefix is
+    pruned by the three conditions as soon as they apply: condition 1 is the
+    label range, -1 up to the parent depth minus one; condition 3 constrains
+    a leaf against earlier leaves of the same subtree; condition 2 is
+    settled when a node closes, right after its last leaf.  So every
+    candidate built is a decorated tree, and :meth:`DecoratedTree.is_valid`
+    still checks each one in full.
 
     >>> len(enumerate_decorated_trees(2))
     2
@@ -429,23 +428,29 @@ def enumerate_decorated_trees(n: int) -> list:
         # per leaf, at index l: the first leaf under its ancestor at depth
         # l + 1, one entry per depth from 1 down to the leaf's parent
         firsts = []
+        # per leaf: (first leaf, depth - 2) of each node that closes right
+        # after it, innermost first
+        closes = []
         entered = [0]  # leaves seen when each open node was entered, root first
         for c in path.word.replace("ud", "l"):  # as in contour_tree
             if c == "l":
                 firsts.append(entered[1:])
+                closes.append([])
             elif c == "u":
                 entered.append(len(firsts))
             else:
-                entered.pop()
-        _label_leaves(path, firsts, [], out)
+                f = entered.pop()
+                closes[-1].append((f, len(entered) - 2))  # its depth is len(entered)
+        _label_leaves(path, firsts, closes, [], out)
     return sorted(out, key=lambda t: t.to_text())
 
 
-def _label_leaves(path, firsts, labels, out):
+def _label_leaves(path, firsts, closes, labels, out):
     """Append to ``out`` every decorated tree on the contour tree of
     ``path`` whose leaf labels extend ``labels``.  A label l >= 0 needs
     every earlier leaf under the ancestor at depth l + 1 labeled at least l
-    (condition 3)."""
+    (condition 3); a node of depth p that closes after this leaf needs one
+    of its leaves labeled at most p - 2 (condition 2)."""
     k = len(labels)
     if k == len(firsts):
         tree = contour_tree(path, labels)
@@ -454,7 +459,9 @@ def _label_leaves(path, firsts, labels, out):
         return
     first = firsts[k]
     for label in range(-1, len(first)):
-        if label < 0 or min(labels[first[label]:], default=label) >= label:
-            labels.append(label)
-            _label_leaves(path, firsts, labels, out)
-            labels.pop()
+        if label >= 0 and min(labels[first[label]:], default=label) < label:
+            continue
+        labels.append(label)
+        if all(min(labels[f:]) <= bound for f, bound in closes[k]):
+            _label_leaves(path, firsts, closes, labels, out)
+        labels.pop()

@@ -8,6 +8,7 @@ import pytest
 from tamarimaps import (
     GridPath,
     count_canopy_intervals_of_length,
+    enumerate_canopy_intervals,
     enumerate_decorated_trees,
     enumerate_dyck_paths,
     enumerate_nonseparable,
@@ -21,6 +22,7 @@ from tamarimaps import (
         (enumerate_dyck_paths, 5),
         (enumerate_tam, GridPath("ENEEN")),
         (count_canopy_intervals_of_length, 4),
+        (enumerate_canopy_intervals, GridPath("ENEEN")),
         (enumerate_decorated_trees, 5),
         (enumerate_nonseparable, 4),
     ],
@@ -28,6 +30,7 @@ from tamarimaps import (
         "dyck_paths",
         "tam",
         "canopy_count",
+        "canopy_intervals",
         "decorated_trees",
         "nonseparable_maps",
     ],

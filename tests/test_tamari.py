@@ -1,3 +1,4 @@
+from functools import partial
 from itertools import product
 
 import pytest
@@ -31,11 +32,21 @@ from tamarimaps import (
     tamari_leq,
 )
 from tamarimaps.paths import grid_path_from_north_abscissas
-from tamarimaps.tamari import dyck_paths_by_type, enumerate_pointed_intervals, tam_leq
+from tamarimaps.tamari import cover_closures, dyck_paths_by_type, tam_leq
 
 
 def all_canopies(n):
     return [GridPath("".join(w)) for w in product("EN", repeat=n)]
+
+
+def pointed_intervals(intervals):
+    """Every interval of one size at each cut it admits: the size-0 interval
+    at cut 0, any other at the cuts 1..contacts-1 of its lower path."""
+    return [
+        PointedSyncInterval(I, c)
+        for I in intervals
+        for c in (range(1, I.lower.contacts()) if I.size else [0])
+    ]
 
 
 class TestOrder:
@@ -87,6 +98,63 @@ class TestOrder:
             for P in paths:
                 for Q in paths:
                     assert (Q.word in reach[P.word]) == tamari_leq(P, Q)
+
+
+class TestCoverClosures:
+    @staticmethod
+    def reach(start, covers):
+        seen = {start.word}
+        stack = [start]
+        while stack:
+            for c in covers(stack.pop()):
+                if c.word not in seen:
+                    seen.add(c.word)
+                    stack.append(c)
+        return seen
+
+    def lattices(self):
+        """(elements, covers) for every canopy of length <= 6 and the Dyck
+        rotation order at sizes 1 to 6."""
+        for k in range(0, 7):
+            for v in all_canopies(k):
+                yield enumerate_tam(v), partial(tam_covers, v)
+        for n in range(1, 7):
+            yield enumerate_dyck_paths(n), dyck_rotation_covers
+
+    def test_matches_search_from_each_element(self):
+        for elements, covers in self.lattices():
+            up = cover_closures(elements, covers)
+            for i, e in enumerate(elements):
+                got = {f.word for j, f in enumerate(elements) if up[i] >> j & 1}
+                assert got == self.reach(e, covers)
+
+    def test_calls_covers_once_per_element(self):
+        for elements, covers in self.lattices():
+            asked = []
+
+            def counting(e, covers=covers):
+                asked.append(e.word)
+                return covers(e)
+
+            cover_closures(elements, counting)
+            assert sorted(asked) == sorted(e.word for e in elements)
+
+    def test_rejects_cover_outside_elements(self):
+        paths = enumerate_dyck_paths(3)
+        with pytest.raises(ValueError, match="not an element"):
+            cover_closures(paths[:-1], dyck_rotation_covers)  # top uuuddd left out
+
+    def test_rejects_cycle(self):
+        low, high = enumerate_dyck_paths(2)
+        with pytest.raises(ValueError, match="linear extension"):
+            cover_closures([low, high], lambda e: [high if e == low else low])
+        with pytest.raises(ValueError, match="linear extension"):
+            cover_closures([low], lambda e: [e])
+
+    def test_rejects_order_that_is_no_linear_extension(self):
+        paths = enumerate_dyck_paths(3)
+        with pytest.raises(ValueError, match="linear extension"):
+            cover_closures(paths[::-1], dyck_rotation_covers)
 
 
 class TestCanopyLattice:
@@ -332,7 +400,7 @@ class TestComposition:
     def test_compose_is_the_one_factor_case(self, sync_by_size):
         for n in range(2, 6):
             for k in range(0, n - 1):
-                for pointed in enumerate_pointed_intervals(k):
+                for pointed in pointed_intervals(sync_by_size[k]):
                     for rest in sync_by_size[n - 1 - k]:
                         assert compose_intervals(pointed, rest) == compose_factors(
                             [pointed] + split_interval(rest)
@@ -342,7 +410,7 @@ class TestComposition:
         for n in range(1, 6):
             built = set()
             for k in range(0, n):
-                for pointed in enumerate_pointed_intervals(k):
+                for pointed in pointed_intervals(sync_by_size[k]):
                     for rest in sync_by_size[n - 1 - k]:
                         I = compose_intervals(pointed, rest)
                         assert I.size == n
@@ -355,11 +423,13 @@ class TestComposition:
         # contacts(P)-1 adds up: lifted left part plus the unchanged tail
         for n in range(1, 6):
             for k in range(0, n):
-                for pointed in enumerate_pointed_intervals(k):
+                for pointed in pointed_intervals(sync_by_size[k]):
                     for rest in sync_by_size[n - 1 - k]:
                         I = compose_intervals(pointed, rest)
-                        left, right = pointed.split_lower()
-                        lifted = DyckPath("u" + left.word + "d" + right.word)
+                        # u Pl d Pr for the lower path Pl Pr cut at the pointed contact
+                        pos = pointed.base.lower.contact_positions()[pointed.cut]
+                        w = pointed.base.lower.word
+                        lifted = DyckPath("u" + w[:pos] + "d" + w[pos:])
                         assert I.lower.contacts() - 1 == (lifted.contacts() - 1) + (
                             rest.lower.contacts() - 1
                         )

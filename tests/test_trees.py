@@ -9,6 +9,7 @@ from tamarimaps import (
     enumerate_dyck_paths,
     tree_to_upper,
 )
+from tamarimaps import trees
 from tamarimaps.trees import contour_tree
 
 
@@ -79,12 +80,11 @@ class TestValidation:
                             assert candidate.node(violation.address) >= 0
 
 
-def _definitional_check(T):
-    """The three conditions and the charges read literally off the nested
-    tuples, prefix-scanning every subtree: the (condition, address) pairs in
-    the order ``validate`` reports them, and the charges when there are none."""
-    leaves = []  # (address, label, parent depth) in traversal order
-    internal = []  # addresses, root first, in traversal order
+def _walk(T):
+    """Leaves as (address, label, parent depth) and internal node addresses,
+    root first, both in traversal order, read off the nested tuples."""
+    leaves = []
+    internal = []
 
     def walk(node, address):
         internal.append(address)
@@ -95,6 +95,14 @@ def _definitional_check(T):
                 walk(child, address + (k,))
 
     walk(T.root, ())
+    return leaves, internal
+
+
+def _definitional_check(T):
+    """The three conditions and the charges read literally off the nested
+    tuples, prefix-scanning every subtree: the (condition, address) pairs in
+    the order ``validate`` reports them, and the charges when there are none."""
+    leaves, internal = _walk(T)
 
     def below(address):
         return [lf for lf in leaves if lf[0][: len(address)] == address]
@@ -135,6 +143,7 @@ class TestOnePassScan:
 
         checked = 0
         for n in range(1, 7):
+            decorated = []  # texts of the labellings with no violation
             for P in enumerate_dyck_paths(n):
                 for labels in product(*[range(-1, p + 1) for p in leaf_depths(P)]):
                     T = contour_tree(P, labels)
@@ -142,7 +151,10 @@ class TestOnePassScan:
                     assert [(v.condition, v.address) for v in T.validate()] == violations
                     if charges is not None:
                         assert T.compute_charges().charges == charges
+                        decorated.append(T.to_text())
                     checked += 1
+            # the pruned enumerator finds exactly the definitional trees
+            assert sorted(decorated) == [T.to_text() for T in enumerate_decorated_trees(n)]
         assert checked == 9518
 
     def test_deep_trees(self):
@@ -174,14 +186,14 @@ class TestCharges:
         for n in range(1, 6):
             for T in enumerate_decorated_trees(n):
                 charges = T.compute_charges()
-                assert charges.total == len(T.internal_nodes()) - 1
+                assert charges.total == len(_walk(T)[1]) - 1
 
     def test_deep_subtrees_get_charged(self):
         # every internal non-root node charges somebody below itself
         for T in enumerate_decorated_trees(5):
             charges = T.compute_charges().charges
             leaves = T.leaves_in_traversal_order()
-            for address in T.internal_nodes():
+            for address in _walk(T)[1]:
                 if not address:
                     continue
                 below = [
@@ -221,6 +233,19 @@ class TestEnumeration:
         for labels in ([-1], [-1, -1, -1]):
             with pytest.raises(ValueError):
                 contour_tree(DyckPath("uuddud"), labels)
+
+    def test_every_candidate_is_kept(self, monkeypatch):
+        # the prefix prunes settle all three conditions, so the enumerator
+        # builds no tree it then rejects
+        built = []
+
+        def counting_contour_tree(path, labels):
+            built.append(path)
+            return contour_tree(path, labels)
+
+        monkeypatch.setattr(trees, "contour_tree", counting_contour_tree)
+        assert len(enumerate_decorated_trees(7)) == 1938
+        assert len(built) == 1938
 
     def test_first_sizes(self):
         assert [T.to_text() for T in enumerate_decorated_trees(1)] == ["(-1)"]
