@@ -44,7 +44,8 @@ def map_to_tree(M: PlanarMap) -> DecoratedTree:
     becomes a leaf labeled with that vertex's depth (the tail of the root
     has depth -1).  The root edge is then deleted; the tree is rooted at the
     head of the root.  Siblings visited first end up last in traversal
-    order, so each vertex's children are reversed once it is done.
+    order: the exploration writes the flat code backwards (``CLOSE`` on
+    entering a vertex, ``OPEN`` on leaving it) and reverses it once.
 
     >>> from tamarimaps.maps import double_edge_map
     >>> map_to_tree(double_edge_map()).to_text()
@@ -60,13 +61,13 @@ def map_to_tree(M: PlanarMap) -> DecoratedTree:
 
     arrival = M.root ^ 1
     depth[M.vertex_of(arrival)] = 0
-    root = []
+    code = [CLOSE]
     # one frame per vertex on the exploration path: arrival dart, next dart
-    # to scan, children found so far
-    stack = [[arrival, sigma[arrival], root]]
+    # to scan
+    stack = [[arrival, sigma[arrival]]]
     while stack:
         frame = stack[-1]
-        arrival, d, children = frame
+        arrival, d = frame
         while d != arrival:
             following = sigma[d]
             if not explored[d >> 1]:
@@ -75,16 +76,16 @@ def map_to_tree(M: PlanarMap) -> DecoratedTree:
                 if depth[other] is None:
                     depth[other] = len(stack)
                     frame[1] = following
-                    child = []
-                    children.append(child)
-                    stack.append([d ^ 1, sigma[d ^ 1], child])
+                    code.append(CLOSE)
+                    stack.append([d ^ 1, sigma[d ^ 1]])
                     break
-                children.append(depth[other])
+                code.append(depth[other])
             d = following
         else:
-            children.reverse()
+            code.append(OPEN)
             stack.pop()
-    return DecoratedTree(root)
+    code.reverse()
+    return DecoratedTree(code)
 
 
 def tree_to_map(T: DecoratedTree) -> PlanarMap:

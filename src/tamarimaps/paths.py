@@ -150,15 +150,6 @@ class DyckPath:
             raise ValueError("type is defined for nonempty Dyck paths only")
         return GridPath(self.type_word())
 
-    def contains(self, i: int, j: int) -> bool:
-        """Whether the j-th up step lies strictly inside the matching arc of
-        the i-th up step (between the i-th up step and its matched down step).
-        """
-        if i == j:
-            raise ValueError("contains() needs two distinct up-step indices")
-        pi, pj = self.up_position(i), self.up_position(j)
-        return pi < pj < self.match_up(i)
-
     def contacts(self) -> int:
         """Number of lattice points of the path on the x-axis, both
         endpoints included.  The empty path has one contact.
@@ -303,31 +294,54 @@ class PathPair:
 
 
 def enumerate_dyck_paths(n: int) -> list:
-    """All Dyck paths of size ``n`` in lexicographic word order ('d' < 'u').
+    """All Dyck paths of size ``n`` in lexicographic word order ('d' < 'u'):
+    the grid words above ``(NE)^n``, read with ``u`` for ``N`` and ``d``
+    for ``E``.
 
     >>> [P.word for P in enumerate_dyck_paths(2)]
     ['udud', 'uudd']
     """
     if n < 0:
         raise ValueError("size must be nonnegative")
-    words = []
-    _extend_dyck([], n, 0, words)
-    return [DyckPath(w) for w in words]
+    return [DyckPath(w) for w in lattice_words(range(n + 1), "d", "u")]
 
 
-def _extend_dyck(prefix, ups_left, height, words):
-    """Append to ``words`` every Dyck word extending ``prefix``, 'd' first."""
-    if ups_left == 0 and height == 0:
-        words.append("".join(prefix))
-        return
-    if height > 0:
-        prefix.append("d")
-        _extend_dyck(prefix, ups_left, height - 1, words)
-        prefix.pop()
-    if ups_left > 0:
-        prefix.append("u")
-        _extend_dyck(prefix, ups_left - 1, height + 1, words)
-        prefix.pop()
+def lattice_words(levels, low: str, high: str):
+    """Yield, in lexicographic order for ``low`` < ``high``, every word of
+    ``len(levels) - 1`` letters ``high`` and ``levels[-1]`` letters ``low``
+    whose prefixes with y letters ``high`` have at most ``levels[y]``
+    letters ``low`` (``levels`` weakly increasing): with a canopy's
+    ``GridPath.levels()``, ``E`` and ``N``, the lattice elements above it.
+    Each word is the one before with its last ``low`` that can become
+    ``high`` changed, then the smallest completion, so nothing recurses.
+
+    >>> list(lattice_words(GridPath("EN").levels(), "E", "N"))
+    ['EN', 'NE']
+    """
+    top = len(levels) - 1
+    length = top + levels[-1]
+    word = []
+    x = y = 0  # the point the word reaches: letters low, letters high
+    while True:
+        while len(word) < length:  # the smallest completion
+            if x < levels[y]:
+                word.append(low)
+                x += 1
+            else:
+                word.append(high)
+                y += 1
+        yield "".join(word)
+        while word:
+            if word.pop() == high:
+                y -= 1
+                continue
+            x -= 1
+            if y < top:
+                word.append(high)
+                y += 1
+                break
+        else:
+            return
 
 
 def grid_path_from_north_abscissas(abscissas, east_count: int) -> GridPath:

@@ -20,6 +20,7 @@ from .paths import (
     PathPair,
     enumerate_dyck_paths,
     grid_path_from_north_abscissas,
+    lattice_words,
 )
 
 
@@ -110,25 +111,7 @@ def enumerate_tam(v: GridPath) -> list:
     >>> [p.word for p in enumerate_tam(GridPath("EN"))]
     ['EN', 'NE']
     """
-    words = []
-    _extend_tam([], 0, 0, v, words)
-    return [GridPath(w) for w in sorted(words)]
-
-
-def _extend_tam(prefix, x, y, v, words):
-    """Append to ``words`` every element word above ``v`` extending
-    ``prefix``, which ends at the point (x, y)."""
-    if len(prefix) == len(v):
-        words.append("".join(prefix))
-        return
-    if x < v.levels()[y]:
-        prefix.append("E")
-        _extend_tam(prefix, x + 1, y, v, words)
-        prefix.pop()
-    if y < v.north_count:
-        prefix.append("N")
-        _extend_tam(prefix, x, y + 1, v, words)
-        prefix.pop()
+    return [GridPath(w) for w in lattice_words(v.levels(), "E", "N")]
 
 
 def cover_closures(elements, covers) -> list:

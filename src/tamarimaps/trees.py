@@ -12,14 +12,13 @@ child order):
    a leaf of T' labeled exactly p admits no earlier leaf of T' (in
    traversal order) with a label smaller than p.
 
-Trees are given as nested tuples (or lists): an internal node is a nonempty
-tuple of children, a leaf is its integer label, and the root is always a
-tuple (the empty tuple is the empty tree, which has no decorations).  They
-are stored flat, as the preorder token sequence ``code``: ``OPEN`` on
-entering an internal node, ``CLOSE`` on leaving it, and the label of each
-leaf.  Every walk is a loop over that sequence, so no operation recurses,
-whatever the depth of the tree.  Text form:
-``tree := label | "(" tree+ ")"``, e.g. ``((-1))`` and ``(-1 -1)``.
+A tree is built from, and stored as, its flat code: the preorder token
+sequence with ``OPEN`` on entering an internal node, ``CLOSE`` on leaving
+it, and the label of each leaf.  The root is always an internal node, and
+``(OPEN, CLOSE)`` is the empty tree, which has no decorations.  Every walk
+is a loop over that sequence, so no operation recurses, whatever the depth
+of the tree.  Text form: ``tree := label | "(" tree+ ")"``, e.g. ``((-1))``
+and ``(-1 -1)``.
 """
 
 from __future__ import annotations
@@ -39,40 +38,6 @@ Violation = namedtuple("Violation", ["condition", "address", "detail"])
 Leaf = namedtuple("Leaf", ["address", "label", "parent_depth"])
 
 
-def _encode(root) -> tuple:
-    """The flat code of a tree given as nested tuples or lists, checking its
-    structure on the way."""
-    if isinstance(root, int):
-        raise ValueError("the root must be a tuple of children")
-    if not isinstance(root, (tuple, list)):
-        raise ValueError("tree nodes must be tuples or integer labels, got %r" % (root,))
-    code = [OPEN]
-    stack = [enumerate(root)]
-    path = [0]  # index of the current child at each open level
-    while stack:
-        for k, child in stack[-1]:
-            if isinstance(child, int):
-                if child < -1:
-                    path[-1] = k
-                    raise ValueError("leaf label %d below -1 at %r" % (child, tuple(path)))
-                code.append(child)
-                continue
-            path[-1] = k
-            if not isinstance(child, (tuple, list)):
-                raise ValueError("tree nodes must be tuples or integer labels, got %r" % (child,))
-            if not child:
-                raise ValueError("internal node without children at %r" % (tuple(path),))
-            code.append(OPEN)
-            stack.append(enumerate(child))
-            path.append(0)
-            break
-        else:
-            code.append(CLOSE)
-            stack.pop()
-            path.pop()
-    return tuple(code)
-
-
 def _preorder(code):
     """(address, token) of every node below the root, in traversal order;
     the token is the label of a leaf, or OPEN for an internal node."""
@@ -88,7 +53,9 @@ def _preorder(code):
 
 
 class DecoratedTree:
-    """A plane tree with integer leaf labels, stored as its flat code.
+    """A plane tree with integer leaf labels, built from its flat code.  A
+    code with a label below -1, an empty internal node below the root, or
+    other than one root ``OPEN`` ... ``CLOSE``, raises ValueError.
 
     A tree is immutable: ``code`` must not be reassigned.  The one scan of
     the decoration conditions (violations and charges) is made on first use
@@ -103,8 +70,24 @@ class DecoratedTree:
 
     __slots__ = ("code", "_scanned")
 
-    def __init__(self, root):
-        self.code = _encode(root)
+    def __init__(self, code):
+        code = tuple(code)
+        if code[:1] != (OPEN,):
+            raise ValueError("a tree code starts with OPEN")
+        last = len(code) - 1
+        depth = 0
+        for k, tok in enumerate(code):
+            if tok == OPEN:
+                depth += 1
+            elif tok == CLOSE:
+                depth -= 1
+                if depth and code[k - 1] == OPEN:
+                    raise ValueError("internal node without children at token %d" % (k - 1,))
+            elif not isinstance(tok, int) or tok < -1:
+                raise ValueError("bad token %r at token %d of a tree code" % (tok, k))
+            if (depth == 0) != (k == last):  # the root closes at the last token
+                raise ValueError("unbalanced tree code at token %d" % (k,))
+        self.code = code
         self._scanned = None  # result of _scan, computed on first use
 
     @property
@@ -314,37 +297,43 @@ class DecoratedTree:
         tokens = text.replace("(", " ( ").replace(")", " ) ").split()
         if not tokens:
             raise ParseError("unexpected end of tree text")
-        stack = []
-        root = None
+        code = []
+        path = []  # index of the last child read at each open level
+        error = None  # first label below -1 or empty inner node, raised once the text is read
         for pos, tok in enumerate(tokens):
-            if root is not None:
+            if code and not path:
                 raise ParseError("trailing tokens in tree text")
             if tok == "(":
-                stack.append([])
+                if path:
+                    path[-1] += 1
+                path.append(-1)
+                code.append(OPEN)
             elif tok == ")":
-                if not stack:
+                if not path:
                     raise ParseError("unexpected ')' in tree text")
-                node = stack.pop()
-                if stack:
-                    stack[-1].append(node)
-                else:
-                    root = node
+                if code[-1] == OPEN and len(path) > 1:
+                    error = error or "internal node without children at %r" % (tuple(path[:-1]),)
+                path.pop()
+                code.append(CLOSE)
             else:
                 try:
                     label = int(tok)
                 except ValueError:
                     raise ParseError("bad token %r in tree text" % (tok,)) from None
-                if not stack:
+                if not path:
                     if pos + 1 < len(tokens):
                         raise ParseError("trailing tokens in tree text")
                     raise ParseError("the outermost node must be parenthesized")
-                stack[-1].append(label)
-        if stack:
+                path[-1] += 1
+                if label < -1:
+                    error = error or "leaf label %d below -1 at %r" % (label, tuple(path))
+                    label = -1  # a stand-in: the error is raised once the text is read
+                code.append(label)
+        if path:
             raise ParseError("unbalanced '(' in tree text")
-        try:
-            return DecoratedTree(root)
-        except ValueError as exc:  # a label below -1 or an empty inner node
-            raise ParseError(str(exc)) from None
+        if error is not None:
+            raise ParseError(error)
+        return DecoratedTree(code)
 
 
 class ChargeAssignment:
@@ -393,17 +382,10 @@ def contour_tree(path: DyckPath, labels) -> DecoratedTree:
             "%d labels for the %d leaves of %r" % (len(labels), steps.count("l"), path.word)
         )
     leaf_labels = iter(labels)
-    stack = [[]]
-    for c in steps:
-        if c == "l":
-            stack[-1].append(next(leaf_labels))
-        elif c == "u":
-            child = []
-            stack[-1].append(child)
-            stack.append(child)
-        else:
-            stack.pop()
-    return DecoratedTree(stack[0])
+    code = [OPEN]
+    code += [next(leaf_labels) if c == "l" else OPEN if c == "u" else CLOSE for c in steps]
+    code.append(CLOSE)
+    return DecoratedTree(code)
 
 
 def enumerate_decorated_trees(n: int) -> list:

@@ -330,6 +330,12 @@ class TestExportDot:
         assert code == 0
         assert out == (GOLDEN / "lattice_EEN.dot").read_text()
 
+    def test_long_straight_canopy(self, capsys):
+        code, out, err = run(["export-dot", "--object", "lattice"], "N" * 3000, capsys=capsys)
+        assert (code, err) == (0, "")
+        assert out.count(";") == 2  # the label line and the one node
+        assert '  "%s";\n' % ("N" * 3000,) in out
+
 
 class TestSeriesCommand:
     def test_triangle_golden(self, capsys):

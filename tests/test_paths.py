@@ -1,7 +1,10 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
 
 from tamarimaps import DyckPath, GridPath, ParseError, PathPair, enumerate_dyck_paths
+from tamarimaps.paths import lattice_words
 
 from conftest import dyck_paths
 
@@ -93,16 +96,28 @@ class TestTypeAndContacts:
             assert sum(types.values()) == catalan(n)
 
 
+class TestEnumeration:
+    def test_dyck_words_in_word_order(self):
+        for n in range(8):
+            words = ["".join(w) for w in product("du", repeat=2 * n)]
+            dyck = [w for w in words if _is_dyck(w)]
+            assert [P.word for P in enumerate_dyck_paths(n)] == dyck
+
+    def test_lattice_words_of_a_canopy(self):
+        assert list(lattice_words(GridPath("EEN").levels(), "E", "N")) == ["EEN", "ENE", "NEE"]
+        assert list(lattice_words((0,), "E", "N")) == [""]
+
+
+def _is_dyck(word):
+    height = 0
+    for c in word:
+        height += 1 if c == "u" else -1
+        if height < 0:
+            return False
+    return height == 0
+
+
 class TestContainment:
-    def test_examples(self):
-        assert DyckPath("uudd").contains(1, 2) is True
-        assert DyckPath("udud").contains(1, 2) is False
-        assert DyckPath("uududd").contains(1, 3) is True
-
-    def test_equal_indices_rejected(self):
-        with pytest.raises(ValueError):
-            DyckPath("uudd").contains(1, 1)
-
     def test_laminar_family(self):
         # matching arcs are pairwise nested or disjoint
         for P in enumerate_dyck_paths(6):

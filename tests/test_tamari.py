@@ -163,6 +163,20 @@ class TestCanopyLattice:
         assert [p.word for p in enumerate_tam(GridPath("NNN"))] == ["NNN"]
         assert len(enumerate_tam(GridPath("EEN"))) == 3
 
+    def test_word_order_matches_search(self):
+        # every element of every canopy of length <= 7, in word order
+        for length in range(8):
+            words = ["".join(w) for w in product("EN", repeat=length)]
+            for v in words:
+                above = [w for w in words if GridPath(w).weakly_above(GridPath(v))]
+                assert [p.word for p in enumerate_tam(GridPath(v))] == above
+
+    @pytest.mark.parametrize("letter", ["N", "E"])
+    def test_long_straight_canopy(self, letter):
+        # one element, and no recursion per letter
+        v = GridPath(letter * 3000)
+        assert enumerate_tam(v) == [v]
+
     def test_cover_examples(self):
         assert [c.word for c in tam_covers(GridPath("EN"), GridPath("EN"))] == ["NE"]
         assert tam_covers(GridPath("EN"), GridPath("NE")) == []

@@ -38,10 +38,75 @@ class TestTextForm:
             with pytest.raises(ParseError):
                 tree(text)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("(-2)", "leaf label -2 below -1 at (0,)"),
+            ("((-1 -7) ())", "leaf label -7 below -1 at (0, 1)"),
+            ("(-1 ())", "internal node without children at (1,)"),
+            ("(())", "internal node without children at (0,)"),
+        ],
+    )
+    def test_error_names_the_address(self, text, message):
+        with pytest.raises(ParseError) as info:
+            tree(text)
+        assert str(info.value) == message
+
     def test_enumeration_is_reserialization_stable(self):
         for T in enumerate_decorated_trees(4):
             assert DecoratedTree.from_text(T.to_text()) == T
             assert not DecoratedTree.from_text(T.to_text()).validate()
+
+
+class TestCode:
+    @pytest.mark.parametrize(
+        "code",
+        [
+            (),
+            (-1,),
+            (trees.CLOSE,),
+            (trees.OPEN,),
+            (trees.OPEN, trees.OPEN, -1, trees.CLOSE),
+            (trees.OPEN, -1, trees.CLOSE, trees.CLOSE),
+            (trees.OPEN, -1, trees.CLOSE, -1),
+            (trees.OPEN, -1, trees.CLOSE, trees.OPEN, -1, trees.CLOSE),
+            (trees.OPEN, trees.OPEN, trees.CLOSE, trees.CLOSE),
+            (trees.OPEN, -1, trees.OPEN, trees.CLOSE, trees.CLOSE),
+            (trees.OPEN, -4, trees.CLOSE),
+            (trees.OPEN, "-1", trees.CLOSE),
+            (trees.OPEN, 0.5, trees.CLOSE),
+        ],
+        ids=[
+            "empty",
+            "no-open",
+            "close-first",
+            "open-only",
+            "unclosed",
+            "extra-close",
+            "label-after-root",
+            "second-root",
+            "empty-node",
+            "empty-last-node",
+            "below-close",
+            "string",
+            "float",
+        ],
+    )
+    def test_rejects(self, code):
+        with pytest.raises(ValueError):
+            DecoratedTree(code)
+
+    def test_empty_tree(self):
+        T = DecoratedTree((trees.OPEN, trees.CLOSE))
+        assert T.edge_count == 0
+        assert T == tree("()")
+        assert T.to_text() == "()"
+
+    def test_accepts_any_sequence(self):
+        code = [trees.OPEN, trees.OPEN, -1, trees.CLOSE, -1, trees.CLOSE]
+        T = DecoratedTree(code)
+        assert T.code == tuple(code)
+        assert T.to_text() == "((-1) -1)"
 
 
 class TestValidation:
