@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from .maps import (
     PlanarMap,
-    ParallelBrick,
+    SeriesBrick,
     _link,
     canonical_map,
-    compose_parallel,
-    parallel_components,
-    single_loop_map,
+    compose_series,
+    series_components,
+    single_edge_map,
 )
 from .paths import DyckPath
 from .tamari import (
@@ -252,8 +252,8 @@ def canopy_to_map(ci: CanopyInterval) -> PlanarMap:
 # The recursive bijection of the closing remark
 # ---------------------------------------------------------------------------
 
-_EMPTY = SyncInterval(DyckPath(""), DyckPath(""))  # the base of every loop brick's factor
-_LOOP = ParallelBrick(single_loop_map(), 1)  # the brick of every empty factor
+_EMPTY = SyncInterval(DyckPath(""), DyckPath(""))  # the base of every single-edge brick's factor
+_EDGE = SeriesBrick(single_edge_map(), 1)  # the dual brick of every empty factor
 
 
 def recursive_map_to_interval(M: PlanarMap) -> SyncInterval:
@@ -261,8 +261,12 @@ def recursive_map_to_interval(M: PlanarMap) -> SyncInterval:
     map at once, translate each brick into a pointed interval, and compose
     the whole factor list once with ``compose_factors``.
 
-    A loop brick is the empty pointed interval.  A map brick is re-rooted at
-    the first of its darts on the head side of the contracted root edge,
+    Contracting the root edge is deleting it in the dual map, so the
+    parallel bricks are read as the series bricks of ``M.dual()``, and the
+    recursion stays in the dual: a brick's root vertex is its dual's outer
+    face, every index below is the same.  A loop brick (a single edge in the
+    dual) is the empty pointed interval.  A map brick is re-rooted at the
+    first of its darts on the head side of the contracted root edge,
     translated recursively, and pointed at the contact numbered contacts
     minus the brick's root-side dart count.  This convention makes the
     recursion coincide with ``map_to_interval`` at every tested size; the
@@ -275,9 +279,10 @@ def recursive_map_to_interval(M: PlanarMap) -> SyncInterval:
     >>> recursive_map_to_interval(double_edge_map()).to_text()
     'ud|ud'
     """
-    # one frame per map being translated: its bricks not yet taken (last
-    # first), the factors of those taken, and its root-side count as a brick
-    stack = [(parallel_components(M)[::-1], [], 0)]
+    # one frame per map being translated: the dual's bricks not yet taken
+    # (last first), the factors of those taken, and its root-side count as a
+    # brick
+    stack = [(series_components(M.dual())[::-1], [], 0)]
     while True:
         bricks, factors, _ = stack[-1]
         if bricks:
@@ -285,8 +290,8 @@ def recursive_map_to_interval(M: PlanarMap) -> SyncInterval:
             if K.edge_count == 1:
                 factors.append(PointedSyncInterval(_EMPTY, 0))
             else:
-                rot = K.vertex_darts(K.root)
-                stack.append((parallel_components(K.rerooted(rot[j]))[::-1], [], j))
+                face = K.face_of(K.root)
+                stack.append((series_components(K.rerooted(face[j]))[::-1], [], j))
             continue
         _, factors, j = stack.pop()
         inner = compose_factors(factors)
@@ -298,28 +303,29 @@ def recursive_map_to_interval(M: PlanarMap) -> SyncInterval:
 def recursive_interval_to_map(interval: SyncInterval) -> PlanarMap:
     """Inverse of :func:`recursive_map_to_interval`: split the interval into
     all its pointed factors with ``split_interval``, turn each factor into a
-    parallel brick (the empty one into a loop, any other by translating its
-    base recursively and re-rooting it), and compose the whole brick list
-    once with ``compose_parallel``.  The recursion runs on an explicit
-    stack, one frame per factor base being translated.  The empty interval
-    has no map and raises ValueError."""
+    brick of the dual map (the empty one into a single edge, any other by
+    translating its base recursively and re-rooting it), and compose each
+    level's whole brick list once with ``compose_series``; the map is the
+    dual of the top level, in canonical form.  The recursion runs on an
+    explicit stack, one frame per factor base being translated.  The empty
+    interval has no map and raises ValueError."""
     # one frame per interval being translated: its factors not yet taken
-    # (last first), the bricks of those taken, and its root-side count as the
-    # base of a factor
+    # (last first), the dual bricks of those taken, and its root-side count
+    # as the base of a factor
     stack = [(split_interval(interval)[::-1], [], 0)]
     while True:
         factors, bricks, _ = stack[-1]
         if factors:
             pointed = factors.pop()
             if pointed.size == 0:
-                bricks.append(_LOOP)
+                bricks.append(_EDGE)
             else:
                 j = pointed.base.lower.contacts() - pointed.cut
                 stack.append((split_interval(pointed.base)[::-1], [], j))
             continue
         _, bricks, j = stack.pop()
-        K = compose_parallel(bricks)
+        K = compose_series(bricks)
         if not stack:
-            return K
-        rot = K.vertex_darts(K.root)
-        stack[-1][1].append(ParallelBrick(K.rerooted(rot[len(rot) - j]), j))
+            return K.dual().canonical_form()
+        face = K.face_of(K.root)
+        stack[-1][1].append(SeriesBrick(K.rerooted(face[len(face) - j]), j))

@@ -204,9 +204,23 @@ class PlanarMap:
         """The dual map: faces become vertices (sigma' = phi), same dart
         pairing, same root dart.  The root vertex of the dual is the old
         outer face and the outer face of the dual is the old root vertex;
-        applying ``dual`` twice gives back the map unchanged.
+        applying ``dual`` twice gives back the map unchanged.  Nothing is
+        re-validated: the vertex and face labels trade places, and the
+        non-separability answer is shared, since a map with at least two
+        edges is non-separable exactly when its dual is.
+
+        >>> D = double_edge_map().dual()
+        >>> D, D.dual() == double_edge_map()
+        (PlanarMap(sigma=[3, 2, 1, 0], root=0), True)
         """
-        return PlanarMap(tuple(self.sigma[d ^ 1] for d in range(len(self.sigma))), self.root)
+        sigma = self.sigma
+        M = object.__new__(PlanarMap)
+        M.sigma = tuple(sigma[d ^ 1] for d in range(len(sigma)))
+        M.root = self.root
+        M._vlabel, M._nv, M._flabel, M._nf = self._flabel, self._nf, self._vlabel, self._nv
+        M._non_separable = self._non_separable
+        M._code = None
+        return M
 
     # -- canonical form ------------------------------------------------------------
 
@@ -588,14 +602,19 @@ def series_components(M: PlanarMap) -> list:
     outer face degree).  Blocks are listed in the order the outer face walk
     of ``M`` meets them, starting from the head of the root; each block's
     root is its first exposed dart, so the block's root vertex is the
-    linking vertex nearer the root's head.  Blocks are built by :func:`_bricks`.
+    linking vertex nearer the root's head.  The face on the other side of
+    the root edge meets the blocks in the reverse order, which is checked.
+    Blocks are built by :func:`_bricks`.
     """
     if not M.is_non_separable():
         raise ValueError("series decomposition needs a non-separable map")
     block_of, count = _blocks(M._vlabel, M.vertex_count, M.root >> 1)
     runs = _runs(M.face_of(M.root)[1:], block_of)
-    if sorted(bi for bi, _ in runs) != sorted(range(count)):
+    if sorted(bi for bi, _ in runs) != list(range(count)):
         raise AssertionError("outer walk does not expose each block exactly once")
+    inner = _runs(M.face_of(M.root ^ 1)[1:], block_of)
+    if [bi for bi, _ in inner] != [bi for bi, _ in reversed(runs)]:
+        raise AssertionError("the faces beside the root edge meet the blocks in different orders")
     return [SeriesBrick(*brick) for brick in _bricks(M.sigma, block_of, runs)]
 
 
@@ -657,32 +676,24 @@ def parallel_components(M: PlanarMap) -> list:
     root vertex is its copy of the merged endpoint, together with the number
     of its darts that came from the root vertex of ``M`` (its contribution
     to the root vertex degree).  Components are ordered clockwise after the
-    root dart.  The two endpoints are linked into one vertex of a copy of
-    sigma, where the root edge stays as a loop, and split by :func:`_bricks`.
+    root dart.
+
+    Contracting an edge is deleting it in the dual map, so the components
+    are the duals of the series bricks of ``M.dual()``, in the same order
+    and with the same counts.  They are not put back in canonical form:
+    each carries the dart labels of its dual brick, rooted at dart 0.
     """
     if not M.is_non_separable():
         raise ValueError("parallel decomposition needs a non-separable map")
-    r = M.root
-    rt = r ^ 1
-    side_a = M.vertex_darts(r)[1:]  # clockwise after the root dart
-    side_b = M.vertex_darts(rt)[1:]
-    sigma = list(M.sigma)
-    _link(sigma, [r] + side_a + [rt] + side_b)
-    block_of, count = _blocks(*_orbit_labels(sigma), r >> 1)
-    runs_a, runs_b = _runs(side_a, block_of), _runs(side_b, block_of)
-    if len(runs_a) != count or len(runs_b) != count:
-        raise AssertionError("components do not form single arcs on both sides")
-    if [ci for ci, _ in runs_b] != [ci for ci, _ in reversed(runs_a)]:
-        raise AssertionError("parallel components are not properly nested")
-    return [ParallelBrick(*brick) for brick in _bricks(sigma, block_of, runs_a)]
+    return [ParallelBrick(K.dual(), j) for K, j in series_components(M.dual())]
 
 
 def compose_parallel(bricks) -> PlanarMap:
     """Inverse of :func:`parallel_components`: split each brick's root
     vertex after ``root_side`` darts, stack the first parts clockwise after
     a new root dart and the second parts counter-clockwise after its twin.
-    The bricks' sigmas are laid side by side and the two new vertex cycles
-    of the root edge R, R + 1 are written over their root vertices.
+    That is :func:`compose_series` on the dual bricks, read in the dual;
+    the result is in canonical form.
     """
     bricks = [ParallelBrick(b[0], b[1]) for b in bricks]
     if not bricks:
@@ -699,32 +710,17 @@ def compose_parallel(bricks) -> PlanarMap:
             raise ValueError(
                 "root-side count %d out of range 1..%d" % (j, K.root_vertex_degree - 1)
             )
-    sigma = []
-    side_a = []
-    side_b = []
-    for K, j in bricks:
-        offset = len(sigma)
-        sigma += [offset + e for e in K.sigma]
-        root_cycle = [offset + d for d in K.vertex_darts(K.root)]
-        side_a += root_cycle[:j]
-        side_b[:0] = root_cycle[j:]
-    R = len(sigma)
-    sigma += [R, R + 1]
-    _link(sigma, [R] + side_a)
-    _link(sigma, [R + 1] + side_b)
-    return canonical_map(sigma, R)
+    return compose_series([SeriesBrick(K.dual(), j) for K, j in bricks]).dual().canonical_form()
 
 
 def _blocks(vlabel, nv, root_edge):
-    """The blocks of a rotation system with vertex labels ``vlabel`` once
-    its edge ``root_edge`` is deleted: each loop is a block of its own, the
-    other edges fall into the blocks of the loopless multigraph.  Returns
-    the block index of each edge (-1 for ``root_edge``) and the block count.
+    """The blocks of a loopless rotation system with vertex labels
+    ``vlabel`` once its edge ``root_edge`` is deleted.  Returns the block
+    index of each edge (-1 for ``root_edge``) and the block count.
     """
     edges = [(i, vlabel[2 * i], vlabel[2 * i + 1]) for i in range(len(vlabel) // 2)]
     del edges[root_edge]
-    blocks = [frozenset([i]) for i, a, b in edges if a == b]
-    blocks += _multigraph_blocks(nv, [e for e in edges if e[1] != e[2]])
+    blocks = _multigraph_blocks(nv, edges)
     block_of = [-1] * (len(vlabel) // 2)
     for bi, block in enumerate(blocks):
         for eid in block:

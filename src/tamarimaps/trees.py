@@ -120,12 +120,6 @@ class DecoratedTree:
         # one edge above every node but the root; a CLOSE ends each internal node
         return len(self.code) - self.code.count(CLOSE) - 1
 
-    def node(self, address: tuple):
-        cur = self.root
-        for k in address:
-            cur = cur[k]
-        return cur
-
     def leaves_in_traversal_order(self) -> list:
         """Leaves as (address, label, parent depth), in traversal order."""
         return [
@@ -267,25 +261,14 @@ class DecoratedTree:
         """Deterministic DOT rendering: the root, a box per leaf with its
         label, and an unlabeled node per internal node; a node is named
         ``n`` followed by its address, its child indices joined by ``_``."""
-        lines = ["graph decorated_tree {"]
-        lines.append('  n [label="root"];')
-        names = ["n"]  # name of each open internal node
-        counts = [0]  # children named so far under each open internal node
-        for tok in self.code[1:-1]:
-            if tok == CLOSE:
-                names.pop()
-                counts.pop()
-                continue
-            parent = names[-1]
-            child = "%s%s%d" % (parent, "_" if len(names) > 1 else "", counts[-1])
-            counts[-1] += 1
+        lines = ["graph decorated_tree {", '  n [label="root"];']
+        for address, tok in _preorder(self.code):
+            child = "n" + "_".join(map(str, address))
             if tok == OPEN:
                 lines.append('  %s [label=""];' % (child,))
-                names.append(child)
-                counts.append(0)
             else:
                 lines.append('  %s [label="%d", shape=box];' % (child, tok))
-            lines.append("  %s -- %s;" % (parent, child))
+            lines.append("  n%s -- %s;" % ("_".join(map(str, address[:-1])), child))
         lines.append("}")
         return "\n".join(lines) + "\n"
 

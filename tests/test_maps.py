@@ -301,6 +301,29 @@ class TestDuality:
                 D = M.dual()
                 assert (D.vertex_count, D.face_count) == (M.face_count, M.vertex_count)
 
+    def test_equals_a_fresh_construction(self, maps_by_edges):
+        # dual() swaps the stored labels and shares the non-separability
+        # answer instead of re-validating; each fact is compared against the
+        # dual's sigma built from scratch, on the census and on separable maps
+        # whose answer is stored before or after the dual is taken
+        separable = [single_edge_map(), single_loop_map()]
+        for grow in (_with_pendant, _with_loop):
+            separable += [grow(triangle_map()), grow(double_edge_map())]
+        separable[0].is_non_separable()
+        separable[2].is_non_separable()
+        maps = [M for m in range(2, 7) for M in maps_by_edges[m]] + separable
+        for M in maps:
+            D, fresh = M.dual(), PlanarMap(M.dual().sigma, M.root)
+            assert (D.sigma, D.root) == (fresh.sigma, fresh.root)
+            assert [D.vertex_of(d) for d in range(D.dart_count)] == [
+                fresh.vertex_of(d) for d in range(fresh.dart_count)
+            ]
+            assert (D.vertex_count, D.face_count) == (fresh.vertex_count, fresh.face_count)
+            assert D.rotations() == fresh.rotations()
+            assert D.faces() == fresh.faces()
+            assert D.is_non_separable() == fresh.is_non_separable() == M.is_non_separable()
+            assert D.canonical_code() == fresh.canonical_code()
+
     def test_dual_is_a_census_involution(self, maps_by_edges):
         for m in range(2, 6):
             codes = {M.canonical_code() for M in maps_by_edges[m]}
@@ -431,6 +454,20 @@ class TestParallelDecomposition:
             for M in maps_by_edges[m]:
                 bricks = parallel_components(M)
                 assert M.root_vertex_degree - 1 == sum(j for _, j in bricks)
+
+    def test_bricks_split_the_merged_vertex(self, maps_by_edges):
+        # contracting the root edge merges its two ends into one vertex of
+        # degree deg(tail) + deg(head) - 2, which the bricks' root vertices
+        # share out; every rooting of every map of 2-7 edges
+        for m in range(2, 8):
+            for M in maps_by_edges[m]:
+                for d in range(M.dart_count):
+                    R = M.rerooted(d)
+                    bricks = parallel_components(R)
+                    merged = len(R.vertex_darts(d)) + len(R.vertex_darts(d ^ 1)) - 2
+                    assert sum(K.root_vertex_degree for K, _ in bricks) == merged
+                    for K, _ in bricks:
+                        assert K.is_non_separable() or (K.edge_count == 1 and K.has_loop())
 
     def test_compose_validates_bricks(self):
         with pytest.raises(ValueError, match="at least one brick"):

@@ -140,9 +140,12 @@ class TestValidation:
             for P in enumerate_dyck_paths(n):
                 for labels in product(*[range(-1, p) for p in leaf_depths(P)]):
                     candidate = contour_tree(P, labels)
+                    label_at = {
+                        lf.address: lf.label for lf in candidate.leaves_in_traversal_order()
+                    }
                     for violation in candidate.validate():
                         if violation.condition == 3:
-                            assert candidate.node(violation.address) >= 0
+                            assert label_at[violation.address] >= 0
 
 
 def _walk(T):
