@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from .maps import (
     PlanarMap,
-    SeriesBrick,
+    _cycle,
+    _is_non_separable,
     _link,
+    _orbit_labels,
+    _series_join,
+    _series_split,
     canonical_map,
-    compose_series,
-    series_components,
-    single_edge_map,
 )
 from .paths import DyckPath
 from .tamari import (
@@ -253,7 +254,7 @@ def canopy_to_map(ci: CanopyInterval) -> PlanarMap:
 # ---------------------------------------------------------------------------
 
 _EMPTY = SyncInterval(DyckPath(""), DyckPath(""))  # the base of every single-edge brick's factor
-_EDGE = SeriesBrick(single_edge_map(), 1)  # the dual brick of every empty factor
+_EDGE = ((0, 1), 0, 1)  # the dual brick of every empty factor: a single edge
 
 
 def recursive_map_to_interval(M: PlanarMap) -> SyncInterval:
@@ -262,7 +263,7 @@ def recursive_map_to_interval(M: PlanarMap) -> SyncInterval:
     the whole factor list once with ``compose_factors``.
 
     Contracting the root edge is deleting it in the dual map, so the
-    parallel bricks are read as the series bricks of ``M.dual()``, and the
+    parallel bricks are read as the series bricks of the dual, and the
     recursion stays in the dual: a brick's root vertex is its dual's outer
     face, every index below is the same.  A loop brick (a single edge in the
     dual) is the empty pointed interval.  A map brick is re-rooted at the
@@ -270,8 +271,13 @@ def recursive_map_to_interval(M: PlanarMap) -> SyncInterval:
     translated recursively, and pointed at the contact numbered contacts
     minus the brick's root-side dart count.  This convention makes the
     recursion coincide with ``map_to_interval`` at every tested size; the
-    coincidence is a reported test, not an assumption.  The recursion into
-    brick interiors runs on an explicit stack, one frame per map brick being
+    coincidence is a reported test, not an assumption.
+
+    Bricks stay raw (sigma, root, exposed count) triples of
+    :func:`maps._series_split`, one block split per level: no brick is
+    built as a map, put in canonical form or re-tested, since the split
+    that cut it out proves it non-separable.  The recursion into brick
+    interiors runs on an explicit stack, one frame per map brick being
     translated, so nesting depth is not bounded by the interpreter's
     recursion limit.
 
@@ -279,19 +285,24 @@ def recursive_map_to_interval(M: PlanarMap) -> SyncInterval:
     >>> recursive_map_to_interval(double_edge_map()).to_text()
     'ud|ud'
     """
+    if not M.is_non_separable():
+        raise ValueError("the recursive bijection needs a non-separable map")
+    sigma = M.sigma
+    dual = [sigma[d ^ 1] for d in range(len(sigma))]
     # one frame per map being translated: the dual's bricks not yet taken
     # (last first), the factors of those taken, and its root-side count as a
     # brick
-    stack = [(series_components(M.dual())[::-1], [], 0)]
+    stack = [(_series_split(dual, M._flabel, M._nf, M.root)[::-1], [], 0)]
     while True:
         bricks, factors, _ = stack[-1]
         if bricks:
-            K, j = bricks.pop()
-            if K.edge_count == 1:
+            brick, root, j = bricks.pop()
+            if len(brick) == 2:
                 factors.append(PointedSyncInterval(_EMPTY, 0))
             else:
-                face = K.face_of(K.root)
-                stack.append((series_components(K.rerooted(face[j]))[::-1], [], j))
+                vlabel, nv = _orbit_labels(brick)
+                root = _cycle(brick, root, 1)[j]
+                stack.append((_series_split(brick, vlabel, nv, root)[::-1], [], j))
             continue
         _, factors, j = stack.pop()
         inner = compose_factors(factors)
@@ -304,11 +315,16 @@ def recursive_interval_to_map(interval: SyncInterval) -> PlanarMap:
     """Inverse of :func:`recursive_map_to_interval`: split the interval into
     all its pointed factors with ``split_interval``, turn each factor into a
     brick of the dual map (the empty one into a single edge, any other by
-    translating its base recursively and re-rooting it), and compose each
-    level's whole brick list once with ``compose_series``; the map is the
-    dual of the top level, in canonical form.  The recursion runs on an
-    explicit stack, one frame per factor base being translated.  The empty
-    interval has no map and raises ValueError."""
+    translating its base recursively and re-rooting it), and join each
+    level's whole brick list once with :func:`maps._series_join`; the map is
+    the dual of the top level, put in canonical form.  Bricks are raw
+    (sigma, root, exposed count) triples; each composed brick is tested once
+    for non-separability and its exposed count checked against its outer
+    face.  The recursion runs on an explicit stack, one frame per factor
+    base being translated.  The empty interval has no map and raises
+    ValueError."""
+    if interval.size < 1:
+        raise ValueError("needs a nonempty interval")
     # one frame per interval being translated: its factors not yet taken
     # (last first), the dual bricks of those taken, and its root-side count
     # as the base of a factor
@@ -324,8 +340,12 @@ def recursive_interval_to_map(interval: SyncInterval) -> PlanarMap:
                 stack.append((split_interval(pointed.base)[::-1], [], j))
             continue
         _, bricks, j = stack.pop()
-        K = compose_series(bricks)
+        sigma, root = _series_join(bricks)
         if not stack:
-            return K.dual().canonical_form()
-        face = K.face_of(K.root)
-        stack[-1][1].append(SeriesBrick(K.rerooted(face[len(face) - j]), j))
+            return canonical_map([sigma[d ^ 1] for d in range(len(sigma))], root)
+        if not _is_non_separable(*_orbit_labels(sigma)):
+            raise ValueError("series bricks must be single edges or non-separable")
+        face = _cycle(sigma, root, 1)
+        if not 1 <= j <= len(face) - 1:
+            raise ValueError("exposed count %d out of range 1..%d" % (j, len(face) - 1))
+        stack[-1][1].append((sigma, face[len(face) - j], j))

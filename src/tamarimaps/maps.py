@@ -31,7 +31,8 @@ class PlanarMap:
     A map is immutable: ``sigma`` and ``root`` must not be reassigned.  Two
     facts derived from them are computed on first use and stored: the
     non-separability answer, which depends on sigma alone and so is shared
-    by :meth:`rerooted`, and the canonical code, which depends on the root.
+    by :meth:`rerooted`, and the canonical code, which depends on the root
+    (a map from :func:`canonical_map` is its own code and stores it at once).
 
     >>> M = double_edge_map()
     >>> M.edge_count, M.vertex_count, M.face_count
@@ -51,17 +52,23 @@ class PlanarMap:
             raise ValueError("sigma is not a permutation of the darts")
         if not 0 <= root < n:
             raise ValueError("root dart %d out of range" % (root,))
+        if len(_root_first(sigma, root)[1]) != n:
+            raise ValueError("rotation system is not connected")
+        self._build(sigma, root, None)
+
+    def _build(self, sigma, root, code):
+        """Store sigma, the root and both orbit labellings of a connected
+        permutation, check the Euler relation, and store ``code`` as the
+        canonical code (None: computed on first use)."""
         self.sigma = sigma
         self.root = root
         self._vlabel, self._nv = _orbit_labels(sigma)
-        phi = tuple(sigma[d ^ 1] for d in range(n))
+        phi = tuple(sigma[d ^ 1] for d in range(len(sigma)))
         self._flabel, self._nf = _orbit_labels(phi)
-        if len(_root_first(sigma, root)[1]) != n:
-            raise ValueError("rotation system is not connected")
-        if self._nv - n // 2 + self._nf != 2:
+        if self._nv - len(sigma) // 2 + self._nf != 2:
             raise ValueError("Euler relation fails: the map is not planar")
         self._non_separable = None  # computed on first use
-        self._code = None           # computed on first use
+        self._code = code
 
     def rerooted(self, d: int) -> "PlanarMap":
         """The same map rooted at dart ``d``.  Every check of the
@@ -157,10 +164,6 @@ class PlanarMap:
         vl = self._vlabel
         return any(vl[2 * i] == vl[2 * i + 1] for i in range(self.edge_count))
 
-    def _edge_list(self) -> list:
-        vl = self._vlabel
-        return [(i, vl[2 * i], vl[2 * i + 1]) for i in range(self.edge_count)]
-
     def is_non_separable(self) -> bool:
         """At least two edges, no loop, and a single biconnected block.
 
@@ -169,17 +172,13 @@ class PlanarMap:
         cut-vertex freeness of the underlying multigraph.  Computed once.
         """
         if self._non_separable is None:
-            self._non_separable = (
-                self.edge_count >= 2
-                and not self.has_loop()
-                and len(_multigraph_blocks(self._nv, self._edge_list())) == 1
-            )
+            self._non_separable = _is_non_separable(self._vlabel, self._nv)
         return self._non_separable
 
     def separating_bipartition(self):
         """Definitional oracle: a pair of nonempty edge sets meeting at
         exactly one vertex, or None.  Exponential in the edge count."""
-        edges = self._edge_list()
+        edges = _edges(self._vlabel)
         m = len(edges)
         for mask in range(1, 1 << (m - 1)):
             sides = ([], [])
@@ -236,11 +235,7 @@ class PlanarMap:
         if self._code is None:
             new, order = _root_first(self.sigma, self.root)
             sigma = self.sigma
-            if len(sigma) <= 256:
-                self._code = bytes(new[sigma[d]] for d in order)
-            else:
-                width = ((len(sigma) - 1).bit_length() + 7) // 8
-                self._code = b"".join(new[sigma[d]].to_bytes(width, "big") for d in order)
+            self._code = _code_bytes([new[sigma[d]] for d in order])
         return self._code
 
     def canonical_form(self) -> "PlanarMap":
@@ -306,6 +301,16 @@ class PlanarMap:
             lines.append("  v%d -- v%d%s;" % (a, b, attrs))
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _code_bytes(canonical):
+    """The canonical code of a sigma that is its own root-first labelling:
+    one byte per dart up to 256 darts, else the fewest big-endian bytes that
+    hold the largest label."""
+    if len(canonical) <= 256:
+        return bytes(canonical)
+    width = ((len(canonical) - 1).bit_length() + 7) // 8
+    return b"".join(x.to_bytes(width, "big") for x in canonical)
 
 
 def _root_first(sigma, root):
@@ -454,13 +459,32 @@ def _multigraph_blocks(nv: int, edges):
     return blocks
 
 
+def _edges(vlabel) -> list:
+    """(edge id, vertex, vertex) for every edge, from the vertex labels."""
+    return [(i, vlabel[2 * i], vlabel[2 * i + 1]) for i in range(len(vlabel) // 2)]
+
+
+def _is_non_separable(vlabel, nv) -> bool:
+    """At least two edges, no loop, and a single block, for the rotation
+    system with vertex labels ``vlabel`` (``nv`` vertices)."""
+    edges = _edges(vlabel)
+    return (
+        len(edges) >= 2
+        and all(a != b for _, a, b in edges)
+        and len(_multigraph_blocks(nv, edges)) == 1
+    )
+
+
 # ---------------------------------------------------------------------------
 # Building maps from integer rotation systems
 # ---------------------------------------------------------------------------
 
 def canonical_map(sigma, root) -> PlanarMap:
     """The map (sigma, root), twin d <-> d^1, renamed by the root-first
-    traversal into canonical form.  A path rooted at its middle vertex:
+    traversal into canonical form.  The renamed sigma is its own root-first
+    labelling, so it is a connected permutation and its own canonical code,
+    which is stored; the map is built once, with its orbit labellings and
+    the Euler check.  A path rooted at its middle vertex:
 
     >>> canonical_map([0, 2, 1, 3], 1)
     PlanarMap(sigma=[2, 1, 0, 3], root=0)
@@ -473,7 +497,10 @@ def canonical_map(sigma, root) -> PlanarMap:
     new, order = _root_first(sigma, root)
     if len(order) != n:
         raise ValueError("rotation system is not connected")
-    return PlanarMap([new[sigma[d]] for d in order], 0)
+    renamed = tuple([new[sigma[d]] for d in order])
+    M = object.__new__(PlanarMap)
+    M._build(renamed, 0, _code_bytes(renamed))
+    return M
 
 
 def _link(sigma, cycle):
@@ -597,25 +624,26 @@ def series_components(M: PlanarMap) -> list:
 
     The remainder is a chain of blocks (non-separable maps and single edges)
     linked by cut vertices between the two endpoints of the root.  Each
-    block is returned as a standalone rooted map together with the number of
-    its darts exposed on the outer face of ``M`` (its contribution to the
-    outer face degree).  Blocks are listed in the order the outer face walk
-    of ``M`` meets them, starting from the head of the root; each block's
-    root is its first exposed dart, so the block's root vertex is the
-    linking vertex nearer the root's head.  The face on the other side of
-    the root edge meets the blocks in the reverse order, which is checked.
-    Blocks are built by :func:`_bricks`.
+    block is returned as a standalone rooted map in canonical form together
+    with the number of its darts exposed on the outer face of ``M`` (its
+    contribution to the outer face degree).  Blocks are listed in the order
+    the outer face walk of ``M`` meets them, starting from the head of the
+    root; each block's root is its first exposed dart, so the block's root
+    vertex is the linking vertex nearer the root's head.  The face on the
+    other side of the root edge meets the blocks in the reverse order, which
+    is checked.  The split itself is :func:`_series_split`, on raw sigmas;
+    a block of two or more edges is non-separable because the block split
+    cut it out, and that answer is stored on its map.
     """
     if not M.is_non_separable():
         raise ValueError("series decomposition needs a non-separable map")
-    block_of, count = _blocks(M._vlabel, M.vertex_count, M.root >> 1)
-    runs = _runs(M.face_of(M.root)[1:], block_of)
-    if sorted(bi for bi, _ in runs) != list(range(count)):
-        raise AssertionError("outer walk does not expose each block exactly once")
-    inner = _runs(M.face_of(M.root ^ 1)[1:], block_of)
-    if [bi for bi, _ in inner] != [bi for bi, _ in reversed(runs)]:
-        raise AssertionError("the faces beside the root edge meet the blocks in different orders")
-    return [SeriesBrick(*brick) for brick in _bricks(M.sigma, block_of, runs)]
+    bricks = []
+    for sigma, root, j in _series_split(M.sigma, M._vlabel, M._nv, M.root):
+        K = canonical_map(sigma, root)
+        if len(sigma) > 2:
+            K._non_separable = True
+        bricks.append(SeriesBrick(K, j))
+    return bricks
 
 
 def compose_series(bricks) -> PlanarMap:
@@ -625,8 +653,8 @@ def compose_series(bricks) -> PlanarMap:
     Each brick is a rooted map (a single edge or a non-separable map) plus
     the number of outer-walk darts it exposes, between 1 and its outer
     degree minus one; the exposed walk ends at the linking vertex shared
-    with the next brick.  The bricks' sigmas are laid side by side and
-    each link vertex, then each end of the root edge, is one splice.
+    with the next brick.  The bricks are checked, joined by
+    :func:`_series_join` and put in canonical form.
     """
     bricks = [SeriesBrick(b[0], b[1]) for b in bricks]
     if not bricks:
@@ -643,21 +671,51 @@ def compose_series(bricks) -> PlanarMap:
             raise ValueError(
                 "exposed count %d out of range 1..%d" % (j, K.outer_face_degree - 1)
             )
+    return canonical_map(*_series_join([(K.sigma, K.root, j) for K, j in bricks]))
+
+
+def _series_split(sigma, vlabel, nv, root) -> list:
+    """The series split of the non-separable rotation system ``sigma``
+    (vertex labels ``vlabel``, ``nv`` vertices) rooted at ``root``: the
+    blocks left when the root edge is deleted, as (sigma restricted to the
+    block, local root, exposed count) triples in the order of the outer
+    walk.  Both faces beside the root edge are checked to meet every block
+    once, in reverse orders.  Nothing is re-validated or put in canonical
+    form; see :func:`series_components`.
+    """
+    block_of, count = _blocks(vlabel, nv, root >> 1)
+    runs = _runs(_cycle(sigma, root, 1)[1:], block_of)
+    if sorted(bi for bi, _ in runs) != list(range(count)):
+        raise AssertionError("outer walk does not expose each block exactly once")
+    inner = _runs(_cycle(sigma, root ^ 1, 1)[1:], block_of)
+    if [bi for bi, _ in inner] != [bi for bi, _ in reversed(runs)]:
+        raise AssertionError("the faces beside the root edge meet the blocks in different orders")
+    return _bricks(sigma, block_of, runs)
+
+
+def _series_join(bricks):
+    """Inverse of :func:`_series_split` on (sigma, root, exposed count)
+    triples, taken as valid: the sigmas are laid side by side and each link
+    vertex, then each end of a new root edge, is one splice.  Returns the
+    joined sigma (a list) and its root dart."""
     sigma = []
     roots = []
     exits = []  # twin of each brick's last exposed dart, at its far link vertex
-    for K, j in bricks:
+    for brick, root, j in bricks:
         offset = len(sigma)
-        sigma += [offset + e for e in K.sigma]
-        roots.append(offset + K.root)
-        exits.append(offset + (K.face_of(K.root)[j - 1] ^ 1))
+        sigma += [offset + e for e in brick]
+        roots.append(offset + root)
+        last = root
+        for _ in range(j - 1):
+            last = brick[last ^ 1]
+        exits.append(offset + (last ^ 1))
     R = len(sigma)
     sigma += [R, R + 1]
     for a, b in zip(exits, roots[1:]):
         _splice(sigma, a, b)
     _splice(sigma, exits[-1], R)
     _splice(sigma, R + 1, roots[0])
-    return canonical_map(sigma, R)
+    return sigma, R
 
 
 # ---------------------------------------------------------------------------
@@ -692,8 +750,8 @@ def compose_parallel(bricks) -> PlanarMap:
     """Inverse of :func:`parallel_components`: split each brick's root
     vertex after ``root_side`` darts, stack the first parts clockwise after
     a new root dart and the second parts counter-clockwise after its twin.
-    That is :func:`compose_series` on the dual bricks, read in the dual;
-    the result is in canonical form.
+    That is the series join (:func:`_series_join`) of the dual bricks,
+    read in the dual and put in canonical form once.
     """
     bricks = [ParallelBrick(b[0], b[1]) for b in bricks]
     if not bricks:
@@ -710,7 +768,9 @@ def compose_parallel(bricks) -> PlanarMap:
             raise ValueError(
                 "root-side count %d out of range 1..%d" % (j, K.root_vertex_degree - 1)
             )
-    return compose_series([SeriesBrick(K.dual(), j) for K, j in bricks]).dual().canonical_form()
+    dual_bricks = [([K.sigma[d ^ 1] for d in range(K.dart_count)], K.root, j) for K, j in bricks]
+    sigma, R = _series_join(dual_bricks)
+    return canonical_map([sigma[d ^ 1] for d in range(len(sigma))], R)
 
 
 def _blocks(vlabel, nv, root_edge):
@@ -718,7 +778,7 @@ def _blocks(vlabel, nv, root_edge):
     ``vlabel`` once its edge ``root_edge`` is deleted.  Returns the block
     index of each edge (-1 for ``root_edge``) and the block count.
     """
-    edges = [(i, vlabel[2 * i], vlabel[2 * i + 1]) for i in range(len(vlabel) // 2)]
+    edges = _edges(vlabel)
     del edges[root_edge]
     blocks = _multigraph_blocks(nv, edges)
     block_of = [-1] * (len(vlabel) // 2)
@@ -742,10 +802,11 @@ def _runs(walk, block_of):
 
 
 def _bricks(sigma, block_of, runs):
-    """One brick per run, one run per block: sigma restricted to the block's
-    darts (edges renumbered in order) as a canonical map rooted at the run's
-    first dart, and the run length.  One walk over the vertex cycles links
-    consecutive darts of each block; darts in no block are skipped."""
+    """One brick per run, one run per block, as a raw triple: sigma
+    restricted to the block's darts (edges renumbered in order, a list), the
+    local label of the run's first dart as its root, and the run length.
+    One walk over the vertex cycles links consecutive darts of each block;
+    darts in no block are skipped."""
     size = [0] * len(runs)
     local = [0] * len(sigma)
     for eid, bi in enumerate(block_of):
@@ -773,7 +834,7 @@ def _bricks(sigma, block_of, runs):
         for bi, first in touched:
             restricted[bi][local[last[bi]]] = local[first]
             last[bi] = -1
-    return [(canonical_map(restricted[bi], local[run[0]]), len(run)) for bi, run in runs]
+    return [(restricted[bi], local[run[0]], len(run)) for bi, run in runs]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from tamarimaps import (
     canopy_to_sync,
     double_edge_map,
     enumerate_canopy_intervals,
+    enumerate_nonseparable_by_composition,
     interval_to_map,
     interval_to_tree,
     map_to_canopy,
@@ -23,12 +24,14 @@ from tamarimaps import (
     parallel_components,
     recursive_interval_to_map,
     recursive_map_to_interval,
+    split_interval,
     sync_to_canopy,
     tree_to_interval,
     tree_to_lower,
     tree_to_map,
     tree_to_upper,
 )
+from tamarimaps.maps import _multigraph_blocks
 
 
 def tree(text):
@@ -384,9 +387,31 @@ class TestRecursiveBijection:
     def test_errors_keep_their_class(self):
         from tamarimaps import single_edge_map, single_loop_map
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonempty"):
             recursive_interval_to_map(SyncInterval(DyckPath(""), DyckPath("")))
         # a single edge, a loop, and a path of two edges
         for M in (single_edge_map(), single_loop_map(), PlanarMap((0, 2, 1, 3), 0)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="non-separable"):
                 recursive_map_to_interval(M)
+
+    def test_one_block_split_per_level(self, monkeypatch):
+        # the forward direction runs one block split per level of bricks and
+        # re-tests no brick: the maps' own answers are stored first, then the
+        # lowpoint runs are counted against the levels read off the interval
+        # side (the interval, and the base of every nonempty factor below it)
+        maps = enumerate_nonseparable_by_composition(8)
+        for M in maps:
+            assert M.is_non_separable()
+        calls = []
+
+        def counted(nv, edges):
+            calls.append(nv)
+            return _multigraph_blocks(nv, edges)
+
+        monkeypatch.setattr("tamarimaps.maps._multigraph_blocks", counted)
+        intervals = [recursive_map_to_interval(M) for M in maps]
+
+        def levels(I):
+            return 1 + sum(levels(f.base) for f in split_interval(I) if f.size > 0)
+
+        assert len(calls) == sum(levels(I) for I in intervals) > len(maps)

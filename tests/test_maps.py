@@ -71,6 +71,8 @@ class TestPlanarMapBasics:
         # one vertex, two crossing loops: V=1, E=2, F=1 -> genus 1
         with pytest.raises(ValueError):
             PlanarMap((2, 3, 1, 0), 0)
+        with pytest.raises(ValueError, match="Euler"):
+            canonical_map((2, 3, 1, 0), 0)
 
     def test_single_edge(self):
         M = single_edge_map()
@@ -224,20 +226,39 @@ class TestCanonicalCode:
         assert not PlanarMap(M.sigma, M.root ^ 1).is_isomorphic_to(M)
 
 
+def _assert_same_facts(M, fresh):
+    assert (M.sigma, M.root) == (fresh.sigma, fresh.root)
+    assert (M.vertex_count, M.face_count) == (fresh.vertex_count, fresh.face_count)
+    assert M.rotations() == fresh.rotations()
+    assert M.faces() == fresh.faces()
+    assert M.is_non_separable() == fresh.is_non_separable()
+    assert M.canonical_code() == fresh.canonical_code()
+
+
 class TestRerooted:
     def test_equals_a_fresh_construction(self, maps_by_edges):
         # every rooting of every map of 2-7 edges, each fact compared against
-        # a map built from scratch
+        # a map built from scratch; canonical_map builds its map once and
+        # stores its code, compared the same way
         for m in range(2, 8):
             for M in maps_by_edges[m]:
                 for d in range(M.dart_count):
-                    R, fresh = M.rerooted(d), PlanarMap(M.sigma, d)
-                    assert (R.sigma, R.root) == (fresh.sigma, fresh.root)
-                    assert (R.vertex_count, R.face_count) == (fresh.vertex_count, fresh.face_count)
-                    assert R.rotations() == fresh.rotations()
-                    assert R.faces() == fresh.faces()
-                    assert R.is_non_separable() == fresh.is_non_separable()
-                    assert R.canonical_code() == fresh.canonical_code()
+                    R = M.rerooted(d)
+                    _assert_same_facts(R, PlanarMap(M.sigma, d))
+                    C = canonical_map(M.sigma, d)
+                    assert C._code is not None
+                    _assert_same_facts(C, PlanarMap(C.sigma, C.root))
+                    assert C.canonical_code() == R.canonical_code()
+        # past 256 darts the stored code takes two bytes per dart
+        M = compose_series(
+            [SeriesBrick(double_edge_map(), 1), SeriesBrick(single_edge_map(), 1)] * 67
+        )
+        assert M.dart_count == 404
+        for d in (0, 1, 203, 403):
+            C = canonical_map(M.sigma, d)
+            assert len(C._code) == 2 * C.dart_count
+            _assert_same_facts(C, PlanarMap(C.sigma, C.root))
+            assert C.canonical_code() == PlanarMap(M.sigma, d).canonical_code()
 
     def test_separable_maps(self):
         # the stored answer is shared whether or not the source computed it
@@ -417,6 +438,18 @@ class TestSeriesDecomposition:
             for M in maps_by_edges[m]:
                 bricks = series_components(M)
                 assert M.outer_face_degree - 1 == sum(j for _, j in bricks)
+
+    def test_bricks_store_their_non_separability(self, maps_by_edges):
+        # a brick of two or more edges is stored as non-separable because
+        # the block split cut it out; every rooting of every map of 2-7 edges
+        for m in range(2, 8):
+            for M in maps_by_edges[m]:
+                for d in range(M.dart_count):
+                    for K, _ in series_components(M.rerooted(d)):
+                        fresh = PlanarMap(K.sigma, K.root).is_non_separable()
+                        assert fresh == (K.edge_count >= 2)
+                        assert K._non_separable is (True if fresh else None)
+                        assert K.is_non_separable() == fresh
 
     def test_compose_validates_bricks(self):
         with pytest.raises(ValueError):
