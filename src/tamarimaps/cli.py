@@ -15,9 +15,9 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import partial
+from importlib import import_module
 from itertools import product
 
-from . import bijections, maps, series, tamari, trees
 from .paths import GridPath, ParseError, PathPair
 
 SIZE_CAPS = {
@@ -131,23 +131,25 @@ def _cmd_count(args) -> int:
     if args.object == "sync-intervals":
         if size < 1:
             raise ParseError("sync-intervals need size >= 1")
-        enumerated = len(tamari.enumerate_sync_intervals(size))
-        expected = series.closed_form(size - 1)
+        from .tamari import enumerate_sync_intervals
+        enumerated, shift = len(enumerate_sync_intervals(size)), 1
     elif args.object == "canopy-intervals":
         if size < 0:
             raise ParseError("canopy-intervals need size >= 0")
-        enumerated = tamari.count_canopy_intervals_of_length(size)
-        expected = series.closed_form(size)
+        from .tamari import count_canopy_intervals_of_length
+        enumerated, shift = count_canopy_intervals_of_length(size), 0
     elif args.object == "decorated-trees":
         if size < 1:
             raise ParseError("decorated-trees need size >= 1")
-        enumerated = len(trees.enumerate_decorated_trees(size))
-        expected = series.closed_form(size - 1)
+        from .trees import enumerate_decorated_trees
+        enumerated, shift = len(enumerate_decorated_trees(size)), 1
     else:
         if size < 2:
             raise ParseError("nonsep-maps need at least 2 edges")
-        enumerated = len(maps.enumerate_nonseparable(size))
-        expected = series.closed_form(size - 2)
+        from .maps import enumerate_nonseparable
+        enumerated, shift = len(enumerate_nonseparable(size)), 2
+    from .series import closed_form
+    expected = closed_form(size - shift)
     print("enumerated %d" % enumerated)
     print("closed-form %d" % expected)
     if enumerated != expected:
@@ -170,18 +172,24 @@ def _read_input(args) -> str:
         raise ParseError(str(exc)) from None
 
 
-# each parser raises ParseError for unreadable text, ValueError for an
-# invalid object
+def _resolve(module: str, name: str):
+    """``name`` from the package module ``module``, imported on first use, so
+    that a command compiles only the modules it calls."""
+    return getattr(import_module("." + module, __package__), name)
+
+
+# the class whose from_text reads each encoding: ParseError for unreadable
+# text, ValueError for an invalid object
 _PARSERS = {
-    "canopy-interval": tamari.CanopyInterval.from_text,
-    "sync-interval": tamari.SyncInterval.from_text,
-    "tree": trees.DecoratedTree.from_text,
-    "map": maps.PlanarMap.from_text,
+    "canopy-interval": ("tamari", "CanopyInterval"),
+    "sync-interval": ("tamari", "SyncInterval"),
+    "tree": ("trees", "DecoratedTree"),
+    "map": ("maps", "PlanarMap"),
 }
 
 
 def _parse_object(kind: str, text: str):
-    obj = _PARSERS[kind](text)
+    obj = _resolve(*_PARSERS[kind]).from_text(text)
     if kind == "tree":
         violations = obj.validate()
         if violations:
@@ -197,14 +205,14 @@ def _parse_object(kind: str, text: str):
 _CHAIN = ["canopy-interval", "sync-interval", "tree", "map"]
 
 _STEPS_UP = {
-    "canopy-interval": tamari.canopy_to_sync,
-    "sync-interval": bijections.interval_to_tree,
-    "tree": bijections.tree_to_map,
+    "canopy-interval": ("tamari", "canopy_to_sync"),
+    "sync-interval": ("bijections", "interval_to_tree"),
+    "tree": ("bijections", "tree_to_map"),
 }
 _STEPS_DOWN = {
-    "map": bijections.map_to_tree,
-    "tree": bijections.tree_to_interval,
-    "sync-interval": tamari.sync_to_canopy,
+    "map": ("bijections", "map_to_tree"),
+    "tree": ("bijections", "tree_to_interval"),
+    "sync-interval": ("tamari", "sync_to_canopy"),
 }
 
 
@@ -218,10 +226,10 @@ def _cmd_convert(args) -> int:
     obj = _parse_object(args.source, _read_input(args))
     kind = args.source
     while _CHAIN.index(kind) < _CHAIN.index(args.target):
-        obj = _STEPS_UP[kind](obj)
+        obj = _resolve(*_STEPS_UP[kind])(obj)
         kind = _CHAIN[_CHAIN.index(kind) + 1]
     while _CHAIN.index(kind) > _CHAIN.index(args.target):
-        obj = _STEPS_DOWN[kind](obj)
+        obj = _resolve(*_STEPS_DOWN[kind])(obj)
         kind = _CHAIN[_CHAIN.index(kind) - 1]
     sys.stdout.write(_render_object(kind, obj))
     return 0
@@ -248,6 +256,8 @@ def _cmd_verify(args) -> int:
 
 
 def _suite_roundtrip(size):
+    from . import bijections, maps, tamari, trees
+
     checks = []
     for n in range(1, size + 1):
         intervals = tamari.enumerate_sync_intervals(n)
@@ -285,6 +295,8 @@ def _suite_roundtrip(size):
 
 
 def _suite_partition(size):
+    from . import series, tamari
+
     checks = []
     for n in range(1, size + 1):
         by_type = tamari.dyck_paths_by_type(n)
@@ -319,6 +331,8 @@ def _suite_partition(size):
 
 
 def _suite_order_oracle(size):
+    from . import tamari
+
     checks = []
     for n in range(1, size + 1):
         paths = tamari.enumerate_dyck_paths(n)
@@ -354,6 +368,8 @@ def _suite_order_oracle(size):
 
 
 def _suite_series(size):
+    from . import series, tamari
+
     order = max(12, size)
     F = series.solve_interval_equation(order)
     Ms = series.solve_map_equation(order)
@@ -374,6 +390,8 @@ def _suite_series(size):
 
 
 def _suite_stats(size):
+    from . import bijections, maps, tamari
+
     checks = []
     for n in range(1, size + 1):
         contact = sorted(I.lower.contacts() - 1 for I in tamari.enumerate_sync_intervals(n))
@@ -423,6 +441,8 @@ def _fails(bad) -> str:
 # ---------------------------------------------------------------------------
 
 def _lattice_to_dot(v: GridPath) -> str:
+    from . import tamari
+
     elements = tamari.enumerate_tam(v)
     lines = ["digraph canopy_lattice {", '  label="canopy %s";' % (v.word or "(empty)",)]
     for e in elements:
@@ -455,6 +475,8 @@ def _cmd_series(args) -> int:
     if order < 1:
         raise ParseError("order must be at least 1")
     _check_cap(order, 30, args.unsafe_size)
+    from . import series
+
     F = series.solve_interval_equation(order)
     sys.stdout.write(F.to_tsv())
     return 0

@@ -84,9 +84,11 @@ def tam_covers(v: GridPath, v1: GridPath) -> list:
     w = v1.word
     levels = v.levels()
     out = []
+    east = 0  # east steps in w[: t + 1]
     for t in range(len(w) - 1):
+        east += w[t] == "E"
         if w[t] == "E" and w[t + 1] == "N":
-            x = w[: t + 1].count("E")
+            x = east
             y = t + 1 - x
             hd = levels[y] - x
             j = t
@@ -98,10 +100,7 @@ def tam_covers(v: GridPath, v1: GridPath) -> list:
                 if levels[y] - x == hd:
                     break
             out.append(GridPath(w[:t] + w[t + 1 : j + 1] + "E" + w[j + 1 :]))
-    covers = sorted(set(out), key=lambda p: p.word)
-    for c in covers:
-        _check_in_tam(v, c)
-    return covers
+    return sorted(set(out), key=lambda p: p.word)
 
 
 def enumerate_tam(v: GridPath) -> list:

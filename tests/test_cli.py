@@ -10,6 +10,15 @@ from tamarimaps.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# runs the CLI as ``python -m tamarimaps.cli`` does, then names on its last
+# stderr line the package modules the process loaded
+LIST_LOADED = """
+import atexit, runpy, sys
+atexit.register(lambda: sys.stderr.write("\\nloaded %s\\n" % " ".join(sorted(
+    m.partition(".")[2] for m in sys.modules if m.startswith("tamarimaps.")))))
+runpy.run_module("tamarimaps.cli", run_name="__main__", alter_sys=True)
+"""
+
 
 def run(argv, stdin_text="", capsys=None):
     """Invoke the entry point in-process, returning (status, stdout, stderr)."""
@@ -365,3 +374,42 @@ class TestConsoleScript:
             text=True,
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "argv,stdin_text,status,loaded",
+        [
+            (["count", "sync-intervals", "1"], "", 0, {"paths", "tamari", "series"}),
+            (["series", "3"], "", 0, {"paths", "series"}),
+            (["export-dot", "--object", "lattice"], "EEN", 0, {"paths", "tamari"}),
+            (["census", "3"], "", 2, {"paths"}),
+            (
+                ["convert", "--from", "tree", "--to", "map"],
+                "((-1))",
+                0,
+                {"paths", "tamari", "trees", "maps", "bijections"},
+            ),
+        ],
+        ids=["count", "series", "lattice", "usage-error", "convert"],
+    )
+    def test_command_loads_only_the_modules_it_calls(self, argv, stdin_text, status, loaded):
+        proc = subprocess.run(
+            [sys.executable, "-c", LIST_LOADED, *argv],
+            input=stdin_text,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == status
+        assert set(proc.stderr.splitlines()[-1].split()[1:]) == loaded
+
+    def test_package_import_loads_no_module(self):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, tamarimaps; "
+                "print(sorted(m for m in sys.modules if m.startswith('tamarimaps.')))",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")

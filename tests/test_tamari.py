@@ -198,7 +198,8 @@ class TestCanopyLattice:
             assert total == catalan(n)
 
     def test_covers_stay_in_lattice(self):
-        for v in all_canopies(4):
+        # tam_covers checks its input only, so this is the check on its output
+        for v in (v for k in range(8) for v in all_canopies(k)):
             for e in enumerate_tam(v):
                 for c in tam_covers(v, e):
                     assert c.weakly_above(v)
