@@ -20,18 +20,6 @@ from itertools import product
 
 from .paths import GridPath, ParseError, PathPair
 
-SIZE_CAPS = {
-    "sync-intervals": 10,
-    "canopy-intervals": 9,
-    "decorated-trees": 8,
-    "nonsep-maps": 6,
-}
-
-COUNT_OBJECTS = ("sync-intervals", "canopy-intervals", "decorated-trees", "nonsep-maps")
-SUITES = ("roundtrip", "partition", "order-oracle", "series", "stats")
-FORMATS = ("text", "tsv", "dot")
-CONVERT_FORMATS = ("canopy-interval", "sync-interval", "tree", "map")
-
 
 def main(argv=None) -> int:
     parser = _build_parser()
@@ -58,58 +46,35 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="enumerated count vs closed form")
-    p.add_argument("object", choices=COUNT_OBJECTS)
-    p.add_argument("size", type=int, nargs="?")
-    p.add_argument("--size", "-n", dest="size_flag", type=int)
+    p.add_argument("object", choices=_COUNTS)
+    p.add_argument("size", type=int)
     p.add_argument("--unsafe-size", action="store_true")
-    p.add_argument("--format", choices=FORMATS, default="text")
     p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser("convert", help="convert between object encodings")
-    p.add_argument("--from", dest="source", choices=CONVERT_FORMATS, required=True)
-    p.add_argument("--to", dest="target", choices=CONVERT_FORMATS, required=True)
+    p.add_argument("--from", dest="source", choices=_CHAIN, required=True)
+    p.add_argument("--to", dest="target", choices=_CHAIN, required=True)
     p.add_argument("--file", help="read the object from a file instead of stdin")
     p.set_defaults(handler=_cmd_convert)
 
     p = sub.add_parser("verify", help="run an exhaustive verification suite")
-    p.add_argument("suite", choices=SUITES)
-    p.add_argument("size", type=int, nargs="?")
-    p.add_argument("--size", "-n", dest="size_flag", type=int)
+    p.add_argument("suite", choices=_SUITES)
+    p.add_argument("size", type=int)
     p.add_argument("--unsafe-size", action="store_true")
-    p.add_argument("--format", choices=FORMATS, default="text")
+    p.add_argument("--format", choices=("text", "tsv"), default="text")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("export-dot", help="render an object as DOT text")
     p.add_argument("--object", choices=("map", "tree", "lattice"), required=True)
     p.add_argument("--file", help="read the object from a file instead of stdin")
-    p.add_argument("--format", choices=FORMATS, default="dot")
     p.set_defaults(handler=_cmd_export_dot)
 
     p = sub.add_parser("series", help="coefficient triangle of the shared series")
-    p.add_argument("order", type=int, nargs="?")
-    p.add_argument("--size", "-n", dest="size_flag", type=int)
+    p.add_argument("order", type=int)
     p.add_argument("--unsafe-size", action="store_true")
-    p.add_argument("--format", choices=FORMATS, default="tsv")
     p.set_defaults(handler=_cmd_series)
 
     return parser
-
-
-def _pick_size(args, what="size"):
-    if args.size is not None and args.size_flag is not None and args.size != args.size_flag:
-        raise ParseError("conflicting %s given twice" % what)
-    size = args.size if args.size is not None else args.size_flag
-    if size is None:
-        raise ParseError("missing %s" % what)
-    return size
-
-
-def _require_format(args, supported):
-    if args.format not in supported:
-        raise ParseError(
-            "format %r not supported here (choose from %s)"
-            % (args.format, ", ".join(supported))
-        )
 
 
 def _check_cap(size, cap, unsafe):
@@ -124,32 +89,24 @@ def _check_cap(size, cap, unsafe):
 # count
 # ---------------------------------------------------------------------------
 
+# object -> (desk-scale cap, least size, module, enumerator or counter); the
+# closed form counts the objects of size n at n - least size
+_COUNTS = {
+    "sync-intervals": (10, 1, "tamari", "enumerate_sync_intervals"),
+    "canopy-intervals": (9, 0, "tamari", "count_canopy_intervals_of_length"),
+    "decorated-trees": (8, 1, "trees", "enumerate_decorated_trees"),
+    "nonsep-maps": (6, 2, "maps", "enumerate_nonseparable"),
+}
+
+
 def _cmd_count(args) -> int:
-    _require_format(args, ("text",))
-    size = _pick_size(args)
-    _check_cap(size, SIZE_CAPS[args.object], args.unsafe_size)
-    if args.object == "sync-intervals":
-        if size < 1:
-            raise ParseError("sync-intervals need size >= 1")
-        from .tamari import enumerate_sync_intervals
-        enumerated, shift = len(enumerate_sync_intervals(size)), 1
-    elif args.object == "canopy-intervals":
-        if size < 0:
-            raise ParseError("canopy-intervals need size >= 0")
-        from .tamari import count_canopy_intervals_of_length
-        enumerated, shift = count_canopy_intervals_of_length(size), 0
-    elif args.object == "decorated-trees":
-        if size < 1:
-            raise ParseError("decorated-trees need size >= 1")
-        from .trees import enumerate_decorated_trees
-        enumerated, shift = len(enumerate_decorated_trees(size)), 1
-    else:
-        if size < 2:
-            raise ParseError("nonsep-maps need at least 2 edges")
-        from .maps import enumerate_nonseparable
-        enumerated, shift = len(enumerate_nonseparable(size)), 2
-    from .series import closed_form
-    expected = closed_form(size - shift)
+    cap, least, module, function = _COUNTS[args.object]
+    _check_cap(args.size, cap, args.unsafe_size)
+    if args.size < least:
+        raise ParseError("%s need size >= %d" % (args.object, least))
+    found = _resolve(module, function)(args.size)
+    enumerated = found if isinstance(found, int) else len(found)
+    expected = _resolve("series", "closed_form")(args.size - least)
     print("enumerated %d" % enumerated)
     print("closed-form %d" % expected)
     if enumerated != expected:
@@ -202,7 +159,7 @@ def _parse_object(kind: str, text: str):
     return obj
 
 
-_CHAIN = ["canopy-interval", "sync-interval", "tree", "map"]
+_CHAIN = ("canopy-interval", "sync-interval", "tree", "map")
 
 _STEPS_UP = {
     "canopy-interval": ("tamari", "canopy_to_sync"),
@@ -240,13 +197,11 @@ def _cmd_convert(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    _require_format(args, ("text", "tsv"))
-    size = _pick_size(args)
-    if size < 1:
+    if args.size < 1:
         raise ParseError("suite size must be at least 1")
-    caps = {"roundtrip": 8, "partition": 12, "order-oracle": 7, "series": 8, "stats": 6}
-    _check_cap(size, caps[args.suite], args.unsafe_size)
-    checks = SUITE_RUNNERS[args.suite](size)
+    cap, runner = _SUITES[args.suite]
+    _check_cap(args.size, cap, args.unsafe_size)
+    checks = runner(args.size)
     failures = 0
     separator = "\t" if args.format == "tsv" else " "
     for ok, message in checks:
@@ -420,12 +375,13 @@ def _suite_stats(size):
     return checks
 
 
-SUITE_RUNNERS = {
-    "roundtrip": _suite_roundtrip,
-    "partition": _suite_partition,
-    "order-oracle": _suite_order_oracle,
-    "series": _suite_series,
-    "stats": _suite_stats,
+# suite -> (desk-scale cap, runner)
+_SUITES = {
+    "roundtrip": (8, _suite_roundtrip),
+    "partition": (12, _suite_partition),
+    "order-oracle": (7, _suite_order_oracle),
+    "series": (8, _suite_series),
+    "stats": (6, _suite_stats),
 }
 
 
@@ -455,7 +411,6 @@ def _lattice_to_dot(v: GridPath) -> str:
 
 
 def _cmd_export_dot(args) -> int:
-    _require_format(args, ("dot",))
     text = _read_input(args)
     if args.object in ("map", "tree"):
         sys.stdout.write(_parse_object(args.object, text).to_dot())
@@ -469,15 +424,12 @@ def _cmd_export_dot(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_series(args) -> int:
-    _require_format(args, ("tsv", "text"))
-    args.size = args.order
-    order = _pick_size(args, "order")
-    if order < 1:
+    if args.order < 1:
         raise ParseError("order must be at least 1")
-    _check_cap(order, 30, args.unsafe_size)
+    _check_cap(args.order, 30, args.unsafe_size)
     from . import series
 
-    F = series.solve_interval_equation(order)
+    F = series.solve_interval_equation(args.order)
     sys.stdout.write(F.to_tsv())
     return 0
 

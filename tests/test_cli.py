@@ -67,18 +67,15 @@ class TestCount:
         code, out, _ = run(["count", "decorated-trees", "4"], capsys=capsys)
         assert code == 0 and out == "enumerated 22\nclosed-form 22\n"
 
-    def test_size_flag_alias(self, capsys):
-        code, out, _ = run(["count", "sync-intervals", "--size", "3"], capsys=capsys)
-        assert code == 0 and out == "enumerated 6\nclosed-form 6\n"
-
     def test_cap_enforced(self, capsys):
         code, _, err = run(["count", "sync-intervals", "11"], capsys=capsys)
         assert code == 2
         assert "--unsafe-size" in err
 
-    def test_missing_size(self, capsys):
-        code, _, err = run(["count", "sync-intervals"], capsys=capsys)
-        assert code == 2
+    def test_missing_size(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "sync-intervals"])
+        assert exc.value.code == 2
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
@@ -86,16 +83,37 @@ class TestCount:
         assert exc.value.code == 2
 
     def test_unsupported_format_rejected(self, capsys):
-        code, _, err = run(
-            ["count", "sync-intervals", "2", "--format", "dot"], capsys=capsys
-        )
-        assert code == 2
-        assert "format" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "sync-intervals", "2", "--format", "dot"])
+        assert exc.value.code == 2
+        assert "format" in capsys.readouterr().err
 
     def test_unknown_object_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["count", "widgets", "2"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,stdin_text",
+    [
+        (["count", "sync-intervals", "2", "--size", "2"], ""),
+        (["count", "sync-intervals", "2", "-n", "2"], ""),
+        (["count", "sync-intervals", "2", "--format", "text"], ""),
+        (["series", "3", "--format", "tsv"], ""),
+        (["export-dot", "--object", "map", "--format", "dot"], "darts 4\nroot 1\nsigma 3 4 1 2\n"),
+        (["verify", "partition", "3", "--size", "3"], ""),
+    ],
+    ids=["count-size", "count-n", "count-format", "series-format", "export-dot-format",
+         "verify-size"],
+)
+def test_size_and_format_only_where_they_choose(argv, stdin_text, capsys):
+    # sizes are positional only, and --format belongs to verify alone
+    with pytest.raises(SystemExit) as exc:
+        run(argv, stdin_text, capsys=capsys)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments" in err
 
 
 class TestConvert:
@@ -309,9 +327,10 @@ class TestVerify:
         assert run(["verify", "partition", "3", "--format", "tsv"], capsys=capsys)[1] == tsv
 
     def test_dot_format_rejected(self, capsys):
-        code, _, err = run(["verify", "partition", "3", "--format", "dot"], capsys=capsys)
-        assert code == 2
-        assert "format" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "partition", "3", "--format", "dot"])
+        assert exc.value.code == 2
+        assert "format" in capsys.readouterr().err
 
     def test_deterministic_output(self, capsys):
         first = run(["verify", "partition", "4"], capsys=capsys)
