@@ -201,125 +201,96 @@ def _cmd_verify(args) -> int:
         raise ParseError("suite size must be at least 1")
     cap, runner = _SUITES[args.suite]
     _check_cap(args.size, cap, args.unsafe_size)
-    checks = runner(args.size)
     failures = 0
     separator = "\t" if args.format == "tsv" else " "
-    for ok, message in checks:
+    for ok, message in runner(args.size):
         print(("ok" if ok else "FAIL") + separator + message)
         failures += not ok
     return 1 if failures else 0
 
 
+def _check(message, failures):
+    """``(ok, message)`` for a check that fails on the objects whose texts are
+    ``failures``: ok when there are none, else the message names the first
+    five in text order, then ``...`` if there are more."""
+    if not failures:
+        return True, message
+    shown = ", ".join(sorted(failures)[:5])
+    return False, "%s: %s%s" % (message, shown, "..." if len(failures) > 5 else "")
+
+
+def _canopies(k):
+    """Every grid word of length ``k`` as a :class:`GridPath`, in word order."""
+    return [GridPath("".join(letters)) for letters in product("EN", repeat=k)]
+
+
 def _suite_roundtrip(size):
     from . import bijections, maps, tamari, trees
 
-    checks = []
     for n in range(1, size + 1):
         intervals = tamari.enumerate_sync_intervals(n)
-        bad = []
-        for I in intervals:
-            T = bijections.interval_to_tree(I)
-            if bijections.tree_to_interval(T) != I:
-                bad.append(I.to_text())
-        checks.append((not bad, "interval->tree->interval size %d (%d objects)%s"
-                       % (n, len(intervals), _fails(bad))))
+        yield _check("interval->tree->interval size %d (%d objects)" % (n, len(intervals)),
+                     [I.to_text() for I in intervals
+                      if bijections.tree_to_interval(bijections.interval_to_tree(I)) != I])
         tree_list = trees.enumerate_decorated_trees(n)
-        bad = [T.to_text() for T in tree_list
-               if bijections.interval_to_tree(bijections.tree_to_interval(T)) != T]
-        checks.append((not bad, "tree->interval->tree size %d (%d objects)%s"
-                       % (n, len(tree_list), _fails(bad))))
+        yield _check("tree->interval->tree size %d (%d objects)" % (n, len(tree_list)),
+                     [T.to_text() for T in tree_list
+                      if bijections.interval_to_tree(bijections.tree_to_interval(T)) != T])
         maps_n = maps.enumerate_nonseparable_by_composition(n + 1)
-        bad = []
-        for M in maps_n:
-            T = bijections.map_to_tree(M)
-            if not bijections.tree_to_map(T).is_isomorphic_to(M):
-                bad.append(M.to_text().replace("\n", "; "))
-        checks.append((not bad, "map->tree->map %d edges (%d objects)%s"
-                       % (n + 1, len(maps_n), _fails(bad))))
-        bad = [T.to_text() for T in tree_list
-               if bijections.map_to_tree(bijections.tree_to_map(T)) != T]
-        checks.append((not bad, "tree->map->tree size %d (%d objects)%s"
-                       % (n, len(tree_list), _fails(bad))))
-        bad = []
-        for I in intervals:
-            pointed, rest = tamari.decompose_interval(I)
-            if tamari.compose_intervals(pointed, rest) != I:
-                bad.append(I.to_text())
-        checks.append((not bad, "interval decompose/compose size %d%s" % (n, _fails(bad))))
-    return checks
+        yield _check("map->tree->map %d edges (%d objects)" % (n + 1, len(maps_n)),
+                     [M.to_text().replace("\n", "; ") for M in maps_n
+                      if not M.is_isomorphic_to(
+                          bijections.tree_to_map(bijections.map_to_tree(M)))])
+        yield _check("tree->map->tree size %d (%d objects)" % (n, len(tree_list)),
+                     [T.to_text() for T in tree_list
+                      if bijections.map_to_tree(bijections.tree_to_map(T)) != T])
+        yield _check("interval decompose/compose size %d" % n,
+                     [I.to_text() for I in intervals
+                      if tamari.compose_intervals(*tamari.decompose_interval(I)) != I])
 
 
 def _suite_partition(size):
     from . import series, tamari
 
-    checks = []
     for n in range(1, size + 1):
         by_type = tamari.dyck_paths_by_type(n)
         total = sum(len(f) for f in by_type.values())
-        checks.append(
-            (
-                total == series.catalan(n),
-                "type fibers of size %d cover %d Dyck paths (Catalan %d)"
-                % (n, total, series.catalan(n)),
-            )
-        )
-        checks.append(
-            (
-                len(by_type) == 2 ** (n - 1),
-                "size %d has %d nonempty fibers (expected %d)"
-                % (n, len(by_type), 2 ** (n - 1)),
-            )
-        )
-        fibers_ok = True
-        for w in product("EN", repeat=n - 1):
-            v = GridPath("".join(w))
+        yield (total == series.catalan(n),
+               "type fibers of size %d cover %d Dyck paths (Catalan %d)"
+               % (n, total, series.catalan(n)))
+        yield (len(by_type) == 2 ** (n - 1),
+               "size %d has %d nonempty fibers (expected %d)"
+               % (n, len(by_type), 2 ** (n - 1)))
+        bad = []
+        for v in _canopies(n - 1):
             fiber = sorted(P.word for P in by_type.get(v.word, []))
-            lattice = sorted(
-                tamari.pathpair_to_dyck(PathPair(e, v)).word
-                for e in tamari.enumerate_tam(v)
-            )
+            lattice = sorted(tamari.pathpair_to_dyck(PathPair(e, v)).word
+                             for e in tamari.enumerate_tam(v))
             if fiber != lattice:
-                fibers_ok = False
-                break
-        checks.append((fibers_ok, "fibers of size %d match the canopy lattices" % n))
-    return checks
+                bad.append(v.word or "(empty)")
+        yield _check("fibers of size %d match the canopy lattices" % n, bad)
 
 
 def _suite_order_oracle(size):
     from . import tamari
 
-    checks = []
     for n in range(1, size + 1):
         paths = tamari.enumerate_dyck_paths(n)
         closure = tamari.cover_closures(paths, tamari.dyck_rotation_covers)
-        bad = []
-        for i, P in enumerate(paths):
-            for j, Q in enumerate(paths):
-                lhs = bool(closure[i] >> j & 1)
-                rhs = tamari.tamari_leq(P, Q)
-                if lhs != rhs:
-                    bad.append("%s vs %s" % (P.word, Q.word))
-        checks.append(
-            (not bad, "rotation closure matches distance comparison at size %d%s"
-             % (n, _fails(bad)))
-        )
+        yield _check("rotation closure matches distance comparison at size %d" % n,
+                     ["%s vs %s" % (P.word, Q.word)
+                      for i, P in enumerate(paths) for j, Q in enumerate(paths)
+                      if bool(closure[i] >> j & 1) != tamari.tamari_leq(P, Q)])
     for k in range(1, size):
         bad = []
-        for letters in product("EN", repeat=k):
-            v = GridPath("".join(letters))
+        for v in _canopies(k):
             elements = tamari.enumerate_tam(v)
             closure = tamari.cover_closures(elements, partial(tamari.tam_covers, v))
             for i, a in enumerate(elements):
                 for j, b in enumerate(elements):
-                    lhs = bool(closure[i] >> j & 1)
-                    rhs = tamari.tam_leq(v, a, b)
-                    if lhs != rhs:
+                    if bool(closure[i] >> j & 1) != tamari.tam_leq(v, a, b):
                         bad.append("%s: %s vs %s" % (v.word, a.word, b.word))
-        checks.append(
-            (not bad, "canopy cover closure matches the path-pair order at length %d%s"
-             % (k, _fails(bad)))
-        )
-    return checks
+        yield _check("canopy cover closure matches the path-pair order at length %d" % k, bad)
 
 
 def _suite_series(size):
@@ -328,10 +299,10 @@ def _suite_series(size):
     order = max(12, size)
     F = series.solve_interval_equation(order)
     Ms = series.solve_map_equation(order)
-    checks = [(F.rows == Ms.rows, "interval and map equations agree to order %d" % order)]
+    yield F.rows == Ms.rows, "interval and map equations agree to order %d" % order
     totals = F.at_x_one()
-    ok = all(totals[n] == series.closed_form(n - 1) for n in range(1, order + 1))
-    checks.append((ok, "F(1,t) matches the closed form to order %d" % order))
+    yield (all(totals[n] == series.closed_form(n - 1) for n in range(1, order + 1)),
+           "F(1,t) matches the closed form to order %d" % order)
     for n in range(1, size + 1):
         histogram = {}
         for I in tamari.enumerate_sync_intervals(n):
@@ -340,42 +311,28 @@ def _suite_series(size):
         row = F.row(n)
         ok = all(histogram.get(k, 0) == (row[k] if k < len(row) else 0)
                  for k in range(n + 1))
-        checks.append((ok, "contact histogram matches row %d" % n))
-    return checks
+        yield ok, "contact histogram matches row %d" % n
 
 
 def _suite_stats(size):
     from . import bijections, maps, tamari
 
-    checks = []
     for n in range(1, size + 1):
         contact = sorted(I.lower.contacts() - 1 for I in tamari.enumerate_sync_intervals(n))
         maps_n = maps.enumerate_nonseparable_by_composition(n + 1)
         outer = sorted(M.outer_face_degree - 1 for M in maps_n)
         rootdeg = sorted(M.root_vertex_degree - 1 for M in maps_n)
-        checks.append(
-            (contact == outer, "contacts-1 matches outer-degree-1 multiset at size %d" % n)
-        )
-        checks.append(
-            (contact == rootdeg, "contacts-1 matches root-degree-1 multiset at size %d" % n)
-        )
-        transfer = sum(
-            1
-            for M in maps_n
-            if bijections.map_to_interval(M).lower.contacts() - 1
-            == M.root_vertex_degree - 1
-        )
-        checks.append(
-            (
-                transfer == len(maps_n),
-                "diagnostic: per-object contact/root-degree transfer %d/%d at size %d"
-                % (transfer, len(maps_n), n),
-            )
-        )
-    return checks
+        yield contact == outer, "contacts-1 matches outer-degree-1 multiset at size %d" % n
+        yield contact == rootdeg, "contacts-1 matches root-degree-1 multiset at size %d" % n
+        transfer = sum(bijections.map_to_interval(M).lower.contacts() == M.root_vertex_degree
+                       for M in maps_n)
+        yield (transfer == len(maps_n),
+               "diagnostic: per-object contact/root-degree transfer %d/%d at size %d"
+               % (transfer, len(maps_n), n))
 
 
-# suite -> (desk-scale cap, runner)
+# suite -> (desk-scale cap, runner); a runner is a generator that yields one
+# (ok, message) per check as the check finishes
 _SUITES = {
     "roundtrip": (8, _suite_roundtrip),
     "partition": (12, _suite_partition),
@@ -383,13 +340,6 @@ _SUITES = {
     "series": (8, _suite_series),
     "stats": (6, _suite_stats),
 }
-
-
-def _fails(bad) -> str:
-    if not bad:
-        return ""
-    shown = sorted(bad)[:5]
-    return ": " + ", ".join(shown) + ("..." if len(bad) > 5 else "")
 
 
 # ---------------------------------------------------------------------------

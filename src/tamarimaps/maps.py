@@ -273,10 +273,10 @@ class PlanarMap:
         if set(fields) != {"darts", "root", "sigma"}:
             raise ParseError("map text needs 'darts', 'root' and 'sigma' lines")
         try:
-            n = int(fields["darts"][0])
-            root = int(fields["root"][0]) - 1
+            [n] = [int(x) for x in fields["darts"]]
+            [root] = [int(x) - 1 for x in fields["root"]]
             sigma = [int(x) - 1 for x in fields["sigma"]]
-        except (IndexError, ValueError):
+        except ValueError:
             raise ParseError("unreadable map text") from None
         if len(sigma) != n:
             raise ParseError("sigma has %d images, expected %d" % (len(sigma), n))

@@ -5,7 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from tamarimaps import CanopyInterval, DecoratedTree, GridPath, ParseError, PlanarMap, SyncInterval
+from tamarimaps import (
+    CanopyInterval,
+    DecoratedTree,
+    DyckPath,
+    GridPath,
+    ParseError,
+    PlanarMap,
+    SyncInterval,
+)
 from tamarimaps.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -282,6 +290,8 @@ class TestLibraryParity:
             ("map", DOUBLE_EDGE + "root 2\n", 2),
             ("map", "darts 4\nroot 1\nsigma 1 2 3 4\n", 1),
             ("map", "darts 2\nroot 1\nsigma 1 1\n", 1),
+            ("map", "darts 4 junk\nroot 1\nsigma 3 4 1 2\n", 2),
+            ("map", "darts 4\nroot 1 2\nsigma 3 4 1 2\n", 2),
             ("lattice", "EEN", 0),
             ("lattice", "EXN", 2),
         ],
@@ -316,6 +326,7 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
         assert out.count("ok ") >= 1
+        assert out == (GOLDEN / ("verify_%s_%d.txt" % (suite, size))).read_text()
 
     def test_tsv_rows(self, capsys):
         code, text, _ = run(["verify", "partition", "3"], capsys=capsys)
@@ -336,6 +347,65 @@ class TestVerify:
         first = run(["verify", "partition", "4"], capsys=capsys)
         second = run(["verify", "partition", "4"], capsys=capsys)
         assert first == second
+
+
+class TestVerifyFailure:
+    """A suite that finds a fault exits 1, and each failing line names the
+    objects it fails on; the other lines stay as in the passing run."""
+
+    def test_failing_round_trip_names_its_objects(self, monkeypatch, capsys):
+        import tamarimaps.bijections as bijections
+
+        right = bijections.tree_to_interval
+        wrong = SyncInterval.from_text("udud|udud")
+        monkeypatch.setattr(
+            bijections,
+            "tree_to_interval",
+            lambda T: wrong if T.to_text() == "((-1))" else right(T),
+        )
+        code, out, err = run(["verify", "roundtrip", "3"], capsys=capsys)
+        expected = (GOLDEN / "verify_roundtrip_3.txt").read_text().splitlines()
+        expected[5] = "FAIL interval->tree->interval size 2 (2 objects): uudd|uudd"
+        expected[6] = "FAIL tree->interval->tree size 2 (2 objects): ((-1))"
+        assert (code, out.splitlines(), err) == (1, expected, "")
+
+    def test_failing_fibers_name_their_canopies(self, monkeypatch, capsys):
+        import tamarimaps.tamari as tamari
+
+        right = tamari.pathpair_to_dyck
+
+        def one_peak_too_many(pair):
+            # wrong on the empty canopy and on every canopy with both letters
+            path = right(pair)
+            return DyckPath(path.word + "ud") if len(set(pair.canopy.word)) != 1 else path
+
+        monkeypatch.setattr(tamari, "pathpair_to_dyck", one_peak_too_many)
+        code, out, _ = run(["verify", "partition", "4", "--format", "tsv"], capsys=capsys)
+        fibers = [line for line in out.splitlines() if "canopy lattices" in line]
+        assert code == 1
+        assert fibers == [
+            "FAIL\tfibers of size 1 match the canopy lattices: (empty)",
+            "ok\tfibers of size 2 match the canopy lattices",
+            "FAIL\tfibers of size 3 match the canopy lattices: EN, NE",
+            "FAIL\tfibers of size 4 match the canopy lattices: EEN, ENE, ENN, NEE, NEN...",
+        ]
+        assert out.count("ok\t") == 9
+
+    def test_error_partway_keeps_the_finished_lines(self, monkeypatch, capsys):
+        import tamarimaps.bijections as bijections
+
+        right = bijections.map_to_tree
+
+        def refuse_four_edges(M):
+            if M.edge_count == 4:
+                raise ValueError("refused a map with 4 edges")
+            return right(M)
+
+        monkeypatch.setattr(bijections, "map_to_tree", refuse_four_edges)
+        code, out, err = run(["verify", "roundtrip", "3"], capsys=capsys)
+        finished = (GOLDEN / "verify_roundtrip_3.txt").read_text().splitlines()[:12]
+        assert (code, out.splitlines()) == (1, finished)
+        assert err == "invalid: refused a map with 4 edges\n"
 
 
 class TestExportDot:
