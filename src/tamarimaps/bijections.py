@@ -23,11 +23,10 @@ from .maps import (
 from .paths import DyckPath
 from .tamari import (
     CanopyInterval,
-    PointedSyncInterval,
     SyncInterval,
+    _join_words,
+    _split_words,
     canopy_to_sync,
-    compose_factors,
-    split_interval,
     sync_to_canopy,
 )
 from .trees import CLOSE, OPEN, DecoratedTree, contour_tree
@@ -253,14 +252,14 @@ def canopy_to_map(ci: CanopyInterval) -> PlanarMap:
 # The recursive bijection of the closing remark
 # ---------------------------------------------------------------------------
 
-_EMPTY = SyncInterval(DyckPath(""), DyckPath(""))  # the base of every single-edge brick's factor
+_EMPTY = ("", "", (0,), 0)  # the factor of every loop brick
 _EDGE = ((0, 1), 0, 1)  # the dual brick of every empty factor: a single edge
 
 
 def recursive_map_to_interval(M: PlanarMap) -> SyncInterval:
     """The recursively defined bijection: peel every parallel brick off the
     map at once, translate each brick into a pointed interval, and compose
-    the whole factor list once with ``compose_factors``.
+    the whole factor list once.
 
     Contracting the root edge is deleting it in the dual map, so the
     parallel bricks are read as the series bricks of the dual, and the
@@ -273,13 +272,13 @@ def recursive_map_to_interval(M: PlanarMap) -> SyncInterval:
     recursion coincide with ``map_to_interval`` at every tested size; the
     coincidence is a reported test, not an assumption.
 
-    Bricks stay raw (sigma, root, exposed count) triples of
-    :func:`maps._series_split`, one block split per level: no brick is
-    built as a map, put in canonical form or re-tested, since the split
-    that cut it out proves it non-separable.  The recursion into brick
-    interiors runs on an explicit stack, one frame per map brick being
-    translated, so nesting depth is not bounded by the interpreter's
-    recursion limit.
+    Bricks stay raw triples of :func:`maps._series_split`, one block split
+    per level, none re-tested: the split proves them non-separable.  Below
+    the top, intervals are word pairs joined by :func:`tamari._join_words`;
+    only the result becomes a :class:`SyncInterval`.  That one check covers
+    every level: split and join are inverse bijections on words, so a
+    joined pair is a synchronized interval exactly when every factor is.
+    Nesting runs on an explicit stack.
 
     >>> from tamarimaps.maps import double_edge_map
     >>> recursive_map_to_interval(double_edge_map()).to_text()
@@ -290,60 +289,65 @@ def recursive_map_to_interval(M: PlanarMap) -> SyncInterval:
     sigma = M.sigma
     dual = [sigma[d ^ 1] for d in range(len(sigma))]
     # one frame per map being translated: the dual's bricks not yet taken
-    # (last first), the factors of those taken, and its root-side count as a
-    # brick
+    # (last first), the factors of those taken, as _join_words takes them,
+    # and its root-side count as a brick
     stack = [(_series_split(dual, M._flabel, M._nf, M.root)[::-1], [], 0)]
     while True:
         bricks, factors, _ = stack[-1]
         if bricks:
             brick, root, j = bricks.pop()
             if len(brick) == 2:
-                factors.append(PointedSyncInterval(_EMPTY, 0))
+                factors.append(_EMPTY)
             else:
                 vlabel, nv = _orbit_labels(brick)
                 root = _cycle(brick, root, 1)[j]
                 stack.append((_series_split(brick, vlabel, nv, root)[::-1], [], j))
             continue
         _, factors, j = stack.pop()
-        inner = compose_factors(factors)
+        lower, upper, contacts = _join_words(factors)
         if not stack:
-            return inner
-        stack[-1][1].append(PointedSyncInterval(inner, inner.lower.contacts() - j))
+            return SyncInterval(DyckPath(lower), DyckPath(upper))
+        cut = len(contacts) - j
+        if not 1 <= cut <= len(contacts) - 1:
+            raise ValueError("cut must be in 1..%d, got %d" % (len(contacts) - 1, cut))
+        stack[-1][1].append((lower, upper, contacts, cut))
 
 
 def recursive_interval_to_map(interval: SyncInterval) -> PlanarMap:
     """Inverse of :func:`recursive_map_to_interval`: split the interval into
-    all its pointed factors with ``split_interval``, turn each factor into a
-    brick of the dual map (the empty one into a single edge, any other by
-    translating its base recursively and re-rooting it), and join each
-    level's whole brick list once with :func:`maps._series_join`; the map is
-    the dual of the top level, put in canonical form.  Bricks are raw
-    (sigma, root, exposed count) triples; each composed brick is tested once
-    for non-separability and its exposed count checked against its outer
-    face.  The recursion runs on an explicit stack, one frame per factor
-    base being translated.  The empty interval has no map and raises
-    ValueError."""
+    all its pointed factors, turn each factor into a brick of the dual map
+    (the empty one into a single edge, any other by translating its base
+    recursively and re-rooting it), and join each level's whole brick list
+    once with :func:`maps._series_join`; the map is the dual of the top
+    level, put in canonical form.
+
+    Levels are split as words (:func:`tamari._split_words`); no interval
+    object is built.  Validating the input covers every level: split and
+    join are inverse bijections on words, so every factor of a synchronized
+    interval is one.  Each composed raw brick is tested once for
+    non-separability and its exposed count checked against its outer face.
+    Nesting runs on an explicit stack.  The empty interval has no map and
+    raises ValueError."""
     if interval.size < 1:
         raise ValueError("needs a nonempty interval")
     # one frame per interval being translated: its factors not yet taken
     # (last first), the dual bricks of those taken, and its root-side count
     # as the base of a factor
-    stack = [(split_interval(interval)[::-1], [], 0)]
+    stack = [(_split_words(interval.lower.word, interval.upper.word)[::-1], [], 0)]
     while True:
         factors, bricks, _ = stack[-1]
         if factors:
-            pointed = factors.pop()
-            if pointed.size == 0:
+            lower, upper, _, j = factors.pop()
+            if not upper:
                 bricks.append(_EDGE)
             else:
-                j = pointed.base.lower.contacts() - pointed.cut
-                stack.append((split_interval(pointed.base)[::-1], [], j))
+                stack.append((_split_words(lower, upper)[::-1], [], j))
             continue
         _, bricks, j = stack.pop()
         sigma, root = _series_join(bricks)
         if not stack:
             return canonical_map([sigma[d ^ 1] for d in range(len(sigma))], root)
-        if not _is_non_separable(*_orbit_labels(sigma)):
+        if not _is_non_separable(sigma, *_orbit_labels(sigma)):
             raise ValueError("series bricks must be single edges or non-separable")
         face = _cycle(sigma, root, 1)
         if not 1 <= j <= len(face) - 1:

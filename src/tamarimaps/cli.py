@@ -18,7 +18,7 @@ from functools import partial
 from importlib import import_module
 from itertools import product
 
-from .paths import GridPath, ParseError, PathPair
+from .paths import DyckPath, GridPath, ParseError, PathPair
 
 
 def main(argv=None) -> int:
@@ -246,7 +246,8 @@ def _suite_roundtrip(size):
                       if bijections.map_to_tree(bijections.tree_to_map(T)) != T])
         yield _check("interval decompose/compose size %d" % n,
                      [I.to_text() for I in intervals
-                      if tamari.compose_intervals(*tamari.decompose_interval(I)) != I])
+                      if tamari.compose_intervals(*tamari.decompose_interval(I)) != I
+                      or tamari.compose_factors(tamari.split_interval(I)) != I])
 
 
 def _suite_partition(size):
@@ -331,6 +332,33 @@ def _suite_stats(size):
                % (transfer, len(maps_n), n))
 
 
+def _suite_oracle(size):
+    if size < 2:
+        raise ParseError("oracle needs size >= 2")
+    from . import bijections, maps, series, tamari
+
+    maps_n = maps.enumerate_nonseparable_by_composition(size)
+    yield (len(maps_n) == series.closed_form(size - 2),
+           "composition census of %d edges has %d maps (closed form %d)"
+           % (size, len(maps_n), series.closed_form(size - 2)))
+    intervals = [bijections.map_to_interval(M) for M in maps_n]
+    yield _check("recursive map->interval matches the chain at %d edges (%d objects)"
+                 % (size, len(maps_n)),
+                 [M.to_text().replace("\n", "; ") for M, I in zip(maps_n, intervals)
+                  if bijections.recursive_map_to_interval(M) != I])
+    yield _check("recursive interval->map matches the chain at %d edges (%d objects)"
+                 % (size, len(maps_n)),
+                 [I.to_text() for M, I in zip(maps_n, intervals)
+                  if bijections.recursive_interval_to_map(I) != M])
+    spine = DyckPath("u" * 1000 + "d" * 1000)
+    I = tamari.SyncInterval(spine, spine)
+    M = bijections.interval_to_map(I)
+    yield _check("recursive bijection on the spine u^1000 d^1000",
+                 [direction for direction, ok in (
+                     ("map->interval", bijections.recursive_map_to_interval(M) == I),
+                     ("interval->map", bijections.recursive_interval_to_map(I) == M)) if not ok])
+
+
 # suite -> (desk-scale cap, runner); a runner is a generator that yields one
 # (ok, message) per check as the check finishes
 _SUITES = {
@@ -339,6 +367,7 @@ _SUITES = {
     "order-oracle": (7, _suite_order_oracle),
     "series": (8, _suite_series),
     "stats": (6, _suite_stats),
+    "oracle": (8, _suite_oracle),
 }
 
 

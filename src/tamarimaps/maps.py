@@ -172,13 +172,14 @@ class PlanarMap:
         cut-vertex freeness of the underlying multigraph.  Computed once.
         """
         if self._non_separable is None:
-            self._non_separable = _is_non_separable(self._vlabel, self._nv)
+            self._non_separable = _is_non_separable(self.sigma, self._vlabel, self._nv)
         return self._non_separable
 
     def separating_bipartition(self):
         """Definitional oracle: a pair of nonempty edge sets meeting at
         exactly one vertex, or None.  Exponential in the edge count."""
-        edges = _edges(self._vlabel)
+        vl = self._vlabel
+        edges = [(i, vl[2 * i], vl[2 * i + 1]) for i in range(self.edge_count)]
         m = len(edges)
         for mask in range(1, 1 << (m - 1)):
             sides = ([], [])
@@ -274,13 +275,15 @@ class PlanarMap:
             raise ParseError("map text needs 'darts', 'root' and 'sigma' lines")
         try:
             [n] = [int(x) for x in fields["darts"]]
-            [root] = [int(x) - 1 for x in fields["root"]]
+            [root] = [int(x) for x in fields["root"]]
             sigma = [int(x) - 1 for x in fields["sigma"]]
         except ValueError:
             raise ParseError("unreadable map text") from None
         if len(sigma) != n:
             raise ParseError("sigma has %d images, expected %d" % (len(sigma), n))
-        return PlanarMap(sigma, root)
+        if not 1 <= root <= n:
+            raise ValueError("root dart %d out of range 1..%d" % (root, n))
+        return PlanarMap(sigma, root - 1)
 
     def to_dot(self) -> str:
         """Deterministic DOT rendering: one node per sigma-orbit, one edge
@@ -395,83 +398,72 @@ def double_edge_map() -> PlanarMap:
 
 
 # ---------------------------------------------------------------------------
-# Blocks of a multigraph (no loops)
+# Blocks of a rotation system (no loops)
 # ---------------------------------------------------------------------------
 
-def _multigraph_blocks(nv: int, edges):
-    """Biconnected blocks (as frozensets of edge ids) of a connected
-    loopless multigraph; bridges are blocks of size one.  Standard lowpoint
-    computation, tracking edge ids so parallel edges form cycles.
+def _lowpoint_blocks(sigma, vlabel, nv, skip):
+    """The block of each edge (-1 for ``skip``, deleted) and the block
+    count of a loopless rotation system, by one lowpoint search over the
+    darts in sigma order.  The tree edge is skipped by its id, so parallel
+    edges count as back edges.  A loop or disconnection raises ValueError.
     """
-    adjacency = [[] for _ in range(nv)]
-    for eid, a, b in edges:
-        if a == b:
-            raise ValueError("loops are not allowed here")
-        adjacency[a].append((eid, b))
-        adjacency[b].append((eid, a))
     depth = [-1] * nv
     low = [0] * nv
-    blocks = []
+    tree = [-1] * nv  # edge each vertex was reached by
+    block_of = [-1] * (len(sigma) // 2)
+    count = 0
     edge_stack = []
-    if nv == 0:
-        return blocks
-
-    # depth-first search with an explicit stack of vertices.  The tree edge
-    # is skipped by its id, not by its far end, so parallel edges count as
-    # back edges.
-    position = [0] * nv  # next adjacency entry to scan
-    tree_edge = [-1] * nv  # edge each vertex was reached by
-    depth[0] = low[0] = 0
-    stack = [0]
+    depth[vlabel[0]] = 0
+    # per vertex on the search path: entry dart, next dart (-1: done)
+    stack = [[0, 0]]
     while stack:
-        vertex = stack[-1]
-        i = position[vertex]
-        if i == len(adjacency[vertex]):
+        frame = stack[-1]
+        entry, d = frame
+        v = vlabel[entry]
+        if d < 0:
             stack.pop()
             if not stack:
                 break
-            up = stack[-1]
-            low[up] = min(low[up], low[vertex])
-            if low[vertex] >= depth[up]:
-                block = set()
+            up = vlabel[stack[-1][0]]
+            if low[v] < low[up]:
+                low[up] = low[v]
+            if low[v] >= depth[up]:
                 while True:
                     e = edge_stack.pop()
-                    block.add(e)
-                    if e == tree_edge[vertex]:
+                    block_of[e] = count
+                    if e == tree[v]:
                         break
-                blocks.append(frozenset(block))
+                count += 1
             continue
-        position[vertex] = i + 1
-        eid, other = adjacency[vertex][i]
-        if eid == tree_edge[vertex]:
+        following = sigma[d]
+        frame[1] = -1 if following == entry else following
+        e = d >> 1
+        if e == tree[v] or e == skip:
             continue
-        if depth[other] < 0:
-            edge_stack.append(eid)
-            depth[other] = low[other] = depth[vertex] + 1
-            tree_edge[other] = eid
-            stack.append(other)
-        elif depth[other] < depth[vertex]:
-            edge_stack.append(eid)
-            low[vertex] = min(low[vertex], depth[other])
-
-    if any(d < 0 for d in depth):
+        w = vlabel[d ^ 1]
+        if w == v:
+            raise ValueError("loops are not allowed here")
+        if depth[w] < 0:
+            edge_stack.append(e)
+            depth[w] = low[w] = depth[v] + 1
+            tree[w] = e
+            stack.append([d ^ 1, d ^ 1])
+        elif depth[w] < depth[v]:
+            edge_stack.append(e)
+            if depth[w] < low[v]:
+                low[v] = depth[w]
+    if -1 in depth:
         raise ValueError("multigraph is not connected")
-    return blocks
+    return block_of, count
 
 
-def _edges(vlabel) -> list:
-    """(edge id, vertex, vertex) for every edge, from the vertex labels."""
-    return [(i, vlabel[2 * i], vlabel[2 * i + 1]) for i in range(len(vlabel) // 2)]
-
-
-def _is_non_separable(vlabel, nv) -> bool:
-    """At least two edges, no loop, and a single block, for the rotation
-    system with vertex labels ``vlabel`` (``nv`` vertices)."""
-    edges = _edges(vlabel)
+def _is_non_separable(sigma, vlabel, nv) -> bool:
+    """At least two edges, no loop, and a single block (``vlabel`` and
+    ``nv`` are sigma's vertex labels and count)."""
     return (
-        len(edges) >= 2
-        and all(a != b for _, a, b in edges)
-        and len(_multigraph_blocks(nv, edges)) == 1
+        len(sigma) >= 4
+        and all(vlabel[d] != vlabel[d + 1] for d in range(0, len(sigma), 2))
+        and _lowpoint_blocks(sigma, vlabel, nv, -1)[1] == 1
     )
 
 
@@ -683,7 +675,7 @@ def _series_split(sigma, vlabel, nv, root) -> list:
     once, in reverse orders.  Nothing is re-validated or put in canonical
     form; see :func:`series_components`.
     """
-    block_of, count = _blocks(vlabel, nv, root >> 1)
+    block_of, count = _lowpoint_blocks(sigma, vlabel, nv, root >> 1)
     runs = _runs(_cycle(sigma, root, 1)[1:], block_of)
     if sorted(bi for bi, _ in runs) != list(range(count)):
         raise AssertionError("outer walk does not expose each block exactly once")
@@ -771,21 +763,6 @@ def compose_parallel(bricks) -> PlanarMap:
     dual_bricks = [([K.sigma[d ^ 1] for d in range(K.dart_count)], K.root, j) for K, j in bricks]
     sigma, R = _series_join(dual_bricks)
     return canonical_map([sigma[d ^ 1] for d in range(len(sigma))], R)
-
-
-def _blocks(vlabel, nv, root_edge):
-    """The blocks of a loopless rotation system with vertex labels
-    ``vlabel`` once its edge ``root_edge`` is deleted.  Returns the block
-    index of each edge (-1 for ``root_edge``) and the block count.
-    """
-    edges = _edges(vlabel)
-    del edges[root_edge]
-    blocks = _multigraph_blocks(nv, edges)
-    block_of = [-1] * (len(vlabel) // 2)
-    for bi, block in enumerate(blocks):
-        for eid in block:
-            block_of[eid] = bi
-    return block_of, len(blocks)
 
 
 def _runs(walk, block_of):

@@ -11,7 +11,7 @@ lattice (``tam_covers``).
 from __future__ import annotations
 
 from functools import partial
-from itertools import product
+from itertools import accumulate, product
 
 from .paths import (
     DyckPath,
@@ -420,15 +420,13 @@ def compose_intervals(pointed: PointedSyncInterval, other: SyncInterval) -> Sync
     >>> compose_intervals(PointedSyncInterval(empty, 0), empty).to_text()
     'ud|ud'
     """
-    lower, upper = _lift(pointed)
+    lower, upper, _ = _join_words([_factor_words(pointed)])
     return SyncInterval(DyckPath(lower + other.lower.word), DyckPath(upper + other.upper.word))
 
 
 def compose_factors(factors) -> SyncInterval:
-    """Compose a list of pointed intervals from the right, starting from the
-    empty interval: the lifted words u Pl d Pr and u Q1 d of every factor
-    are joined, left to right, into one lower and one upper path.  Inverse
-    of :func:`split_interval`; the empty list gives the empty interval.
+    """Inverse of :func:`split_interval`: the lifted words u Pl d Pr and
+    u Q1 d of the factors [Pl Pr, Q1], joined; [] gives the empty interval.
 
     >>> empty = SyncInterval(DyckPath(""), DyckPath(""))
     >>> compose_factors([PointedSyncInterval(empty, 0)] * 2).to_text()
@@ -436,18 +434,28 @@ def compose_factors(factors) -> SyncInterval:
     >>> compose_factors([]).size
     0
     """
-    lifts = [_lift(pointed) for pointed in factors]
-    return SyncInterval(
-        DyckPath("".join(low for low, _ in lifts)), DyckPath("".join(up for _, up in lifts))
-    )
+    lower, upper, _ = _join_words([_factor_words(pointed) for pointed in factors])
+    return SyncInterval(DyckPath(lower), DyckPath(upper))
 
 
-def _lift(pointed: PointedSyncInterval) -> tuple:
-    """The words u Pl d Pr and u Q1 d of one pointed factor [Pl Pr, Q1]."""
+def _factor_words(pointed: PointedSyncInterval) -> tuple:
     base = pointed.base
-    pos = base.lower.contact_positions()[pointed.cut]
-    w = base.lower.word
-    return "u" + w[:pos] + "d" + w[pos:], "u" + base.upper.word + "d"
+    return base.lower.word, base.upper.word, base.lower.contact_positions(), pointed.cut
+
+
+def _join_words(factors) -> tuple:
+    """Inverse of :func:`_split_words` on (Pl Pr, Q1, contact positions of
+    Pl Pr, cut) per factor: the joined words, and the contact positions of
+    the lower one (each factor's from the cut on), with no scan."""
+    lower, upper, contacts = [], [], [0]
+    at = 0  # where the factor starts in the joined words
+    for low, up, positions, cut in factors:
+        p = positions[cut]
+        lower += ("u", low[:p], "d", low[p:])
+        upper += ("u", up, "d")
+        contacts += [at + 2 + c for c in positions[cut:]]
+        at += len(up) + 2
+    return "".join(lower), "".join(upper), contacts
 
 
 def decompose_interval(interval: SyncInterval) -> tuple:
@@ -456,9 +464,11 @@ def decompose_interval(interval: SyncInterval) -> tuple:
     """
     if interval.size == 0:
         raise ValueError("cannot decompose the empty interval")
-    P, Q = interval.lower, interval.upper
-    pointed, b = _factor(P, Q, 0)
-    return pointed, SyncInterval(DyckPath(P.word[b:]), DyckPath(Q.word[b:]))
+    P, Q = interval.lower.word, interval.upper.word
+    low, up, cut, _ = _split_words(P, Q)[0]
+    b = len(up) + 2
+    pointed = PointedSyncInterval(SyncInterval(DyckPath(low), DyckPath(up)), cut)
+    return pointed, SyncInterval(DyckPath(P[b:]), DyckPath(Q[b:]))
 
 
 def split_interval(interval: SyncInterval) -> list:
@@ -471,33 +481,36 @@ def split_interval(interval: SyncInterval) -> list:
     >>> [(p.size, p.cut) for p in split_interval(SyncInterval(DyckPath("udud"), DyckPath("udud")))]
     [(0, 0), (0, 0)]
     """
-    P, Q = interval.lower, interval.upper
+    return [
+        PointedSyncInterval(SyncInterval(DyckPath(low), DyckPath(up)), cut)
+        for low, up, cut, _ in _split_words(interval.lower.word, interval.upper.word)
+    ]
+
+
+_STEP = {"u": 1, "d": -1}
+
+
+def _split_words(lower: str, upper: str) -> list:
+    """The pointed factors of [lower, upper] as (Pl Pr, Q1, cut, contacts of
+    Pr) tuples, where upper[a:b] = u Q1 d runs between consecutive contacts
+    and lower[a:b] must be u Pl d Pr, cut where Pl ends."""
+    low_heights = list(accumulate(map(_STEP.__getitem__, lower)))  # points 1..2n
+    up_heights = list(accumulate(map(_STEP.__getitem__, upper)))
     factors = []
     a = 0
-    while a < len(Q):
-        pointed, a = _factor(P, Q, a)
-        factors.append(pointed)
+    while a < len(upper):
+        b = up_heights.index(0, a) + 1
+        if low_heights[b - 1] != 0:
+            raise ValueError("lower path has no contact under the upper return at %d" % (b,))
+        pcut = low_heights.index(0, a) + 1  # the end of u Pl d
+        factors.append((
+            lower[a + 1 : pcut - 1] + lower[pcut:b],
+            upper[a + 1 : b - 1],
+            low_heights[a : pcut - 1].count(1) - 1,
+            low_heights[pcut - 1 : b].count(0),
+        ))
+        a = b
     return factors
-
-
-def _factor(P: DyckPath, Q: DyckPath, a: int) -> tuple:
-    """The pointed factor of the interval [P, Q] that starts at the contact
-    ``a`` of the upper path Q, and Q's next return b, where it ends.  Q[a:b]
-    is u Q1 d; P must touch the axis at b, and P[a:b] is u Pl d Pr with
-    u Pl d its first excursion.  The factor is [Pl Pr, Q1], pointed at the
-    contact where Pl ends.
-    """
-    heights = P.heights()
-    up = a // 2 + 1  # a contact of both paths follows a // 2 up steps
-    b = Q.match_up(up)
-    if heights[b] != 0:
-        raise ValueError("lower path has no contact under the upper return at %d" % (b,))
-    pcut = P.match_up(up)
-    p, q = P.word, Q.word
-    base = SyncInterval(DyckPath(p[a + 1 : pcut - 1] + p[pcut:b]), DyckPath(q[a + 1 : b - 1]))
-    # the pointed contact is the end of Pl: its index among the contacts of
-    # Pl Pr is Pl's contact count (read at height 1 inside P) minus one
-    return PointedSyncInterval(base, heights[a + 1 : pcut].count(1) - 1), b
 
 
 # ---------------------------------------------------------------------------

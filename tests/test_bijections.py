@@ -10,6 +10,7 @@ from tamarimaps import (
     DyckPath,
     GridPath,
     PlanarMap,
+    PointedSyncInterval,
     SyncInterval,
     canopy_to_map,
     canopy_to_sync,
@@ -31,7 +32,7 @@ from tamarimaps import (
     tree_to_map,
     tree_to_upper,
 )
-from tamarimaps.maps import _multigraph_blocks
+from tamarimaps.maps import _lowpoint_blocks
 
 
 def tree(text):
@@ -394,6 +395,31 @@ class TestRecursiveBijection:
             with pytest.raises(ValueError, match="non-separable"):
                 recursive_map_to_interval(M)
 
+    def test_interval_objects_only_at_the_top(self, maps_by_edges, monkeypatch):
+        # below the top level both directions work on plain words: the
+        # forward direction builds its result and nothing else, the inverse
+        # builds no interval object at all
+        maps = [M for m in range(2, 8) for M in maps_by_edges[m]]
+        intervals = [map_to_interval(M) for M in maps]
+        built = []
+
+        def count_constructions(cls):
+            init = cls.__init__
+
+            def counted(self, *args):
+                built.append(cls.__name__)
+                init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+
+        for cls in (DyckPath, SyncInterval, PointedSyncInterval):
+            count_constructions(cls)
+        assert [recursive_map_to_interval(M) for M in maps] == intervals
+        assert sorted(built) == ["DyckPath"] * (2 * len(maps)) + ["SyncInterval"] * len(maps)
+        built.clear()
+        assert [recursive_interval_to_map(I) for I in intervals] == maps
+        assert built == []
+
     def test_one_block_split_per_level(self, monkeypatch):
         # the forward direction runs one block split per level of bricks and
         # re-tests no brick: the maps' own answers are stored first, then the
@@ -404,11 +430,11 @@ class TestRecursiveBijection:
             assert M.is_non_separable()
         calls = []
 
-        def counted(nv, edges):
+        def counted(sigma, vlabel, nv, skip):
             calls.append(nv)
-            return _multigraph_blocks(nv, edges)
+            return _lowpoint_blocks(sigma, vlabel, nv, skip)
 
-        monkeypatch.setattr("tamarimaps.maps._multigraph_blocks", counted)
+        monkeypatch.setattr("tamarimaps.maps._lowpoint_blocks", counted)
         intervals = [recursive_map_to_interval(M) for M in maps]
 
         def levels(I):

@@ -290,6 +290,7 @@ class TestLibraryParity:
             ("map", DOUBLE_EDGE + "root 2\n", 2),
             ("map", "darts 4\nroot 1\nsigma 1 2 3 4\n", 1),
             ("map", "darts 2\nroot 1\nsigma 1 1\n", 1),
+            ("map", "darts 4\nroot 0\nsigma 1 2 3 4\n", 1),
             ("map", "darts 4 junk\nroot 1\nsigma 3 4 1 2\n", 2),
             ("map", "darts 4\nroot 1 2\nsigma 3 4 1 2\n", 2),
             ("lattice", "EEN", 0),
@@ -319,7 +320,14 @@ class TestLibraryParity:
 class TestVerify:
     @pytest.mark.parametrize(
         "suite,size",
-        [("roundtrip", 3), ("partition", 5), ("order-oracle", 4), ("series", 4), ("stats", 3)],
+        [
+            ("roundtrip", 3),
+            ("partition", 5),
+            ("order-oracle", 4),
+            ("series", 4),
+            ("stats", 3),
+            ("oracle", 4),
+        ],
     )
     def test_suites_pass(self, suite, size, capsys):
         code, out, _ = run(["verify", suite, str(size)], capsys=capsys)
@@ -390,6 +398,29 @@ class TestVerifyFailure:
             "FAIL\tfibers of size 4 match the canopy lattices: EEN, ENE, ENN, NEE, NEN...",
         ]
         assert out.count("ok\t") == 9
+
+    def test_failing_oracle_names_its_objects(self, monkeypatch, capsys):
+        import tamarimaps.bijections as bijections
+        from tamarimaps import double_edge_map
+
+        monkeypatch.setattr(
+            bijections, "recursive_map_to_interval", lambda M: SyncInterval.from_text("ud|ud")
+        )
+        monkeypatch.setattr(bijections, "recursive_interval_to_map", lambda I: double_edge_map())
+        code, out, err = run(["verify", "oracle", "3"], capsys=capsys)
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "ok composition census of 3 edges has 2 maps (closed form 2)",
+            "FAIL recursive map->interval matches the chain at 3 edges (2 objects): "
+            "darts 6; root 1; sigma 3 5 1 6 2 4; , darts 6; root 1; sigma 3 5 6 2 4 1; ",
+            "FAIL recursive interval->map matches the chain at 3 edges (2 objects): "
+            "udud|udud, uudd|uudd",
+            "FAIL recursive bijection on the spine u^1000 d^1000: interval->map, map->interval",
+        ]
+
+    def test_oracle_needs_two_edges(self, capsys):
+        code, out, err = run(["verify", "oracle", "1"], capsys=capsys)
+        assert (code, out, err) == (2, "", "parse error: oracle needs size >= 2\n")
 
     def test_error_partway_keeps_the_finished_lines(self, monkeypatch, capsys):
         import tamarimaps.bijections as bijections

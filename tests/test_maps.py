@@ -18,7 +18,7 @@ from tamarimaps.maps import (
     ParallelBrick,
     SeriesBrick,
     _canonical_sigmas,
-    _multigraph_blocks,
+    _lowpoint_blocks,
     _orbit_labels,
     _root_first,
     _splice,
@@ -121,6 +121,11 @@ class TestPlanarMapBasics:
         with pytest.raises(ValueError) as caught:
             PlanarMap.from_text("darts 4\nroot 1\nsigma 1 2 3 4\n")  # disconnected
         assert not isinstance(caught.value, ParseError)
+
+    def test_text_root_out_of_range_in_text_numbering(self):
+        for root in (0, 5):
+            with pytest.raises(ValueError, match=r"^root dart %d out of range 1\.\.4$" % root):
+                PlanarMap.from_text("darts 4\nroot %d\nsigma 3 4 1 2\n" % root)
 
 
 class TestNonSeparability:
@@ -283,11 +288,11 @@ class TestStoredFacts:
         # 2-7 edges (530 of them); each test used to run per chain (2851 runs).
         calls = []
 
-        def counted(nv, edges):
+        def counted(sigma, vlabel, nv, skip):
             calls.append(nv)
-            return _multigraph_blocks(nv, edges)
+            return _lowpoint_blocks(sigma, vlabel, nv, skip)
 
-        monkeypatch.setattr("tamarimaps.maps._multigraph_blocks", counted)
+        monkeypatch.setattr("tamarimaps.maps._lowpoint_blocks", counted)
         census = enumerate_nonseparable_by_composition(8)
         assert len(census) == closed_form(6)
         assert 0 < len(calls) <= sum(closed_form(k) for k in range(0, 6)) == 530
@@ -532,11 +537,30 @@ class TestParallelDecomposition:
 
 class TestBlocks:
     def test_bridge_and_cycle(self):
-        # path a-b plus double edge b-c: two blocks, meeting at b
-        edges = [(0, 0, 1), (1, 1, 2), (2, 1, 2)]
-        blocks = _multigraph_blocks(3, edges)
-        assert sorted(sorted(b) for b in blocks) == [[0], [1, 2]]
+        # path a-b plus double edge b-c: two blocks, meeting at b.  Edge 0
+        # joins a (dart 0) and b (dart 1); edges 1 and 2 join b (darts 2, 4)
+        # and c (darts 3, 5)
+        sigma = (0, 2, 4, 5, 1, 3)
+        vlabel, nv = _orbit_labels(sigma)
+        block_of, count = _lowpoint_blocks(sigma, vlabel, nv, -1)
+        assert count == 2
+        assert block_of[1] == block_of[2] != block_of[0]
+
+    def test_skipped_edge_is_in_no_block(self):
+        # deleting one edge of the double edge leaves two bridges
+        sigma = (0, 2, 4, 5, 1, 3)
+        vlabel, nv = _orbit_labels(sigma)
+        block_of, count = _lowpoint_blocks(sigma, vlabel, nv, 2)
+        assert count == 2
+        assert block_of[2] == -1 and block_of[0] != block_of[1]
 
     def test_loops_rejected(self):
+        sigma = (1, 0)
         with pytest.raises(ValueError):
-            _multigraph_blocks(1, [(0, 0, 0)])
+            _lowpoint_blocks(sigma, *_orbit_labels(sigma), -1)
+
+    def test_disconnected_rejected(self):
+        # the only edge deleted: its two ends are no longer connected
+        sigma = (0, 1)
+        with pytest.raises(ValueError, match="not connected"):
+            _lowpoint_blocks(sigma, *_orbit_labels(sigma), 0)

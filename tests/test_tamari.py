@@ -400,8 +400,8 @@ class TestComposition:
 
     def test_split_into_all_factors(self, sync_by_size):
         # size 0 included: no factors, and no factors compose to it
-        for n in range(0, 8):
-            for I in sync_by_size[n]:
+        for n in range(0, 9):
+            for I in sync_by_size[n] if n < 8 else enumerate_sync_intervals(8):
                 factors = split_interval(I)
                 assert compose_factors(factors) == I
                 assert len(factors) == I.upper.contacts() - 1
@@ -411,6 +411,20 @@ class TestComposition:
                     pointed, rest = decompose_interval(rest)
                     peeled.append(pointed)
                 assert factors == peeled
+
+    def test_split_inverts_compose(self, sync_by_size):
+        # every list of pointed factors whose composite has size <= 6, built
+        # as a first factor of size k followed by a list of total size
+        # n - 1 - k; the lists of total size n are as many as the intervals
+        pointed = [pointed_intervals(sync_by_size[k]) for k in range(6)]
+        lists = [[[]]]
+        for n in range(1, 7):
+            lists.append(
+                [[f] + rest for k in range(n) for f in pointed[k] for rest in lists[n - 1 - k]]
+            )
+            assert len(lists[n]) == len(sync_by_size[n])
+            for factors in lists[n]:
+                assert split_interval(compose_factors(factors)) == factors
 
     def test_compose_is_the_one_factor_case(self, sync_by_size):
         for n in range(2, 6):
