@@ -325,7 +325,8 @@ def recursive_interval_to_map(interval: SyncInterval) -> PlanarMap:
     object is built.  Validating the input covers every level: split and
     join are inverse bijections on words, so every factor of a synchronized
     interval is one.  Each composed raw brick is tested once for
-    non-separability and its exposed count checked against its outer face.
+    non-separability and planarity, on its vertex and face labels, and its
+    exposed count checked against its outer face.
     Nesting runs on an explicit stack.  The empty interval has no map and
     raises ValueError."""
     if interval.size < 1:
@@ -347,7 +348,8 @@ def recursive_interval_to_map(interval: SyncInterval) -> PlanarMap:
         sigma, root = _series_join(bricks)
         if not stack:
             return canonical_map([sigma[d ^ 1] for d in range(len(sigma))], root)
-        if not _is_non_separable(sigma, *_orbit_labels(sigma)):
+        phi = [sigma[d ^ 1] for d in range(len(sigma))]
+        if not _is_non_separable(sigma, *_orbit_labels(sigma), *_orbit_labels(phi)):
             raise ValueError("series bricks must be single edges or non-separable")
         face = _cycle(sigma, root, 1)
         if not 1 <= j <= len(face) - 1:

@@ -17,7 +17,7 @@ in canonical form by :func:`canonical_map`.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import itemgetter
+from operator import itemgetter, ne
 
 from .paths import ParseError
 
@@ -46,8 +46,7 @@ class PlanarMap:
     def __init__(self, sigma, root: int = 0):
         sigma = tuple(sigma)
         n = len(sigma)
-        if n < 2 or n % 2:
-            raise ValueError("a map needs a positive even number of darts")
+        _check_dart_count(n)
         if sorted(sigma) != list(range(n)):
             raise ValueError("sigma is not a permutation of the darts")
         if not 0 <= root < n:
@@ -165,14 +164,16 @@ class PlanarMap:
         return any(vl[2 * i] == vl[2 * i + 1] for i in range(self.edge_count))
 
     def is_non_separable(self) -> bool:
-        """At least two edges, no loop, and a single biconnected block.
-
-        A loop beside any other edge yields the forbidden edge bipartition
-        meeting at one vertex, so loops are rejected outright; the rest is
-        cut-vertex freeness of the underlying multigraph.  Computed once.
+        """At least two edges, no loop, and no face meeting a vertex at two
+        corners, read off the stored labels: in genus 0, which the constructor
+        checks, a loopless map is non-separable exactly when its faces are
+        bounded by cycles (Whitney 1932; Diestel, *Graph Theory*, ch. 4).
+        See :func:`_is_non_separable`.  Computed once.
         """
         if self._non_separable is None:
-            self._non_separable = _is_non_separable(self.sigma, self._vlabel, self._nv)
+            self._non_separable = _is_non_separable(
+                self.sigma, self._vlabel, self._nv, self._flabel, self._nf
+            )
         return self._non_separable
 
     def separating_bipartition(self):
@@ -281,6 +282,7 @@ class PlanarMap:
             raise ParseError("unreadable map text") from None
         if len(sigma) != n:
             raise ParseError("sigma has %d images, expected %d" % (len(sigma), n))
+        _check_dart_count(n)
         if not 1 <= root <= n:
             raise ValueError("root dart %d out of range 1..%d" % (root, n))
         return PlanarMap(sigma, root - 1)
@@ -304,6 +306,11 @@ class PlanarMap:
             lines.append("  v%d -- v%d%s;" % (a, b, attrs))
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _check_dart_count(n):
+    if n < 2 or n % 2:
+        raise ValueError("a map needs a positive even number of darts")
 
 
 def _code_bytes(canonical):
@@ -404,8 +411,9 @@ def double_edge_map() -> PlanarMap:
 def _lowpoint_blocks(sigma, vlabel, nv, skip):
     """The block of each edge (-1 for ``skip``, deleted) and the block
     count of a loopless rotation system, by one lowpoint search over the
-    darts in sigma order.  The tree edge is skipped by its id, so parallel
-    edges count as back edges.  A loop or disconnection raises ValueError.
+    darts in sigma order: the block split of :func:`_series_split`.  The
+    tree edge is skipped by its id, so parallel edges count as back edges.
+    A loop or disconnection raises ValueError.
     """
     depth = [-1] * nv
     low = [0] * nv
@@ -457,13 +465,22 @@ def _lowpoint_blocks(sigma, vlabel, nv, skip):
     return block_of, count
 
 
-def _is_non_separable(sigma, vlabel, nv) -> bool:
-    """At least two edges, no loop, and a single block (``vlabel`` and
-    ``nv`` are sigma's vertex labels and count)."""
+def _is_non_separable(sigma, vlabel, nv, flabel, nf) -> bool:
+    """Whether the connected rotation system ``sigma`` (vertex and face
+    labels ``vlabel``, ``flabel``; ``nv`` vertices, ``nf`` faces) is a
+    non-separable planar map: at least two edges, the Euler relation, no
+    loop (a loop and any other edge meet at one vertex only), and no face
+    meeting a vertex at two corners, i.e. distinct (vertex, face) pairs over
+    the darts.  A loopless plane map is 2-connected exactly when its faces
+    are bounded by cycles (Whitney, "Non-separable and planar graphs", Trans.
+    AMS 1932; Diestel, *Graph Theory*, ch. 4).  That holds in genus 0 only,
+    hence the Euler test: the 2 x 2 grid on the torus has distinct corners.
+    """
     return (
         len(sigma) >= 4
-        and all(vlabel[d] != vlabel[d + 1] for d in range(0, len(sigma), 2))
-        and _lowpoint_blocks(sigma, vlabel, nv, -1)[1] == 1
+        and nv - len(sigma) // 2 + nf == 2
+        and all(map(ne, vlabel[0::2], vlabel[1::2]))
+        and len(set(zip(vlabel, flabel))) == len(sigma)
     )
 
 

@@ -289,16 +289,24 @@ class SyncInterval:
 class CanopyInterval:
     """A triple (upper, lower, canopy) of equal-length grid paths with both
     elements above the canopy and lower <= upper in the canopy's lattice.
+
+    The order is checked on the two Dyck paths of the pair bijection (the
+    route of :func:`tam_leq`); they are kept, so :func:`canopy_to_sync`
+    derives nothing again.
     """
 
-    __slots__ = ("upper", "lower", "canopy")
+    __slots__ = ("upper", "lower", "canopy", "_paths")
 
     def __init__(self, upper: GridPath, lower: GridPath, canopy: GridPath):
         if not (len(upper) == len(lower) == len(canopy)):
             raise ValueError("the three paths must have equal length")
         _check_in_tam(canopy, lower)
         _check_in_tam(canopy, upper)
-        if len(canopy) and not tam_leq(canopy, lower, upper):
+        paths = (
+            pathpair_to_dyck(PathPair(lower, canopy)),
+            pathpair_to_dyck(PathPair(upper, canopy)),
+        )
+        if not tamari_leq(*paths):
             raise ValueError(
                 "%r is not below %r above the canopy %r"
                 % (lower.word, upper.word, canopy.word)
@@ -306,6 +314,7 @@ class CanopyInterval:
         self.upper = upper
         self.lower = lower
         self.canopy = canopy
+        self._paths = paths  # (lower, upper) Dyck paths, one size larger
 
     @property
     def size(self) -> int:
@@ -399,11 +408,9 @@ def sync_to_canopy(interval: SyncInterval) -> CanopyInterval:
 
 
 def canopy_to_sync(ci: CanopyInterval) -> SyncInterval:
-    """Inverse of :func:`sync_to_canopy`."""
-    return SyncInterval(
-        pathpair_to_dyck(PathPair(ci.lower, ci.canopy)),
-        pathpair_to_dyck(PathPair(ci.upper, ci.canopy)),
-    )
+    """Inverse of :func:`sync_to_canopy`: the interval of the two Dyck paths
+    the canopy interval derived for its order check."""
+    return SyncInterval(*ci._paths)
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,12 @@ class TestConvert:
         assert code == 1
         assert "not connected" in err
 
+    def test_zero_darts_is_a_dart_count_error(self, capsys):
+        code, out, err = run(
+            ["convert", "--from", "map", "--to", "tree"], "darts 0\nroot 1\nsigma\n", capsys=capsys
+        )
+        assert (code, out, err) == (1, "", "invalid: a map needs a positive even number of darts\n")
+
     def test_deep_spine(self, capsys):
         n = 1000
         word = "u" * n + "d" * n

@@ -18,6 +18,7 @@ from tamarimaps.maps import (
     ParallelBrick,
     SeriesBrick,
     _canonical_sigmas,
+    _is_non_separable,
     _lowpoint_blocks,
     _orbit_labels,
     _root_first,
@@ -122,6 +123,13 @@ class TestPlanarMapBasics:
             PlanarMap.from_text("darts 4\nroot 1\nsigma 1 2 3 4\n")  # disconnected
         assert not isinstance(caught.value, ParseError)
 
+    def test_text_zero_darts_is_a_dart_count_error(self):
+        # the dart count is checked before the root, whose range it sets
+        for darts, root, images in ((0, 1, ""), (0, 0, ""), (1, 2, "1")):
+            text = "darts %d\nroot %d\nsigma %s\n" % (darts, root, images)
+            with pytest.raises(ValueError, match="^a map needs a positive even number of darts$"):
+                PlanarMap.from_text(text)
+
     def test_text_root_out_of_range_in_text_numbering(self):
         for root in (0, 5):
             with pytest.raises(ValueError, match=r"^root dart %d out of range 1\.\.4$" % root):
@@ -167,6 +175,40 @@ class TestNonSeparability:
                 assert grown.edge_count == 5
                 assert not grown.is_non_separable()
                 assert grown.separating_bipartition() is not None
+
+    def test_corner_criterion_matches_lowpoint_blocks(self):
+        # every genus-0 rooted map with 1-6 edges: face corners give the
+        # same answer as one lowpoint search for the block count
+        counts = []
+        for m in range(1, 7):
+            counts.append(0)
+            for sigma in _canonical_sigmas(m):
+                vlabel, nv = _orbit_labels(sigma)
+                flabel, nf = _orbit_labels([sigma[d ^ 1] for d in range(2 * m)])
+                if nv - m + nf != 2:
+                    continue
+                counts[-1] += 1
+                expected = (
+                    m >= 2
+                    and all(vlabel[d] != vlabel[d + 1] for d in range(0, 2 * m, 2))
+                    and _lowpoint_blocks(sigma, vlabel, nv, -1)[1] == 1
+                )
+                assert _is_non_separable(sigma, vlabel, nv, flabel, nf) == expected
+        assert counts == [2, 9, 54, 378, 2916, 24057]
+
+    def test_corner_criterion_needs_genus_zero(self):
+        # torus maps with one block: the theta graph (one face, meeting both
+        # vertices at three corners each), and the 2 x 2 grid (four
+        # quadrilateral faces, distinct corners), which only the Euler test
+        # rejects
+        theta = (2, 3, 4, 5, 0, 1)
+        grid = (11, 12, 9, 14, 15, 8, 13, 10, 0, 7, 2, 5, 4, 3, 6, 1)
+        for sigma, nv_nf, corners in ((theta, (2, 1), 2), (grid, (4, 4), 16)):
+            vlabel, nv = _orbit_labels(sigma)
+            flabel, nf = _orbit_labels([sigma[d ^ 1] for d in range(len(sigma))])
+            assert (nv, nf) == nv_nf and len(set(zip(vlabel, flabel))) == corners
+            assert _lowpoint_blocks(sigma, vlabel, nv, -1)[1] == 1
+            assert not _is_non_separable(sigma, vlabel, nv, flabel, nf)
 
     def test_bipartition_witness_shape(self):
         witness = single_loop_map().separating_bipartition()
@@ -288,11 +330,11 @@ class TestStoredFacts:
         # 2-7 edges (530 of them); each test used to run per chain (2851 runs).
         calls = []
 
-        def counted(sigma, vlabel, nv, skip):
+        def counted(sigma, vlabel, nv, flabel, nf):
             calls.append(nv)
-            return _lowpoint_blocks(sigma, vlabel, nv, skip)
+            return _is_non_separable(sigma, vlabel, nv, flabel, nf)
 
-        monkeypatch.setattr("tamarimaps.maps._lowpoint_blocks", counted)
+        monkeypatch.setattr("tamarimaps.maps._is_non_separable", counted)
         census = enumerate_nonseparable_by_composition(8)
         assert len(census) == closed_form(6)
         assert 0 < len(calls) <= sum(closed_form(k) for k in range(0, 6)) == 530

@@ -316,11 +316,32 @@ class TestSyncCanopyBijection:
         one = sync_to_canopy(SyncInterval(DyckPath("udud"), DyckPath("udud")))
         assert one.to_text() == "N|N|N"
 
-    def test_round_trip(self, sync_by_size):
-        for n in range(1, 7):
+    def test_round_trip(self, sync_by_size, monkeypatch):
+        # a canopy interval keeps the two Dyck paths of its order check, so
+        # a round trip derives each path once (size 1 is the empty canopy)
+        calls = []
+
+        def counted(pp):
+            calls.append(pp)
+            return pathpair_to_dyck(pp)
+
+        monkeypatch.setattr("tamarimaps.tamari.pathpair_to_dyck", counted)
+        for n in range(1, 8):
             for I in sync_by_size[n]:
-                C = sync_to_canopy(I)
-                assert canopy_to_sync(C) == I
+                calls.clear()
+                assert canopy_to_sync(sync_to_canopy(I)) == I
+                assert len(calls) == 2
+
+    def test_stored_paths_are_the_pair_bijection(self):
+        # the kept paths are those the pair bijection gives, canopy by canopy
+        for n in range(0, 6):
+            for v in all_canopies(n):
+                for C in enumerate_canopy_intervals(v):
+                    I = canopy_to_sync(CanopyInterval.from_text(C.to_text()))
+                    assert I == SyncInterval(
+                        pathpair_to_dyck(PathPair(C.lower, v)),
+                        pathpair_to_dyck(PathPair(C.upper, v)),
+                    )
 
     def test_canopy_counts(self):
         # canopy intervals of length n are counted by the closed form at n,
