@@ -14,8 +14,10 @@ from .maps import (
     PlanarMap,
     _cycle,
     _is_non_separable,
+    _labels,
     _link,
     _orbit_labels,
+    _phi,
     _series_join,
     _series_split,
     canonical_map,
@@ -286,12 +288,10 @@ def recursive_map_to_interval(M: PlanarMap) -> SyncInterval:
     """
     if not M.is_non_separable():
         raise ValueError("the recursive bijection needs a non-separable map")
-    sigma = M.sigma
-    dual = [sigma[d ^ 1] for d in range(len(sigma))]
     # one frame per map being translated: the dual's bricks not yet taken
     # (last first), the factors of those taken, as _join_words takes them,
     # and its root-side count as a brick
-    stack = [(_series_split(dual, M._flabel, M._nf, M.root)[::-1], [], 0)]
+    stack = [(_series_split(_phi(M.sigma), M._flabel, M._nf, M.root)[::-1], [], 0)]
     while True:
         bricks, factors, _ = stack[-1]
         if bricks:
@@ -299,9 +299,8 @@ def recursive_map_to_interval(M: PlanarMap) -> SyncInterval:
             if len(brick) == 2:
                 factors.append(_EMPTY)
             else:
-                vlabel, nv = _orbit_labels(brick)
                 root = _cycle(brick, root, 1)[j]
-                stack.append((_series_split(brick, vlabel, nv, root)[::-1], [], j))
+                stack.append((_series_split(brick, *_orbit_labels(brick), root)[::-1], [], j))
             continue
         _, factors, j = stack.pop()
         lower, upper, contacts = _join_words(factors)
@@ -347,9 +346,8 @@ def recursive_interval_to_map(interval: SyncInterval) -> PlanarMap:
         _, bricks, j = stack.pop()
         sigma, root = _series_join(bricks)
         if not stack:
-            return canonical_map([sigma[d ^ 1] for d in range(len(sigma))], root)
-        phi = [sigma[d ^ 1] for d in range(len(sigma))]
-        if not _is_non_separable(sigma, *_orbit_labels(sigma), *_orbit_labels(phi)):
+            return canonical_map(_phi(sigma), root)
+        if not _is_non_separable(sigma, *_labels(sigma)):
             raise ValueError("series bricks must be single edges or non-separable")
         face = _cycle(sigma, root, 1)
         if not 1 <= j <= len(face) - 1:

@@ -150,12 +150,7 @@ def _parse_object(kind: str, text: str):
     if kind == "tree":
         violations = obj.validate()
         if violations:
-            raise ValueError(
-                "; ".join(
-                    "condition %d at %s: %s" % (v.condition, v.address or "()", v.detail)
-                    for v in violations
-                )
-            )
+            raise ValueError("; ".join(map(str, violations)))
     return obj
 
 

@@ -17,9 +17,9 @@ in canonical form by :func:`canonical_map`.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import itemgetter, ne
+from operator import ne
 
-from .paths import ParseError
+from .paths import ParseError, _read_int
 
 
 MapStats = namedtuple("MapStats", ["outer_face_degree", "root_vertex_degree", "edge_count"])
@@ -45,29 +45,18 @@ class PlanarMap:
 
     def __init__(self, sigma, root: int = 0):
         sigma = tuple(sigma)
-        n = len(sigma)
-        _check_dart_count(n)
-        if sorted(sigma) != list(range(n)):
-            raise ValueError("sigma is not a permutation of the darts")
-        if not 0 <= root < n:
-            raise ValueError("root dart %d out of range" % (root,))
-        if len(_root_first(sigma, root)[1]) != n:
-            raise ValueError("rotation system is not connected")
-        self._build(sigma, root, None)
+        _traverse(sigma, root)
+        self._set(sigma, root, *_labels(sigma), None, None)
 
-    def _build(self, sigma, root, code):
-        """Store sigma, the root and both orbit labellings of a connected
-        permutation, check the Euler relation, and store ``code`` as the
-        canonical code (None: computed on first use)."""
+    def _set(self, sigma, root, vlabel, nv, flabel, nf, non_separable, code):
+        """Write every slot and return the map; the two stored facts may be
+        None (computed on first use).  Every map is built here."""
         self.sigma = sigma
         self.root = root
-        self._vlabel, self._nv = _orbit_labels(sigma)
-        phi = tuple(sigma[d ^ 1] for d in range(len(sigma)))
-        self._flabel, self._nf = _orbit_labels(phi)
-        if self._nv - len(sigma) // 2 + self._nf != 2:
-            raise ValueError("Euler relation fails: the map is not planar")
-        self._non_separable = None  # computed on first use
+        self._vlabel, self._nv, self._flabel, self._nf = vlabel, nv, flabel, nf
+        self._non_separable = non_separable
         self._code = code
+        return self
 
     def rerooted(self, d: int) -> "PlanarMap":
         """The same map rooted at dart ``d``.  Every check of the
@@ -80,13 +69,9 @@ class PlanarMap:
         """
         if not 0 <= d < len(self.sigma):
             raise ValueError("root dart %d out of range" % (d,))
-        M = object.__new__(PlanarMap)
-        M.sigma = self.sigma
-        M.root = d
-        M._vlabel, M._nv, M._flabel, M._nf = self._vlabel, self._nv, self._flabel, self._nf
-        M._non_separable = self._non_separable
-        M._code = None
-        return M
+        return _map(
+            self.sigma, d, self._vlabel, self._nv, self._flabel, self._nf, self._non_separable, None
+        )
 
     # -- basics --------------------------------------------------------------
 
@@ -160,8 +145,7 @@ class PlanarMap:
     # -- separability ----------------------------------------------------------
 
     def has_loop(self) -> bool:
-        vl = self._vlabel
-        return any(vl[2 * i] == vl[2 * i + 1] for i in range(self.edge_count))
+        return not all(map(ne, self._vlabel[0::2], self._vlabel[1::2]))
 
     def is_non_separable(self) -> bool:
         """At least two edges, no loop, and no face meeting a vertex at two
@@ -214,14 +198,8 @@ class PlanarMap:
         >>> D, D.dual() == double_edge_map()
         (PlanarMap(sigma=[3, 2, 1, 0], root=0), True)
         """
-        sigma = self.sigma
-        M = object.__new__(PlanarMap)
-        M.sigma = tuple(sigma[d ^ 1] for d in range(len(sigma)))
-        M.root = self.root
-        M._vlabel, M._nv, M._flabel, M._nf = self._flabel, self._nf, self._vlabel, self._nv
-        M._non_separable = self._non_separable
-        M._code = None
-        return M
+        vlabel, nv, flabel, nf = self._vlabel, self._nv, self._flabel, self._nf
+        return _map(_phi(self.sigma), self.root, flabel, nf, vlabel, nv, self._non_separable, None)
 
     # -- canonical form ------------------------------------------------------------
 
@@ -275,9 +253,9 @@ class PlanarMap:
         if set(fields) != {"darts", "root", "sigma"}:
             raise ParseError("map text needs 'darts', 'root' and 'sigma' lines")
         try:
-            [n] = [int(x) for x in fields["darts"]]
-            [root] = [int(x) for x in fields["root"]]
-            sigma = [int(x) - 1 for x in fields["sigma"]]
+            [n] = [_read_int(x) for x in fields["darts"]]
+            [root] = [_read_int(x) for x in fields["root"]]
+            sigma = [_read_int(x) - 1 for x in fields["sigma"]]
         except ValueError:
             raise ParseError("unreadable map text") from None
         if len(sigma) != n:
@@ -311,6 +289,44 @@ class PlanarMap:
 def _check_dart_count(n):
     if n < 2 or n % 2:
         raise ValueError("a map needs a positive even number of darts")
+
+
+def _map(*slots) -> PlanarMap:
+    """A map from facts already proved, in :meth:`PlanarMap._set` order."""
+    return object.__new__(PlanarMap)._set(*slots)
+
+
+def _traverse(sigma, root):
+    """Check that ``sigma`` is a connected rotation system on a positive
+    even number of darts, twin d <-> d^1, with ``root`` among its darts, and
+    return its root-first traversal (see :func:`_root_first`)."""
+    n = len(sigma)
+    _check_dart_count(n)
+    if sorted(sigma) != list(range(n)):
+        raise ValueError("sigma is not a permutation of the darts")
+    if not 0 <= root < n:
+        raise ValueError("root dart %d out of range" % (root,))
+    new, order = _root_first(sigma, root)
+    if len(order) != n:
+        raise ValueError("rotation system is not connected")
+    return new, order
+
+
+def _phi(sigma) -> tuple:
+    """The face permutation phi = sigma o twin, which is the vertex
+    permutation of the dual map."""
+    return tuple([sigma[d ^ 1] for d in range(len(sigma))])
+
+
+def _labels(sigma):
+    """The vertex and face labels of a connected rotation system with their
+    counts, (vlabel, nv, flabel, nf); a map failing the Euler relation
+    raises ValueError."""
+    vlabel, nv = _orbit_labels(sigma)
+    flabel, nf = _orbit_labels(_phi(sigma))
+    if nv - len(sigma) // 2 + nf != 2:
+        raise ValueError("Euler relation fails: the map is not planar")
+    return vlabel, nv, flabel, nf
 
 
 def _code_bytes(canonical):
@@ -498,18 +514,9 @@ def canonical_map(sigma, root) -> PlanarMap:
     >>> canonical_map([0, 2, 1, 3], 1)
     PlanarMap(sigma=[2, 1, 0, 3], root=0)
     """
-    n = len(sigma)
-    if n < 2 or n % 2 or sorted(sigma) != list(range(n)):
-        raise ValueError("sigma is not a permutation of a positive even number of darts")
-    if not 0 <= root < n:
-        raise ValueError("root dart %d out of range" % (root,))
-    new, order = _root_first(sigma, root)
-    if len(order) != n:
-        raise ValueError("rotation system is not connected")
+    new, order = _traverse(sigma, root)
     renamed = tuple([new[sigma[d]] for d in order])
-    M = object.__new__(PlanarMap)
-    M._build(renamed, 0, _code_bytes(renamed))
-    return M
+    return _map(renamed, 0, *_labels(renamed), None, _code_bytes(renamed))
 
 
 def _link(sigma, cycle):
@@ -539,43 +546,33 @@ def enumerate_nonseparable(m: int) -> list:
     canonical-code order.
 
     :func:`_canonical_sigmas` yields every connected rooted map of any genus
-    once, already in canonical form (twin d <-> d^1, root dart 0).  Maps with
-    a loop or failing the Euler relation are dropped; each survivor is built
-    as a :class:`PlanarMap` and kept when non-separable.  No decomposition
-    is used, so this census stays an independent check on
+    once, already in canonical form (twin d <-> d^1, root dart 0).  A sigma
+    with a loop is dropped on its vertex labels; the rest are tested by
+    :func:`_is_non_separable` on their vertex and face labels, and only the
+    kept ones are built as maps, each its own canonical code.  No
+    decomposition is used, so this census stays an independent check on
     :func:`enumerate_nonseparable_by_composition`.
 
     The cost follows the number of rooted maps of any genus (OEIS A000698:
-    706, 8162, 110410, 1708394 at m = 4..7): measured 0.004 s at m = 4,
-    0.04 s at m = 5, 0.55 s at m = 6 and 8.2 s at m = 7 (CPython 3.11, one
-    core of a shared 2-vCPU VM).
+    706, 8162, 110410, 1708394 at m = 4..7): measured 0.002 s at m = 4,
+    0.02 s at m = 5, 0.3 s at m = 6 and 5.4-6.3 s at m = 7 (CPython 3.11,
+    one core of a shared 2-vCPU VM).
 
     >>> len(enumerate_nonseparable(2))
     1
     """
     if m < 2:
         raise ValueError("non-separable maps need at least two edges")
-    n = 2 * m
-    target_vf = m + 2
-    phi_of = itemgetter(*[d ^ 1 for d in range(n)])  # sigma -> sigma o twin
     kept = []
     for sigma in _canonical_sigmas(m):
-        # vertex orbits and loop rejection (a loop beside other edges is
-        # always separable)
+        # a loop beside other edges is always separable, and most sigmas have
+        # one, so faces are labelled only for the loopless
         vlabel, nv = _orbit_labels(sigma)
-        ok = True
-        for i in range(0, n, 2):
-            if vlabel[i] == vlabel[i + 1]:
-                ok = False
-                break
-        if not ok:
+        if not all(map(ne, vlabel[0::2], vlabel[1::2])):
             continue
-        # faces, then the Euler relation
-        if nv + _orbit_labels(phi_of(sigma))[1] != target_vf:
-            continue
-        M = PlanarMap(sigma, 0)
-        if M.is_non_separable():
-            kept.append(M)
+        flabel, nf = _orbit_labels(_phi(sigma))
+        if _is_non_separable(sigma, vlabel, nv, flabel, nf):
+            kept.append(_map(sigma, 0, vlabel, nv, flabel, nf, True, _code_bytes(sigma)))
     return kept
 
 
@@ -777,9 +774,8 @@ def compose_parallel(bricks) -> PlanarMap:
             raise ValueError(
                 "root-side count %d out of range 1..%d" % (j, K.root_vertex_degree - 1)
             )
-    dual_bricks = [([K.sigma[d ^ 1] for d in range(K.dart_count)], K.root, j) for K, j in bricks]
-    sigma, R = _series_join(dual_bricks)
-    return canonical_map([sigma[d ^ 1] for d in range(len(sigma))], R)
+    sigma, R = _series_join([(_phi(K.sigma), K.root, j) for K, j in bricks])
+    return canonical_map(_phi(sigma), R)
 
 
 def _runs(walk, block_of):

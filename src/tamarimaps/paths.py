@@ -21,6 +21,15 @@ class ParseError(ValueError):
     text describing an object that breaks a condition (a plain ValueError)."""
 
 
+def _read_int(token: str) -> int:
+    """An optional ``-`` and ASCII digits as an integer; other spellings
+    ``int`` takes (``+2``, ``1_0``, other digits) raise ParseError."""
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError("not an integer: %r" % (token,))
+    return int(token)
+
+
 class DyckPath:
     """A Dyck path stored as its word over ``u``/``d``.
 
@@ -274,7 +283,7 @@ class PathPair:
             raise ValueError("paths of a pair must have equal length")
         if not upper.weakly_above(canopy):
             raise ValueError(
-                "upper path %r is not weakly above canopy %r" % (upper.word, canopy.word)
+                "%r is not an element above the canopy %r" % (upper.word, canopy.word)
             )
         self.upper = upper
         self.canopy = canopy

@@ -65,11 +65,6 @@ def dyck_rotation_covers(P: DyckPath) -> list:
 # The lattice attached to a canopy
 # ---------------------------------------------------------------------------
 
-def _check_in_tam(v: GridPath, v1: GridPath):
-    if not v1.weakly_above(v):
-        raise ValueError("%r is not an element above the canopy %r" % (v1.word, v.word))
-
-
 def tam_covers(v: GridPath, v1: GridPath) -> list:
     """Covering elements of ``v1`` in the lattice of paths weakly above ``v``.
 
@@ -80,7 +75,7 @@ def tam_covers(v: GridPath, v1: GridPath) -> list:
     >>> [c.word for c in tam_covers(GridPath("EN"), GridPath("EN"))]
     ['NE']
     """
-    _check_in_tam(v, v1)
+    PathPair(v1, v)  # the membership check
     w = v1.word
     levels = v.levels()
     out = []
@@ -300,8 +295,6 @@ class CanopyInterval:
     def __init__(self, upper: GridPath, lower: GridPath, canopy: GridPath):
         if not (len(upper) == len(lower) == len(canopy)):
             raise ValueError("the three paths must have equal length")
-        _check_in_tam(canopy, lower)
-        _check_in_tam(canopy, upper)
         paths = (
             pathpair_to_dyck(PathPair(lower, canopy)),
             pathpair_to_dyck(PathPair(upper, canopy)),

@@ -27,13 +27,19 @@ from bisect import bisect_left
 from collections import namedtuple
 from operator import itemgetter
 
-from .paths import DyckPath, ParseError, enumerate_dyck_paths
+from .paths import DyckPath, ParseError, _read_int, enumerate_dyck_paths
 
 # tokens of the flat code; leaf labels are at least -1, so they never collide
 OPEN = -2
 CLOSE = -3
 
-Violation = namedtuple("Violation", ["condition", "address", "detail"])
+
+class Violation(namedtuple("Violation", ["condition", "address", "detail"])):
+    __slots__ = ()
+
+    def __str__(self):  # the one text of a violation, in the library and the CLI
+        return "condition %d at %s: %s" % self
+
 
 Leaf = namedtuple("Leaf", ["address", "label", "parent_depth"])
 
@@ -300,7 +306,7 @@ class DecoratedTree:
                 code.append(CLOSE)
             else:
                 try:
-                    label = int(tok)
+                    label = _read_int(tok)
                 except ValueError:
                     raise ParseError("bad token %r in tree text" % (tok,)) from None
                 if not path:

@@ -69,8 +69,13 @@ class TestTreeToMap:
         assert tree_to_map(tree("(-1)")).is_isomorphic_to(double_edge_map())
 
     def test_invalid_tree_rejected(self):
-        with pytest.raises(ValueError):
+        message = (
+            "not a decorated tree: condition 2 at (0,): "
+            "internal node of depth 1 with no descendant leaf <= -1"
+        )
+        with pytest.raises(ValueError) as caught:
             tree_to_map(tree("((0))"))
+        assert str(caught.value) == message
 
     def test_empty_tree_rejected(self):
         # the tree with no edges is decorated, but no map has zero edges

@@ -291,6 +291,8 @@ class TestLibraryParity:
             ("tree", "(-1", 2),
             ("tree", "(())", 2),
             ("tree", "((0))", 1),
+            ("tree", "((1_0))", 2),
+            ("tree", "((+0) -1)", 2),
             ("map", DOUBLE_EDGE, 0),
             ("map", "sigma 2 1", 2),
             ("map", DOUBLE_EDGE + "root 2\n", 2),
@@ -299,6 +301,8 @@ class TestLibraryParity:
             ("map", "darts 4\nroot 0\nsigma 1 2 3 4\n", 1),
             ("map", "darts 4 junk\nroot 1\nsigma 3 4 1 2\n", 2),
             ("map", "darts 4\nroot 1 2\nsigma 3 4 1 2\n", 2),
+            ("map", "darts 4\nroot 1\nsigma 3 4 1 \u0662\n", 2),
+            ("map", "darts 4\nroot +1\nsigma 3 4 1 2\n", 2),
             ("lattice", "EEN", 0),
             ("lattice", "EXN", 2),
         ],
@@ -321,6 +325,27 @@ class TestLibraryParity:
         prefix = {0: "", 1: "invalid: ", 2: "parse error: "}[status]
         assert err.startswith(prefix) and err.count("\n") == (status != 0)
         assert (out == "") == (status != 0)
+
+
+class TestInputSources:
+    @pytest.mark.parametrize(
+        "kind,data,status",
+        [
+            ("map", DOUBLE_EDGE.encode(), 0),
+            ("map", "darts 4\nroot 1\nsigma 3 4 1 \u0662\n".encode(), 2),
+            ("tree", "((\u0661))".encode(), 2),
+            ("tree", b"((0))", 1),
+        ],
+        ids=["map", "map-arabic-indic-digit", "tree-arabic-indic-digit", "invalid-tree"],
+    )
+    def test_stdin_and_file_agree(self, kind, data, status, tmp_path):
+        # the same bytes give the same exit status whichever way they come in
+        path = tmp_path / "object.txt"
+        path.write_bytes(data)
+        argv = [sys.executable, "-m", "tamarimaps.cli", "convert", "--from", kind, "--to", kind]
+        piped = subprocess.run(argv, input=data, capture_output=True)
+        filed = subprocess.run(argv + ["--file", str(path)], capture_output=True)
+        assert piped.returncode == filed.returncode == status
 
 
 class TestVerify:

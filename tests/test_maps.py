@@ -116,6 +116,10 @@ class TestPlanarMapBasics:
             "darts\nroot 1\nsigma 3 4 1 2\n",
             "darts 4\nroot x\nsigma 3 4 1 2\n",
             "darts 4\nroot 1\nsigma 3 4 1 2\ncomment\n",
+            # int() reads these three; text integers are '-' and ASCII digits only
+            "darts 4\nroot 1\nsigma 3 4 1 \u0662\n",
+            "darts +4\nroot 1\nsigma 3 4 1 2\n",
+            "darts 4\nroot 1_0\nsigma 3 4 1 2\n",
         ):
             with pytest.raises(ParseError):
                 PlanarMap.from_text(text)
@@ -431,6 +435,28 @@ class TestCensus:
         direct = enumerate_nonseparable(6)
         assert len(direct) == 91
         assert direct == enumerate_nonseparable_by_composition(6)
+
+    def test_direct_census_maps_equal_fresh_constructions(self):
+        # each kept map is built from the labels its test computed, and a
+        # kept sigma is its own root-first labelling, so its code is stored
+        for m in range(2, 7):
+            for M in enumerate_nonseparable(m):
+                assert M._code is not None and M._non_separable is True
+                _assert_same_facts(M, PlanarMap(M.sigma, 0))
+
+    def test_direct_census_builds_only_the_kept_maps(self, monkeypatch):
+        # no map runs the constructor's checks; 2530 sigmas at 6 edges pass
+        # the loop and Euler tests, and 91 of them are kept
+        calls = []
+        init = PlanarMap.__init__
+
+        def counting_init(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(PlanarMap, "__init__", counting_init)
+        assert len(enumerate_nonseparable(6)) == 91
+        assert calls == []
 
 
 class TestCanonicalSigmas:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 from tamarimaps import DyckPath, GridPath, ParseError, PathPair, enumerate_dyck_paths
-from tamarimaps.paths import lattice_words
+from tamarimaps.paths import _read_int, lattice_words
 
 from conftest import dyck_paths
 
@@ -182,12 +182,26 @@ class TestGridPath:
             GridPath("NE").horiz((0, 2))
 
 
+class TestReadInt:
+    def test_ascii_integers(self):
+        assert [_read_int(t) for t in ("0", "-1", "007", "-01", "12345678901234567890")] == [
+            0, -1, 7, -1, 12345678901234567890,
+        ]
+
+    @pytest.mark.parametrize(
+        "token", ["", "-", "+2", "1_0", "--1", " 1", "1.0", "0x1", "\u0663", "\uff11", "\u00b2"]
+    )
+    def test_other_spellings_are_parse_errors(self, token):
+        with pytest.raises(ParseError):
+            _read_int(token)
+
+
 class TestPathPair:
     def test_valid_pair(self):
         PathPair(GridPath("NE"), GridPath("EN"))
 
     def test_rejects_crossing(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^'EN' is not an element above the canopy 'NE'$"):
             PathPair(GridPath("EN"), GridPath("NE"))
 
     def test_rejects_length_mismatch(self):

@@ -367,6 +367,31 @@ class TestSyncCanopyBijection:
         CanopyInterval(GridPath("NE"), GridPath("EN"), GridPath("EN"))
         with pytest.raises(ValueError):
             CanopyInterval(GridPath("EN"), GridPath("NE"), GridPath("EN"))
+        # each element is checked against the canopy by its PathPair, lower first
+        for upper, lower, element in (("N", "E", "E"), ("E", "N", "E")):
+            with pytest.raises(
+                ValueError, match="^'%s' is not an element above the canopy 'N'$" % element
+            ):
+                CanopyInterval(GridPath(upper), GridPath(lower), GridPath("N"))
+
+    def test_membership_is_checked_once(self, monkeypatch):
+        # one weakly_above call per element: PathPair is the only check
+        calls = []
+        weakly_above = GridPath.weakly_above
+
+        def counting(self, v):
+            calls.append((self.word, v.word))
+            return weakly_above(self, v)
+
+        monkeypatch.setattr(GridPath, "weakly_above", counting)
+        for v in all_canopies(4):
+            for C in enumerate_canopy_intervals(v):
+                calls.clear()
+                CanopyInterval(C.upper, C.lower, C.canopy)
+                assert calls == [(C.lower.word, v.word), (C.upper.word, v.word)]
+        calls.clear()
+        tam_covers(GridPath("EN"), GridPath("EN"))
+        assert calls == [("EN", "EN")]
 
     def test_tam_leq_matches_cover_closure(self):
         for k in range(1, 6):

@@ -38,6 +38,14 @@ class TestTextForm:
             with pytest.raises(ParseError):
                 tree(text)
 
+    def test_labels_are_ascii_integers(self):
+        # int() also takes these three; the text reads the same from any source
+        for label in ("1_0", "+1", "\u0663"):
+            with pytest.raises(ParseError) as info:
+                tree("((%s))" % (label,))
+            assert str(info.value) == "bad token %r in tree text" % (label,)
+        assert tree("((007 -01))") == tree("((7 -1))")
+
     @pytest.mark.parametrize(
         "text,message",
         [
@@ -274,6 +282,16 @@ class TestCharges:
     def test_invalid_tree_rejected(self):
         with pytest.raises(ValueError):
             tree("((0))").compute_charges()
+
+    def test_violation_message(self):
+        # the library and the CLI print a violation the same way
+        T = tree("((0))")
+        text = "condition 2 at (0,): internal node of depth 1 with no descendant leaf <= -1"
+        assert str(T.validate()[0]) == text
+        with pytest.raises(ValueError) as info:
+            T.compute_charges()
+        assert str(info.value) == "not a decorated tree: " + text
+        assert str(trees.Violation(2, (), "detail")) == "condition 2 at (): detail"
 
     def test_stored_scan_is_not_exposed(self):
         # the scan is made once and stored; validate hands out a copy, so a
