@@ -47,7 +47,8 @@ def map_to_tree(M: PlanarMap) -> DecoratedTree:
     has depth -1).  The root edge is then deleted; the tree is rooted at the
     head of the root.  Siblings visited first end up last in traversal
     order: the exploration writes the flat code backwards (``CLOSE`` on
-    entering a vertex, ``OPEN`` on leaving it) and reverses it once.
+    entering a vertex, ``OPEN`` on leaving it) and reverses it once.  The
+    open vertices are two integer stacks: arrival dart, next dart to scan.
 
     >>> from tamarimaps.maps import double_edge_map
     >>> map_to_tree(double_edge_map()).to_text()
@@ -55,37 +56,38 @@ def map_to_tree(M: PlanarMap) -> DecoratedTree:
     """
     if not M.is_non_separable():
         raise ValueError("the exploration needs a non-separable map")
-    sigma = M.sigma
+    sigma, vlabel = M.sigma, M._vlabel
     depth = [None] * M.vertex_count
-    depth[M.vertex_of(M.root)] = -1
+    depth[vlabel[M.root]] = -1
     explored = [False] * M.edge_count
     explored[M.root >> 1] = True
 
     arrival = M.root ^ 1
-    depth[M.vertex_of(arrival)] = 0
+    depth[vlabel[arrival]] = 0
     code = [CLOSE]
-    # one frame per vertex on the exploration path: arrival dart, next dart
-    # to scan
-    stack = [[arrival, sigma[arrival]]]
-    while stack:
-        frame = stack[-1]
-        arrival, d = frame
+    arrivals = [arrival]
+    scans = [sigma[arrival]]
+    while arrivals:
+        arrival = arrivals[-1]
+        d = scans[-1]
         while d != arrival:
             following = sigma[d]
             if not explored[d >> 1]:
                 explored[d >> 1] = True
-                other = M.vertex_of(d ^ 1)
+                other = vlabel[d ^ 1]
                 if depth[other] is None:
-                    depth[other] = len(stack)
-                    frame[1] = following
+                    depth[other] = len(arrivals)
+                    scans[-1] = following
                     code.append(CLOSE)
-                    stack.append([d ^ 1, sigma[d ^ 1]])
+                    arrivals.append(d ^ 1)
+                    scans.append(sigma[d ^ 1])
                     break
                 code.append(depth[other])
             d = following
         else:
             code.append(OPEN)
-            stack.pop()
+            arrivals.pop()
+            scans.pop()
     code.reverse()
     return DecoratedTree(code)
 

@@ -18,7 +18,7 @@ from functools import partial
 from importlib import import_module
 from itertools import product
 
-from .paths import DyckPath, GridPath, ParseError, PathPair
+from .paths import DyckPath, GridPath, ParseError, PathPair, _read_int
 
 
 def main(argv=None) -> int:
@@ -47,7 +47,7 @@ def _build_parser():
 
     p = sub.add_parser("count", help="enumerated count vs closed form")
     p.add_argument("object", choices=_COUNTS)
-    p.add_argument("size", type=int)
+    p.add_argument("size", type=_size)
     p.add_argument("--unsafe-size", action="store_true")
     p.set_defaults(handler=_cmd_count)
 
@@ -59,7 +59,7 @@ def _build_parser():
 
     p = sub.add_parser("verify", help="run an exhaustive verification suite")
     p.add_argument("suite", choices=_SUITES)
-    p.add_argument("size", type=int)
+    p.add_argument("size", type=_size)
     p.add_argument("--unsafe-size", action="store_true")
     p.add_argument("--format", choices=("text", "tsv"), default="text")
     p.set_defaults(handler=_cmd_verify)
@@ -70,11 +70,19 @@ def _build_parser():
     p.set_defaults(handler=_cmd_export_dot)
 
     p = sub.add_parser("series", help="coefficient triangle of the shared series")
-    p.add_argument("order", type=int)
+    p.add_argument("order", type=_size)
     p.add_argument("--unsafe-size", action="store_true")
     p.set_defaults(handler=_cmd_series)
 
     return parser
+
+
+def _size(token):
+    """An ASCII integer argument; argparse names it in the error."""
+    try:
+        return _read_int(token)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _check_cap(size, cap, unsafe):

@@ -16,6 +16,7 @@ in canonical form by :func:`canonical_map`.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from operator import ne
 
@@ -148,12 +149,7 @@ class PlanarMap:
         return not all(map(ne, self._vlabel[0::2], self._vlabel[1::2]))
 
     def is_non_separable(self) -> bool:
-        """At least two edges, no loop, and no face meeting a vertex at two
-        corners, read off the stored labels: in genus 0, which the constructor
-        checks, a loopless map is non-separable exactly when its faces are
-        bounded by cycles (Whitney 1932; Diestel, *Graph Theory*, ch. 4).
-        See :func:`_is_non_separable`.  Computed once.
-        """
+        """:func:`_is_non_separable` on the stored labels, computed once."""
         if self._non_separable is None:
             self._non_separable = _is_non_separable(
                 self.sigma, self._vlabel, self._nv, self._flabel, self._nf
@@ -332,11 +328,21 @@ def _labels(sigma):
 def _code_bytes(canonical):
     """The canonical code of a sigma that is its own root-first labelling:
     one byte per dart up to 256 darts, else the fewest big-endian bytes that
-    hold the largest label."""
-    if len(canonical) <= 256:
+    hold the largest label, sliced from big-endian 8-byte words."""
+    n = len(canonical)
+    if n <= 256:
         return bytes(canonical)
-    width = ((len(canonical) - 1).bit_length() + 7) // 8
-    return b"".join(x.to_bytes(width, "big") for x in canonical)
+    from array import array
+
+    width = ((n - 1).bit_length() + 7) // 8
+    words = array("Q", canonical)
+    if sys.byteorder == "little":
+        words.byteswap()
+    packed = words.tobytes()
+    code = bytearray(width * n)
+    for i in range(width):
+        code[i::width] = packed[8 - width + i :: 8]
+    return bytes(code)
 
 
 def _root_first(sigma, root):
@@ -496,7 +502,7 @@ def _is_non_separable(sigma, vlabel, nv, flabel, nf) -> bool:
         len(sigma) >= 4
         and nv - len(sigma) // 2 + nf == 2
         and all(map(ne, vlabel[0::2], vlabel[1::2]))
-        and len(set(zip(vlabel, flabel))) == len(sigma)
+        and len({v * nf + f for v, f in zip(vlabel, flabel)}) == len(sigma)
     )
 
 

@@ -164,18 +164,8 @@ def tam_leq(v: GridPath, v1: GridPath, v2: GridPath) -> bool:
 # ---------------------------------------------------------------------------
 
 def dyck_to_pathpair(P: DyckPath) -> PathPair:
-    """Send a Dyck path of size n to a pair (upper, canopy) of length n-1.
-
-    The canopy is the type of ``P``.  Writing r_1 < ... < r_{s-1} for the
-    indices of the north letters of the type and r_s = n, the k-th north step
-    of the upper path sits c_k columns left of the k-th north step of the
-    canopy, where c_k counts the up steps whose matching arc strictly
-    contains both the r_k-th and the r_{k+1}-th up steps.
-
-    Up step r_k is followed by a descent and up steps r_k + 1 .. r_{k+1}
-    form one ascent, so the arcs containing both are exactly those still
-    open after that descent: c_k is the height of the path just before up
-    step r_k + 1.  That reads each c_k off the heights in O(1), O(n) in all.
+    """Send a Dyck path of size n to a pair (upper, canopy) of length n-1:
+    the type of ``P`` and :func:`_upper_path` over it.
 
     >>> dyck_to_pathpair(DyckPath("udud"))
     PathPair('N', 'N')
@@ -183,14 +173,21 @@ def dyck_to_pathpair(P: DyckPath) -> PathPair:
     if P.size < 1:
         raise ValueError("needs a nonempty Dyck path")
     v = P.type_of()
+    return PathPair(_upper_path(P, v), v)
+
+
+def _upper_path(P: DyckPath, v: GridPath) -> GridPath:
+    """The upper path of ``P`` over its type ``v`` (not checked).  With
+    r_1 < ... < r_{s-1} the ranks of the north letters of ``v`` and r_s = n,
+    the k-th north step sits c_k columns left of that of ``v``, c_k counting
+    the arcs strictly containing up steps r_k and r_{k+1}.  Those are the
+    arcs open after the descent following up step r_k, so c_k is the height
+    just before up step r_k + 1, read in O(1).
+    """
+    heights, ups = P._heights, P._ups
     north_ranks = [k for k, c in enumerate(v.word, 1) if c == "N"]
-    heights = P.heights()
-    abscissas = [
-        x - heights[P.up_position(rk + 1) - 1]
-        for rk, x in zip(north_ranks, v.north_abscissas())
-    ]
-    v1 = grid_path_from_north_abscissas(abscissas, v.east_count)
-    return PathPair(v1, v)
+    abscissas = [x - heights[ups[rk] - 1] for rk, x in zip(north_ranks, v.north_abscissas())]
+    return grid_path_from_north_abscissas(abscissas, v.east_count)
 
 
 def pathpair_to_dyck(pp: PathPair) -> DyckPath:
@@ -285,9 +282,10 @@ class CanopyInterval:
     """A triple (upper, lower, canopy) of equal-length grid paths with both
     elements above the canopy and lower <= upper in the canopy's lattice.
 
-    The order is checked on the two Dyck paths of the pair bijection (the
-    route of :func:`tam_leq`); they are kept, so :func:`canopy_to_sync`
-    derives nothing again.
+    It keeps the two Dyck paths of the pair bijection, for
+    :func:`canopy_to_sync`.  Their order is proved once: by the constructor
+    (the route of :func:`tam_leq`), or by the interval :func:`sync_to_canopy`
+    reads, whose own paths they are.
     """
 
     __slots__ = ("upper", "lower", "canopy", "_paths")
@@ -304,10 +302,16 @@ class CanopyInterval:
                 "%r is not below %r above the canopy %r"
                 % (lower.word, upper.word, canopy.word)
             )
+        self._set(upper, lower, canopy, paths)
+
+    def _set(self, upper, lower, canopy, paths):
+        """Write every slot and return the interval; ``paths`` is (lower,
+        upper), one size larger."""
         self.upper = upper
         self.lower = lower
         self.canopy = canopy
-        self._paths = paths  # (lower, upper) Dyck paths, one size larger
+        self._paths = paths
+        return self
 
     @property
     def size(self) -> int:
@@ -390,14 +394,20 @@ def sync_to_canopy(interval: SyncInterval) -> CanopyInterval:
     """Size-n synchronized interval -> size-(n-1) canopy interval, by sending
     both paths through the pair bijection over their common type.
 
+    The interval proved both paths of type ``v`` and in order, and Tam(v)
+    is the type fiber of ``v`` (Preville-Ratelle & Viennot, 2017), so the
+    result keeps the interval's paths; ``PathPair`` checks the output.
+
     >>> sync_to_canopy(SyncInterval(DyckPath("udud"), DyckPath("udud"))).to_text()
     'N|N|N'
     """
     if interval.size < 1:
         raise ValueError("needs a nonempty interval")
-    low = dyck_to_pathpair(interval.lower)
-    up = dyck_to_pathpair(interval.upper)
-    return CanopyInterval(up.upper, low.upper, low.canopy)
+    lower, upper = interval.lower, interval.upper
+    v = lower.type_of()
+    low = PathPair(_upper_path(lower, v), v)
+    up = PathPair(_upper_path(upper, v), v)
+    return object.__new__(CanopyInterval)._set(up.upper, low.upper, v, (lower, upper))
 
 
 def canopy_to_sync(ci: CanopyInterval) -> SyncInterval:

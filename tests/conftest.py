@@ -1,12 +1,18 @@
+import random
+
 import pytest
 from hypothesis import strategies as st
 
 from tamarimaps import (
     DyckPath,
+    PointedSyncInterval,
+    SyncInterval,
+    compose_factors,
     enumerate_decorated_trees,
     enumerate_nonseparable,
     enumerate_nonseparable_by_composition,
     enumerate_sync_intervals,
+    split_interval,
 )
 
 
@@ -48,6 +54,29 @@ def _rotate_to_dyck(letters):
             low = height
             cut = k + 1
     return "".join(letters[cut:] + letters[:cut])
+
+
+def random_sync_interval(n, seed):
+    """A seeded synchronized interval of size ``n`` (not uniform): a random
+    split tree built bottom-up by ``compose_factors``, the pointed base of
+    each node before the rest, so every value is checked by the library."""
+    rng = random.Random(seed)
+    empty = SyncInterval(DyckPath(""), DyckPath(""))
+    built = []
+    todo = [n]  # a size to build, or None: compose the top two values
+    while todo:
+        size = todo.pop()
+        if size is None:
+            rest = built.pop()
+            base = built.pop()
+            cut = rng.randrange(1, base.lower.contacts()) if base.size else 0
+            built.append(compose_factors([PointedSyncInterval(base, cut)] + split_interval(rest)))
+        elif size == 0:
+            built.append(empty)
+        else:
+            left = rng.randrange(size)  # size of the pointed base
+            todo += [None, size - 1 - left, left]
+    return built[0]
 
 
 @st.composite

@@ -15,6 +15,7 @@ from tamarimaps import (
     SyncInterval,
 )
 from tamarimaps.cli import main
+from tamarimaps.paths import _read_int
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -325,6 +326,31 @@ class TestLibraryParity:
         prefix = {0: "", 1: "invalid: ", 2: "parse error: "}[status]
         assert err.startswith(prefix) and err.count("\n") == (status != 0)
         assert (out == "") == (status != 0)
+
+
+    @pytest.mark.parametrize("token", ["\u0662", "1_0", "+3"])
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["count", "sync-intervals"], "size"),
+            (["verify", "roundtrip"], "size"),
+            (["series"], "order"),
+        ],
+        ids=["count", "verify", "series"],
+    )
+    def test_sizes_are_ascii_integers(self, argv, name, token, capsys):
+        # a size is read as map and tree text read their integers: int()
+        # would take each of these tokens
+        with pytest.raises(ParseError):
+            _read_int(token)
+        with pytest.raises(SystemExit) as exc:
+            run(argv + [token], capsys=capsys)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].endswith(
+            "error: argument %s: not an integer: %r" % (name, token)
+        )
 
 
 class TestInputSources:

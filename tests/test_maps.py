@@ -1,18 +1,22 @@
 import pytest
 
 from tamarimaps import (
+    DyckPath,
     ParseError,
     PlanarMap,
+    SyncInterval,
     closed_form,
     compose_parallel,
     compose_series,
     double_edge_map,
     enumerate_nonseparable,
     enumerate_nonseparable_by_composition,
+    interval_to_tree,
     parallel_components,
     series_components,
     single_edge_map,
     single_loop_map,
+    tree_to_map,
 )
 from tamarimaps.maps import (
     ParallelBrick,
@@ -200,6 +204,31 @@ class TestNonSeparability:
                 assert _is_non_separable(sigma, vlabel, nv, flabel, nf) == expected
         assert counts == [2, 9, 54, 378, 2916, 24057]
 
+    def test_corner_count_matches_the_pair_set(self, maps_by_edges):
+        # the corners are counted as integers v * nf + f; the same answer as
+        # a set of (vertex, face) pairs on every rooted map of any genus with
+        # 2-6 edges, and on every non-separable map with 7 and 8 edges, each
+        # also with a pendant edge and with a loop added (separable)
+        def pair_set_test(sigma, vlabel, nv, flabel, nf):
+            return (
+                len(sigma) >= 4
+                and nv - len(sigma) // 2 + nf == 2
+                and all(vlabel[d] != vlabel[d ^ 1] for d in range(0, len(sigma), 2))
+                and len(set(zip(vlabel, flabel))) == len(sigma)
+            )
+
+        sigmas = [sigma for m in range(2, 7) for sigma in _canonical_sigmas(m)]
+        for M in maps_by_edges[7] + enumerate_nonseparable_by_composition(8):
+            sigmas += [M.sigma, _with_pendant(M).sigma, _with_loop(M).sigma]
+        answers = []
+        for sigma in sigmas:
+            vlabel, nv = _orbit_labels(sigma)
+            flabel, nf = _orbit_labels([sigma[d ^ 1] for d in range(len(sigma))])
+            answer = _is_non_separable(sigma, vlabel, nv, flabel, nf)
+            assert answer == pair_set_test(sigma, vlabel, nv, flabel, nf)
+            answers.append(answer)
+        assert 0 < sum(answers) < len(answers)
+
     def test_corner_criterion_needs_genus_zero(self):
         # torus maps with one block: the theta graph (one face, meeting both
         # vertices at three corners each), and the 2 x 2 grid (four
@@ -275,6 +304,19 @@ class TestCanonicalCode:
         assert relabeled.is_isomorphic_to(relabeled.canonical_form())
         assert relabeled.canonical_form() == M.canonical_form()
         assert not PlanarMap(M.sigma, M.root ^ 1).is_isomorphic_to(M)
+
+
+@pytest.mark.parametrize("n,width", [(1000, 2), (33000, 3)])
+def test_wide_codes_equal_the_per_dart_form(n, width):
+    # past 256 darts the code is packed once and sliced; the same bytes as
+    # one big-endian to_bytes per dart, for the canonical map (its code is
+    # stored at construction) and for a rerooting (computed on first use)
+    word = "ud" * n
+    M = tree_to_map(interval_to_tree(SyncInterval(DyckPath(word), DyckPath(word))))
+    assert ((M.dart_count - 1).bit_length() + 7) // 8 == width
+    for K in (M, M.rerooted(M.dart_count - 1)):
+        canonical = K.canonical_form().sigma
+        assert K.canonical_code() == b"".join(x.to_bytes(width, "big") for x in canonical)
 
 
 def _assert_same_facts(M, fresh):

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given
 
-from conftest import canopies_with_element
+from conftest import canopies_with_element, random_sync_interval
 from tamarimaps import (
     CanopyInterval,
     DyckPath,
@@ -317,20 +317,61 @@ class TestSyncCanopyBijection:
         assert one.to_text() == "N|N|N"
 
     def test_round_trip(self, sync_by_size, monkeypatch):
-        # a canopy interval keeps the two Dyck paths of its order check, so
-        # a round trip derives each path once (size 1 is the empty canopy)
+        # the canopy interval keeps the interval's own Dyck paths, so a round
+        # trip derives no path back, and sync_to_canopy compares none again
+        # (size 1 is the empty canopy)
         calls = []
 
-        def counted(pp):
-            calls.append(pp)
-            return pathpair_to_dyck(pp)
+        def counted(name, f):
+            def wrapper(*args):
+                calls.append(name)
+                return f(*args)
 
-        monkeypatch.setattr("tamarimaps.tamari.pathpair_to_dyck", counted)
+            return wrapper
+
+        monkeypatch.setattr(
+            "tamarimaps.tamari.pathpair_to_dyck", counted("pathpair_to_dyck", pathpair_to_dyck)
+        )
+        monkeypatch.setattr("tamarimaps.tamari.tamari_leq", counted("tamari_leq", tamari_leq))
         for n in range(1, 8):
             for I in sync_by_size[n]:
+                C = sync_to_canopy(I)
+                assert calls == []
+                J = canopy_to_sync(C)
+                assert calls == ["tamari_leq"]  # the SyncInterval constructor's
                 calls.clear()
-                assert canopy_to_sync(sync_to_canopy(I)) == I
-                assert len(calls) == 2
+                assert J == I
+                assert J.lower is I.lower and J.upper is I.upper
+
+    @staticmethod
+    def check_proved_facts(I):
+        # the canopy interval read off the interval's facts is the one the
+        # public constructor proves from scratch, with the same Dyck paths
+        C = sync_to_canopy(I)
+        D = CanopyInterval(C.upper, C.lower, C.canopy)
+        assert C == D
+        assert C._paths == D._paths == (I.lower, I.upper)
+        assert C.canopy == I.upper.type_of()
+        assert canopy_to_sync(C) == I
+
+    def test_proved_facts_up_to_size_nine(self, sync_by_size):
+        count = 0
+        for n in range(1, 10):
+            for I in sync_by_size[n] if n in sync_by_size else enumerate_sync_intervals(n):
+                self.check_proved_facts(I)
+                count += 1
+        assert count == sum(closed_form(n) for n in range(9))
+
+    @pytest.mark.parametrize("kind", ["comb", "spine", "random"])
+    def test_proved_facts_on_large_probes(self, kind):
+        n = 20000
+        if kind == "random":
+            I = random_sync_interval(n, 20000)
+        else:
+            word = "ud" * n if kind == "comb" else "u" * n + "d" * n
+            I = SyncInterval(DyckPath(word), DyckPath(word))
+        assert I.size == n
+        self.check_proved_facts(I)
 
     def test_stored_paths_are_the_pair_bijection(self):
         # the kept paths are those the pair bijection gives, canopy by canopy
