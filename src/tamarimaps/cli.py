@@ -4,10 +4,13 @@ Subcommands: ``count`` (enumerated vs closed-form counts), ``convert``
 (bijection chain steps on text encodings), ``verify`` (exhaustive suites),
 ``export-dot`` (DOT renderings) and ``series`` (coefficient triangles).
 
-Every encoding is read by the library parser of its class.  Exit status:
-0 success, 1 verification failure or any other ValueError (an invalid
-object), 2 usage error or :class:`ParseError` (unreadable text).  All
-output is deterministic.
+Beyond ``paths``, which every command loads, each library name is read
+through the package namespace, whose ``_EXPORTS`` is the one map from names
+to their modules; the package imports a name's module on first use, so a
+command loads only the modules it calls.  Every encoding is read by the
+library parser of its class.  Exit status: 0 success, 1 verification
+failure or any other ValueError (an invalid object), 2 usage error or
+:class:`ParseError` (unreadable text).  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import partial
-from importlib import import_module
 from itertools import product
+
+import tamarimaps
 
 from .paths import DyckPath, GridPath, ParseError, PathPair, _read_int
 
@@ -97,24 +101,24 @@ def _check_cap(size, cap, unsafe):
 # count
 # ---------------------------------------------------------------------------
 
-# object -> (desk-scale cap, least size, module, enumerator or counter); the
-# closed form counts the objects of size n at n - least size
+# object -> (desk-scale cap, least size, enumerator or counter); the closed
+# form counts the objects of size n at n - least size
 _COUNTS = {
-    "sync-intervals": (10, 1, "tamari", "enumerate_sync_intervals"),
-    "canopy-intervals": (9, 0, "tamari", "count_canopy_intervals_of_length"),
-    "decorated-trees": (8, 1, "trees", "enumerate_decorated_trees"),
-    "nonsep-maps": (6, 2, "maps", "enumerate_nonseparable"),
+    "sync-intervals": (10, 1, "enumerate_sync_intervals"),
+    "canopy-intervals": (9, 0, "count_canopy_intervals_of_length"),
+    "decorated-trees": (8, 1, "enumerate_decorated_trees"),
+    "nonsep-maps": (6, 2, "enumerate_nonseparable"),
 }
 
 
 def _cmd_count(args) -> int:
-    cap, least, module, function = _COUNTS[args.object]
+    cap, least, function = _COUNTS[args.object]
     _check_cap(args.size, cap, args.unsafe_size)
     if args.size < least:
         raise ParseError("%s need size >= %d" % (args.object, least))
-    found = _resolve(module, function)(args.size)
+    found = getattr(tamarimaps, function)(args.size)
     enumerated = found if isinstance(found, int) else len(found)
-    expected = _resolve("series", "closed_form")(args.size - least)
+    expected = tamarimaps.closed_form(args.size - least)
     print("enumerated %d" % enumerated)
     print("closed-form %d" % expected)
     if enumerated != expected:
@@ -137,24 +141,22 @@ def _read_input(args) -> str:
         raise ParseError(str(exc)) from None
 
 
-def _resolve(module: str, name: str):
-    """``name`` from the package module ``module``, imported on first use, so
-    that a command compiles only the modules it calls."""
-    return getattr(import_module("." + module, __package__), name)
-
-
-# the class whose from_text reads each encoding: ParseError for unreadable
-# text, ValueError for an invalid object
-_PARSERS = {
-    "canopy-interval": ("tamari", "CanopyInterval"),
-    "sync-interval": ("tamari", "SyncInterval"),
-    "tree": ("trees", "DecoratedTree"),
-    "map": ("maps", "PlanarMap"),
+# the encodings in chain order -> the class whose from_text reads each one:
+# ParseError for unreadable text, ValueError for an invalid object
+_CHAIN = {
+    "canopy-interval": "CanopyInterval",
+    "sync-interval": "SyncInterval",
+    "tree": "DecoratedTree",
+    "map": "PlanarMap",
 }
+
+# _UP[i] steps from the i-th encoding of the chain to the next, _DOWN[i] back
+_UP = ("canopy_to_sync", "interval_to_tree", "tree_to_map")
+_DOWN = ("sync_to_canopy", "tree_to_interval", "map_to_tree")
 
 
 def _parse_object(kind: str, text: str):
-    obj = _resolve(*_PARSERS[kind]).from_text(text)
+    obj = getattr(tamarimaps, _CHAIN[kind]).from_text(text)
     if kind == "tree":
         violations = obj.validate()
         if violations:
@@ -162,36 +164,13 @@ def _parse_object(kind: str, text: str):
     return obj
 
 
-_CHAIN = ("canopy-interval", "sync-interval", "tree", "map")
-
-_STEPS_UP = {
-    "canopy-interval": ("tamari", "canopy_to_sync"),
-    "sync-interval": ("bijections", "interval_to_tree"),
-    "tree": ("bijections", "tree_to_map"),
-}
-_STEPS_DOWN = {
-    "map": ("bijections", "map_to_tree"),
-    "tree": ("bijections", "tree_to_interval"),
-    "sync-interval": ("tamari", "sync_to_canopy"),
-}
-
-
-def _render_object(kind: str, obj) -> str:
-    if kind == "map":
-        return obj.to_text()
-    return obj.to_text() + "\n"
-
-
 def _cmd_convert(args) -> int:
     obj = _parse_object(args.source, _read_input(args))
-    kind = args.source
-    while _CHAIN.index(kind) < _CHAIN.index(args.target):
-        obj = _resolve(*_STEPS_UP[kind])(obj)
-        kind = _CHAIN[_CHAIN.index(kind) + 1]
-    while _CHAIN.index(kind) > _CHAIN.index(args.target):
-        obj = _resolve(*_STEPS_DOWN[kind])(obj)
-        kind = _CHAIN[_CHAIN.index(kind) - 1]
-    sys.stdout.write(_render_object(kind, obj))
+    i, j = map(list(_CHAIN).index, (args.source, args.target))
+    for step in _UP[i:j] if i < j else _DOWN[j:i][::-1]:
+        obj = getattr(tamarimaps, step)(obj)
+    text = obj.to_text()
+    sys.stdout.write(text if text.endswith("\n") else text + "\n")
     return 0
 
 
@@ -379,14 +358,12 @@ _SUITES = {
 # ---------------------------------------------------------------------------
 
 def _lattice_to_dot(v: GridPath) -> str:
-    from . import tamari
-
-    elements = tamari.enumerate_tam(v)
+    elements = tamarimaps.enumerate_tam(v)
     lines = ["digraph canopy_lattice {", '  label="canopy %s";' % (v.word or "(empty)",)]
     for e in elements:
         lines.append('  "%s";' % (e.word or "()",))
     for e in elements:
-        for c in tamari.tam_covers(v, e):
+        for c in tamarimaps.tam_covers(v, e):
             lines.append('  "%s" -> "%s";' % (e.word or "()", c.word or "()"))
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -409,10 +386,7 @@ def _cmd_series(args) -> int:
     if args.order < 1:
         raise ParseError("order must be at least 1")
     _check_cap(args.order, 30, args.unsafe_size)
-    from . import series
-
-    F = series.solve_interval_equation(args.order)
-    sys.stdout.write(F.to_tsv())
+    sys.stdout.write(tamarimaps.solve_interval_equation(args.order).to_tsv())
     return 0
 
 

@@ -70,10 +70,6 @@ def _poly_mul(a, b):
     return _poly_trim(out)
 
 
-def _poly_eval_one(p):
-    return sum(p)
-
-
 def _poly_divided_difference(p):
     """(p(x) - p(1)) / (x - 1) as an exact polynomial (synthetic division).
 
@@ -87,7 +83,7 @@ def _poly_divided_difference(p):
     for i in range(len(p) - 1, 0, -1):
         acc += p[i]
         q[i - 1] = acc
-    remainder = acc + p[0] - _poly_eval_one(p)
+    remainder = acc + p[0] - sum(p)
     if remainder:
         raise ArithmeticError("divided difference left a nonzero remainder")
     return _poly_trim(q)
@@ -96,20 +92,18 @@ def _poly_divided_difference(p):
 class BiSeries:
     """A bivariate series sum_n t^n * row_n(x), truncated at t-order N.
 
-    Rows are dense integer coefficient lists; row 0 is identically zero for
-    the series of this package (there are no size-0 objects).
+    Rows are dense integer coefficient lists, one per t-order 0..N; row 0 is
+    identically zero for the series of this package (there are no size-0
+    objects).
     """
 
     __slots__ = ("order", "rows")
 
-    def __init__(self, order: int, rows=None):
+    def __init__(self, order: int, rows):
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
         self.order = order
-        self.rows = [list(r) for r in rows] if rows is not None else [[] for _ in range(order + 1)]
-        while len(self.rows) < order + 1:
-            self.rows.append([])
-        del self.rows[order + 1 :]
+        self.rows = [list(r) for r in rows]
 
     def coefficient(self, n: int, k: int) -> int:
         """The coefficient of t^n x^k."""
@@ -123,7 +117,7 @@ class BiSeries:
 
     def at_x_one(self) -> list:
         """Coefficient list of the specialization x = 1, by t-order."""
-        return [_poly_eval_one(r) for r in self.rows]
+        return [sum(r) for r in self.rows]
 
     def __eq__(self, other):
         return (

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import tamarimaps
 from tamarimaps import (
     CanopyInterval,
     DecoratedTree,
@@ -13,8 +14,11 @@ from tamarimaps import (
     ParseError,
     PlanarMap,
     SyncInterval,
+    interval_to_map,
+    interval_to_tree,
+    sync_to_canopy,
 )
-from tamarimaps.cli import main
+from tamarimaps.cli import _CHAIN, _COUNTS, _DOWN, _UP, main
 from tamarimaps.paths import _read_int
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -156,7 +160,7 @@ class TestConvert:
             "NE|NE|EN",
             capsys=capsys,
         )
-        assert code == 0
+        assert (code, out) == (0, (GOLDEN / "convert_canopy_to_map.txt").read_text())
         code, back, _ = run(
             ["convert", "--from", "map", "--to", "canopy-interval"], out, capsys=capsys
         )
@@ -254,6 +258,34 @@ class TestConvert:
             capsys=capsys,
         )
         assert (code, out) == (0, "((-1))\n")
+
+
+# one interval of size 4 with lower != upper and a tree label 0, and the
+# objects the library chain derives from it
+CHAIN_INTERVAL = SyncInterval.from_text("uududdud|uudududd")
+CHAIN_OBJECTS = {
+    "canopy-interval": sync_to_canopy(CHAIN_INTERVAL),
+    "sync-interval": CHAIN_INTERVAL,
+    "tree": interval_to_tree(CHAIN_INTERVAL),
+    "map": interval_to_map(CHAIN_INTERVAL),
+}
+
+
+@pytest.mark.parametrize("target", list(CHAIN_OBJECTS))
+@pytest.mark.parametrize("source", list(CHAIN_OBJECTS))
+def test_every_convert_pair_follows_the_library_chain(source, target, capsys):
+    # map text ends in a newline; the CLI appends one to every other kind
+    expected = CHAIN_OBJECTS[target].to_text() + ("" if target == "map" else "\n")
+    code, out, err = run(["convert", "--from", source, "--to", target],
+                         CHAIN_OBJECTS[source].to_text(), capsys=capsys)
+    assert (code, out, err) == (0, expected, "")
+
+
+def test_cli_names_are_public_package_names():
+    # the CLI reads every library name through the package, so the module
+    # that defines each one is named once, in the package's export table
+    names = [function for _, _, function in _COUNTS.values()]
+    assert set(names + [*_CHAIN.values(), *_UP, *_DOWN]) <= set(tamarimaps.__all__)
 
 
 # how the library reads each encoding: a tree must also be decorated
@@ -565,8 +597,18 @@ class TestConsoleScript:
                 0,
                 {"paths", "tamari", "trees", "maps", "bijections"},
             ),
+            (
+                ["convert", "--from", "canopy-interval", "--to", "sync-interval"],
+                "NE|NE|EN",
+                0,
+                {"paths", "tamari"},
+            ),
+            (["convert", "--from", "map", "--to", "map"], DOUBLE_EDGE, 0, {"paths", "maps"}),
+            (["verify", "partition", "2"], "", 0, {"paths", "series", "tamari"}),
+            (["verify", "order-oracle", "2"], "", 0, {"paths", "tamari"}),
         ],
-        ids=["count", "series", "lattice", "usage-error", "convert"],
+        ids=["count", "series", "lattice", "usage-error", "convert", "convert-canopy-to-sync",
+             "convert-map-to-map", "verify-partition", "verify-order-oracle"],
     )
     def test_command_loads_only_the_modules_it_calls(self, argv, stdin_text, status, loaded):
         proc = subprocess.run(
