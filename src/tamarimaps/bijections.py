@@ -104,9 +104,7 @@ def tree_to_map(T: DecoratedTree) -> PlanarMap:
     """
     if T.edge_count == 0:
         raise ValueError("needs a tree with at least one edge")
-    violations = T.validate()
-    if violations:
-        raise ValueError("not a decorated tree: %s" % (violations[0],))
+    T.compute_charges()  # raises on the first violation
 
     # edges are numbered in traversal order, 0 being the new root edge; edge
     # k has dart 2k at its end nearer the root and dart 2k + 1 at the other
@@ -203,7 +201,7 @@ def interval_to_tree(interval: SyncInterval) -> DecoratedTree:
     # where each up step of Q ends, and the depth of the shallower endpoint
     # of the edge owning it
     qh = Q.heights()
-    ends = [Q.up_position(i) for i in range(1, Q.size + 1)]
+    ends = Q._ups
     up_parent_depth = [qh[j - 1] for j in ends]
 
     # the ray of an up step starts where the next up step does (or at the

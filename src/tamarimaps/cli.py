@@ -207,88 +207,80 @@ def _canopies(k):
 
 
 def _suite_roundtrip(size):
-    from . import bijections, maps, tamari, trees
-
     for n in range(1, size + 1):
-        intervals = tamari.enumerate_sync_intervals(n)
+        intervals = tamarimaps.enumerate_sync_intervals(n)
         yield _check("interval->tree->interval size %d (%d objects)" % (n, len(intervals)),
                      [I.to_text() for I in intervals
-                      if bijections.tree_to_interval(bijections.interval_to_tree(I)) != I])
-        tree_list = trees.enumerate_decorated_trees(n)
+                      if tamarimaps.tree_to_interval(tamarimaps.interval_to_tree(I)) != I])
+        tree_list = tamarimaps.enumerate_decorated_trees(n)
         yield _check("tree->interval->tree size %d (%d objects)" % (n, len(tree_list)),
                      [T.to_text() for T in tree_list
-                      if bijections.interval_to_tree(bijections.tree_to_interval(T)) != T])
-        maps_n = maps.enumerate_nonseparable_by_composition(n + 1)
+                      if tamarimaps.interval_to_tree(tamarimaps.tree_to_interval(T)) != T])
+        maps_n = tamarimaps.enumerate_nonseparable_by_composition(n + 1)
         yield _check("map->tree->map %d edges (%d objects)" % (n + 1, len(maps_n)),
                      [M.to_text().replace("\n", "; ") for M in maps_n
                       if not M.is_isomorphic_to(
-                          bijections.tree_to_map(bijections.map_to_tree(M)))])
+                          tamarimaps.tree_to_map(tamarimaps.map_to_tree(M)))])
         yield _check("tree->map->tree size %d (%d objects)" % (n, len(tree_list)),
                      [T.to_text() for T in tree_list
-                      if bijections.map_to_tree(bijections.tree_to_map(T)) != T])
+                      if tamarimaps.map_to_tree(tamarimaps.tree_to_map(T)) != T])
         yield _check("interval decompose/compose size %d" % n,
                      [I.to_text() for I in intervals
-                      if tamari.compose_intervals(*tamari.decompose_interval(I)) != I
-                      or tamari.compose_factors(tamari.split_interval(I)) != I])
+                      if tamarimaps.compose_intervals(*tamarimaps.decompose_interval(I)) != I
+                      or tamarimaps.compose_factors(tamarimaps.split_interval(I)) != I])
 
 
 def _suite_partition(size):
-    from . import series, tamari
-
     for n in range(1, size + 1):
-        by_type = tamari.dyck_paths_by_type(n)
+        by_type = tamarimaps.tamari.dyck_paths_by_type(n)
         total = sum(len(f) for f in by_type.values())
-        yield (total == series.catalan(n),
+        yield (total == tamarimaps.catalan(n),
                "type fibers of size %d cover %d Dyck paths (Catalan %d)"
-               % (n, total, series.catalan(n)))
+               % (n, total, tamarimaps.catalan(n)))
         yield (len(by_type) == 2 ** (n - 1),
                "size %d has %d nonempty fibers (expected %d)"
                % (n, len(by_type), 2 ** (n - 1)))
         bad = []
         for v in _canopies(n - 1):
             fiber = sorted(P.word for P in by_type.get(v.word, []))
-            lattice = sorted(tamari.pathpair_to_dyck(PathPair(e, v)).word
-                             for e in tamari.enumerate_tam(v))
+            lattice = sorted(tamarimaps.pathpair_to_dyck(PathPair(e, v)).word
+                             for e in tamarimaps.enumerate_tam(v))
             if fiber != lattice:
                 bad.append(v.word or "(empty)")
         yield _check("fibers of size %d match the canopy lattices" % n, bad)
 
 
 def _suite_order_oracle(size):
-    from . import tamari
-
     for n in range(1, size + 1):
-        paths = tamari.enumerate_dyck_paths(n)
-        closure = tamari.cover_closures(paths, tamari.dyck_rotation_covers)
+        paths = tamarimaps.enumerate_dyck_paths(n)
+        closure = tamarimaps.tamari.cover_closures(paths, tamarimaps.dyck_rotation_covers)
         yield _check("rotation closure matches distance comparison at size %d" % n,
                      ["%s vs %s" % (P.word, Q.word)
                       for i, P in enumerate(paths) for j, Q in enumerate(paths)
-                      if bool(closure[i] >> j & 1) != tamari.tamari_leq(P, Q)])
+                      if bool(closure[i] >> j & 1) != tamarimaps.tamari_leq(P, Q)])
     for k in range(1, size):
         bad = []
         for v in _canopies(k):
-            elements = tamari.enumerate_tam(v)
-            closure = tamari.cover_closures(elements, partial(tamari.tam_covers, v))
+            elements = tamarimaps.enumerate_tam(v)
+            closure = tamarimaps.tamari.cover_closures(elements, partial(tamarimaps.tam_covers, v))
             for i, a in enumerate(elements):
                 for j, b in enumerate(elements):
-                    if bool(closure[i] >> j & 1) != tamari.tam_leq(v, a, b):
+                    if bool(closure[i] >> j & 1) != tamarimaps.tamari.tam_leq(v, a, b):
                         bad.append("%s: %s vs %s" % (v.word, a.word, b.word))
         yield _check("canopy cover closure matches the path-pair order at length %d" % k, bad)
 
 
 def _suite_series(size):
-    from . import series, tamari
-
     order = max(12, size)
-    F = series.solve_interval_equation(order)
-    Ms = series.solve_map_equation(order)
+    F = tamarimaps.solve_interval_equation(order)
+    Ms = tamarimaps.solve_map_equation(order)
     yield F.rows == Ms.rows, "interval and map equations agree to order %d" % order
     totals = F.at_x_one()
-    yield (all(totals[n] == series.closed_form(n - 1) for n in range(1, order + 1)),
+    yield (all(totals[n] == tamarimaps.closed_form(n - 1) for n in range(1, order + 1)),
            "F(1,t) matches the closed form to order %d" % order)
     for n in range(1, size + 1):
         histogram = {}
-        for I in tamari.enumerate_sync_intervals(n):
+        for I in tamarimaps.enumerate_sync_intervals(n):
             k = I.lower.contacts() - 1
             histogram[k] = histogram.get(k, 0) + 1
         row = F.row(n)
@@ -298,16 +290,14 @@ def _suite_series(size):
 
 
 def _suite_stats(size):
-    from . import bijections, maps, tamari
-
     for n in range(1, size + 1):
-        contact = sorted(I.lower.contacts() - 1 for I in tamari.enumerate_sync_intervals(n))
-        maps_n = maps.enumerate_nonseparable_by_composition(n + 1)
+        contact = sorted(I.lower.contacts() - 1 for I in tamarimaps.enumerate_sync_intervals(n))
+        maps_n = tamarimaps.enumerate_nonseparable_by_composition(n + 1)
         outer = sorted(M.outer_face_degree - 1 for M in maps_n)
         rootdeg = sorted(M.root_vertex_degree - 1 for M in maps_n)
         yield contact == outer, "contacts-1 matches outer-degree-1 multiset at size %d" % n
         yield contact == rootdeg, "contacts-1 matches root-degree-1 multiset at size %d" % n
-        transfer = sum(bijections.map_to_interval(M).lower.contacts() == M.root_vertex_degree
+        transfer = sum(tamarimaps.map_to_interval(M).lower.contacts() == M.root_vertex_degree
                        for M in maps_n)
         yield (transfer == len(maps_n),
                "diagnostic: per-object contact/root-degree transfer %d/%d at size %d"
@@ -317,28 +307,26 @@ def _suite_stats(size):
 def _suite_oracle(size):
     if size < 2:
         raise ParseError("oracle needs size >= 2")
-    from . import bijections, maps, series, tamari
-
-    maps_n = maps.enumerate_nonseparable_by_composition(size)
-    yield (len(maps_n) == series.closed_form(size - 2),
+    maps_n = tamarimaps.enumerate_nonseparable_by_composition(size)
+    yield (len(maps_n) == tamarimaps.closed_form(size - 2),
            "composition census of %d edges has %d maps (closed form %d)"
-           % (size, len(maps_n), series.closed_form(size - 2)))
-    intervals = [bijections.map_to_interval(M) for M in maps_n]
+           % (size, len(maps_n), tamarimaps.closed_form(size - 2)))
+    intervals = [tamarimaps.map_to_interval(M) for M in maps_n]
     yield _check("recursive map->interval matches the chain at %d edges (%d objects)"
                  % (size, len(maps_n)),
                  [M.to_text().replace("\n", "; ") for M, I in zip(maps_n, intervals)
-                  if bijections.recursive_map_to_interval(M) != I])
+                  if tamarimaps.recursive_map_to_interval(M) != I])
     yield _check("recursive interval->map matches the chain at %d edges (%d objects)"
                  % (size, len(maps_n)),
                  [I.to_text() for M, I in zip(maps_n, intervals)
-                  if bijections.recursive_interval_to_map(I) != M])
+                  if tamarimaps.recursive_interval_to_map(I) != M])
     spine = DyckPath("u" * 1000 + "d" * 1000)
-    I = tamari.SyncInterval(spine, spine)
-    M = bijections.interval_to_map(I)
+    I = tamarimaps.SyncInterval(spine, spine)
+    M = tamarimaps.interval_to_map(I)
     yield _check("recursive bijection on the spine u^1000 d^1000",
                  [direction for direction, ok in (
-                     ("map->interval", bijections.recursive_map_to_interval(M) == I),
-                     ("interval->map", bijections.recursive_interval_to_map(I) == M)) if not ok])
+                     ("map->interval", tamarimaps.recursive_map_to_interval(M) == I),
+                     ("interval->map", tamarimaps.recursive_interval_to_map(I) == M)) if not ok])
 
 
 # suite -> (desk-scale cap, runner); a runner is a generator that yields one

@@ -20,13 +20,13 @@ import sys
 from collections import namedtuple
 from operator import ne
 
-from .paths import ParseError, _read_int
+from .paths import ParseError, _read_int, _Value
 
 
 MapStats = namedtuple("MapStats", ["outer_face_degree", "root_vertex_degree", "edge_count"])
 
 
-class PlanarMap:
+class PlanarMap(_Value):
     """A rooted planar map.
 
     A map is immutable: ``sigma`` and ``root`` must not be reassigned.  Two
@@ -96,18 +96,11 @@ class PlanarMap:
         """Vertex id (orbit label of sigma) the dart is attached to."""
         return self._vlabel[d]
 
-    def __repr__(self):
+    def _key(self):
+        return (self.sigma, self.root)
+
+    def __repr__(self):  # sigma as a list, as the doctests print it
         return "PlanarMap(sigma=%r, root=%d)" % (list(self.sigma), self.root)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PlanarMap)
-            and self.sigma == other.sigma
-            and self.root == other.root
-        )
-
-    def __hash__(self):
-        return hash((self.sigma, self.root))
 
     # -- vertices and faces ----------------------------------------------------
 

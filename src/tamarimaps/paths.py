@@ -30,7 +30,24 @@ def _read_int(token: str) -> int:
     return int(token)
 
 
-class DyckPath:
+class _Value:
+    """An immutable value told apart by its type and its ``_key()`` tuple:
+    equal when both agree, hashed on the type name and the key, and printed
+    as the type name applied to the key's items."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash((type(self).__name__,) + self._key())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(map(repr, self._key())))
+
+
+class DyckPath(_Value):
     """A Dyck path stored as its word over ``u``/``d``.
 
     >>> P = DyckPath("uududd")
@@ -75,17 +92,11 @@ class DyckPath:
 
     # -- basic protocol ----------------------------------------------------
 
-    def __repr__(self):
-        return "DyckPath(%r)" % (self.word,)
+    def _key(self):
+        return (self.word,)
 
     def __str__(self):
         return self.word
-
-    def __eq__(self, other):
-        return isinstance(other, DyckPath) and self.word == other.word
-
-    def __hash__(self):
-        return hash(("DyckPath", self.word))
 
     def __len__(self):
         return len(self.word)
@@ -173,7 +184,7 @@ class DyckPath:
         return tuple(j for j, h in enumerate(self._heights) if h == 0)
 
 
-class GridPath:
+class GridPath(_Value):
     """A grid path stored as its word over ``N``/``E``.
 
     Any word is allowed: grid paths serve both as lattice elements and as
@@ -201,17 +212,11 @@ class GridPath:
         levels.append(x)
         self._levels = tuple(levels)
 
-    def __repr__(self):
-        return "GridPath(%r)" % (self.word,)
+    def _key(self):
+        return (self.word,)
 
     def __str__(self):
         return self.word
-
-    def __eq__(self, other):
-        return isinstance(other, GridPath) and self.word == other.word
-
-    def __hash__(self):
-        return hash(("GridPath", self.word))
 
     def __len__(self):
         return len(self.word)
@@ -270,7 +275,7 @@ class GridPath:
         return self._levels[y] - x
 
 
-class PathPair:
+class PathPair(_Value):
     """A pair (upper, canopy) of grid paths with equal endpoints, the upper
     one weakly above the canopy.  These are the elements of the lattice
     attached to the canopy.
@@ -288,18 +293,8 @@ class PathPair:
         self.upper = upper
         self.canopy = canopy
 
-    def __repr__(self):
-        return "PathPair(%r, %r)" % (self.upper.word, self.canopy.word)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PathPair)
-            and self.upper == other.upper
-            and self.canopy == other.canopy
-        )
-
-    def __hash__(self):
-        return hash(("PathPair", self.upper.word, self.canopy.word))
+    def _key(self):
+        return (self.upper.word, self.canopy.word)
 
 
 def enumerate_dyck_paths(n: int) -> list:

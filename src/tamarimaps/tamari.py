@@ -18,6 +18,7 @@ from .paths import (
     GridPath,
     ParseError,
     PathPair,
+    _Value,
     enumerate_dyck_paths,
     grid_path_from_north_abscissas,
     lattice_words,
@@ -225,7 +226,7 @@ def pathpair_to_dyck(pp: PathPair) -> DyckPath:
 # Interval types
 # ---------------------------------------------------------------------------
 
-class SyncInterval:
+class SyncInterval(_Value):
     """A synchronized interval: two Dyck paths of equal size and equal type,
     comparable in the Tamari order.  The size-0 interval (two empty paths) is
     allowed; it is the unit of interval composition.
@@ -251,18 +252,8 @@ class SyncInterval:
     def size(self) -> int:
         return self.lower.size
 
-    def __repr__(self):
-        return "SyncInterval(%r, %r)" % (self.lower.word, self.upper.word)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SyncInterval)
-            and self.lower == other.lower
-            and self.upper == other.upper
-        )
-
-    def __hash__(self):
-        return hash(("SyncInterval", self.lower.word, self.upper.word))
+    def _key(self):
+        return (self.lower.word, self.upper.word)
 
     def to_text(self) -> str:
         return "%s|%s" % (self.lower.word, self.upper.word)
@@ -278,7 +269,7 @@ class SyncInterval:
         return SyncInterval(DyckPath(parts[0]), DyckPath(parts[1]))
 
 
-class CanopyInterval:
+class CanopyInterval(_Value):
     """A triple (upper, lower, canopy) of equal-length grid paths with both
     elements above the canopy and lower <= upper in the canopy's lattice.
 
@@ -317,23 +308,8 @@ class CanopyInterval:
     def size(self) -> int:
         return len(self.canopy)
 
-    def __repr__(self):
-        return "CanopyInterval(%r, %r, %r)" % (
-            self.upper.word,
-            self.lower.word,
-            self.canopy.word,
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CanopyInterval)
-            and self.upper == other.upper
-            and self.lower == other.lower
-            and self.canopy == other.canopy
-        )
-
-    def __hash__(self):
-        return hash(("CanopyInterval", self.upper.word, self.lower.word, self.canopy.word))
+    def _key(self):
+        return (self.upper.word, self.lower.word, self.canopy.word)
 
     def to_text(self) -> str:
         return "%s|%s|%s" % (self.upper.word, self.lower.word, self.canopy.word)
@@ -349,7 +325,7 @@ class CanopyInterval:
         return CanopyInterval(GridPath(parts[0]), GridPath(parts[1]), GridPath(parts[2]))
 
 
-class PointedSyncInterval:
+class PointedSyncInterval(_Value):
     """A synchronized interval whose lower path is split at a contact into a
     left and a right Dyck factor.  The left factor must be nonempty unless
     the whole path is empty, so ``cut`` ranges over 1..contacts-1 (and is 0
@@ -372,18 +348,11 @@ class PointedSyncInterval:
     def size(self) -> int:
         return self.base.size
 
-    def __repr__(self):
+    def _key(self):
+        return (self.base, self.cut)
+
+    def __repr__(self):  # the cut by name, as the doctests print it
         return "PointedSyncInterval(%r, cut=%d)" % (self.base, self.cut)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PointedSyncInterval)
-            and self.base == other.base
-            and self.cut == other.cut
-        )
-
-    def __hash__(self):
-        return hash(("PointedSyncInterval", self.base, self.cut))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from operator import itemgetter
 
-from .paths import DyckPath, ParseError, _read_int, enumerate_dyck_paths
+from .paths import DyckPath, ParseError, _read_int, _Value, enumerate_dyck_paths
 
 # tokens of the flat code; leaf labels are at least -1, so they never collide
 OPEN = -2
@@ -58,7 +58,13 @@ def _preorder(code):
             path.append(-1)
 
 
-class DecoratedTree:
+def _address(code, k):
+    """The address of the node whose token (OPEN or a label) is ``code[k]``:
+    the last one the preorder walk of the tokens up to it reaches."""
+    return list(_preorder(code[: k + 1] + (CLOSE,)))[-1][0]
+
+
+class DecoratedTree(_Value):
     """A plane tree with integer leaf labels, built from its flat code.  A
     code with a label below -1, an empty internal node below the root, or
     other than one root ``OPEN`` ... ``CLOSE``, raises ValueError.
@@ -88,9 +94,11 @@ class DecoratedTree:
             elif tok == CLOSE:
                 depth -= 1
                 if depth and code[k - 1] == OPEN:
-                    raise ValueError("internal node without children at token %d" % (k - 1,))
+                    raise ValueError(
+                        "internal node without children at %r" % (_address(code, k - 1),)
+                    )
             elif not isinstance(tok, int) or tok < -1:
-                raise ValueError("bad token %r at token %d of a tree code" % (tok, k))
+                raise ValueError("bad token %r at %r of a tree code" % (tok, _address(code, k)))
             if (depth == 0) != (k == last):  # the root closes at the last token
                 raise ValueError("unbalanced tree code at token %d" % (k,))
         self.code = code
@@ -110,14 +118,11 @@ class DecoratedTree:
                 stack[-1].append(tok)
         return tuple(stack[0])
 
-    def __repr__(self):
+    def _key(self):
+        return (self.code,)
+
+    def __repr__(self):  # the text form, as the doctests print it
         return "DecoratedTree.from_text(%r)" % (self.to_text(),)
-
-    def __eq__(self, other):
-        return isinstance(other, DecoratedTree) and self.code == other.code
-
-    def __hash__(self):
-        return hash(("DecoratedTree", self.code))
 
     # -- shape -------------------------------------------------------------
 
@@ -280,52 +285,56 @@ class DecoratedTree:
 
     @staticmethod
     def from_text(text: str) -> "DecoratedTree":
-        """Read the text form.  Text not in that form, a label below -1
-        included, raises :class:`ParseError`; a readable tree may still
-        break the decoration conditions (see :meth:`validate`)."""
+        """Read the text form.  Text not in that form, a label below -1 or
+        an empty internal node included, raises :class:`ParseError`; a
+        readable tree may still break the decoration conditions (see
+        :meth:`validate`)."""
         tokens = text.replace("(", " ( ").replace(")", " ) ").split()
         if not tokens:
             raise ParseError("unexpected end of tree text")
         code = []
-        path = []  # index of the last child read at each open level
-        error = None  # first label below -1 or empty inner node, raised once the text is read
+        depth = 0
+        low = None  # (token index, label, depth) of the first label below -1
         for pos, tok in enumerate(tokens):
-            if code and not path:
+            if code and not depth:
                 raise ParseError("trailing tokens in tree text")
             if tok == "(":
-                if path:
-                    path[-1] += 1
-                path.append(-1)
+                depth += 1
                 code.append(OPEN)
             elif tok == ")":
-                if not path:
+                if not depth:
                     raise ParseError("unexpected ')' in tree text")
-                if code[-1] == OPEN and len(path) > 1:
-                    error = error or "internal node without children at %r" % (tuple(path[:-1]),)
-                path.pop()
+                depth -= 1
                 code.append(CLOSE)
             else:
                 try:
                     label = _read_int(tok)
                 except ValueError:
                     raise ParseError("bad token %r in tree text" % (tok,)) from None
-                if not path:
+                if not depth:
                     if pos + 1 < len(tokens):
                         raise ParseError("trailing tokens in tree text")
                     raise ParseError("the outermost node must be parenthesized")
-                path[-1] += 1
-                if label < -1:
-                    error = error or "leaf label %d below -1 at %r" % (label, tuple(path))
-                    label = -1  # a stand-in: the error is raised once the text is read
+                if label < -1 and low is None:
+                    low = (len(code), label, depth)
                 code.append(label)
-        if path:
+        if depth:
             raise ParseError("unbalanced '(' in tree text")
-        if error is not None:
-            raise ParseError(error)
-        return DecoratedTree(code)
+        if low is not None:
+            # a code reads -2 and -3 as OPEN and CLOSE, so the code ends at
+            # a stand-in leaf there, closed: an earlier empty node comes first
+            k, label, depth = low
+            code = code[:k] + [-1] + [CLOSE] * depth
+        try:
+            tree = DecoratedTree(code)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
+        if low is not None:
+            raise ParseError("leaf label %d below -1 at %r" % (label, _address(tree.code, k)))
+        return tree
 
 
-class ChargeAssignment:
+class ChargeAssignment(_Value):
     """Per-leaf charges in traversal order; their total is the number of
     internal non-root nodes."""
 
@@ -340,14 +349,8 @@ class ChargeAssignment:
                 % (self.total, expected_total)
             )
 
-    def __repr__(self):
-        return "ChargeAssignment(%r)" % (self.charges,)
-
-    def __eq__(self, other):
-        return isinstance(other, ChargeAssignment) and self.charges == other.charges
-
-    def __hash__(self):
-        return hash(self.charges)
+    def _key(self):
+        return (self.charges,)
 
 
 # ---------------------------------------------------------------------------

@@ -451,12 +451,10 @@ class TestVerifyFailure:
     objects it fails on; the other lines stay as in the passing run."""
 
     def test_failing_round_trip_names_its_objects(self, monkeypatch, capsys):
-        import tamarimaps.bijections as bijections
-
-        right = bijections.tree_to_interval
+        right = tamarimaps.tree_to_interval
         wrong = SyncInterval.from_text("udud|udud")
         monkeypatch.setattr(
-            bijections,
+            tamarimaps,
             "tree_to_interval",
             lambda T: wrong if T.to_text() == "((-1))" else right(T),
         )
@@ -467,16 +465,14 @@ class TestVerifyFailure:
         assert (code, out.splitlines(), err) == (1, expected, "")
 
     def test_failing_fibers_name_their_canopies(self, monkeypatch, capsys):
-        import tamarimaps.tamari as tamari
-
-        right = tamari.pathpair_to_dyck
+        right = tamarimaps.pathpair_to_dyck
 
         def one_peak_too_many(pair):
             # wrong on the empty canopy and on every canopy with both letters
             path = right(pair)
             return DyckPath(path.word + "ud") if len(set(pair.canopy.word)) != 1 else path
 
-        monkeypatch.setattr(tamari, "pathpair_to_dyck", one_peak_too_many)
+        monkeypatch.setattr(tamarimaps, "pathpair_to_dyck", one_peak_too_many)
         code, out, _ = run(["verify", "partition", "4", "--format", "tsv"], capsys=capsys)
         fibers = [line for line in out.splitlines() if "canopy lattices" in line]
         assert code == 1
@@ -489,13 +485,12 @@ class TestVerifyFailure:
         assert out.count("ok\t") == 9
 
     def test_failing_oracle_names_its_objects(self, monkeypatch, capsys):
-        import tamarimaps.bijections as bijections
         from tamarimaps import double_edge_map
 
         monkeypatch.setattr(
-            bijections, "recursive_map_to_interval", lambda M: SyncInterval.from_text("ud|ud")
+            tamarimaps, "recursive_map_to_interval", lambda M: SyncInterval.from_text("ud|ud")
         )
-        monkeypatch.setattr(bijections, "recursive_interval_to_map", lambda I: double_edge_map())
+        monkeypatch.setattr(tamarimaps, "recursive_interval_to_map", lambda I: double_edge_map())
         code, out, err = run(["verify", "oracle", "3"], capsys=capsys)
         assert (code, err) == (1, "")
         assert out.splitlines() == [
@@ -507,21 +502,34 @@ class TestVerifyFailure:
             "FAIL recursive bijection on the spine u^1000 d^1000: interval->map, map->interval",
         ]
 
+    def test_one_patch_reaches_convert_and_verify(self, monkeypatch, capsys):
+        # both commands read the step through the package namespace
+        def refuse(T):
+            raise ValueError("refused " + T.to_text())
+
+        monkeypatch.setattr(tamarimaps, "tree_to_map", refuse)
+        assert run(["convert", "--from", "tree", "--to", "map"], "((-1))", capsys=capsys) == (
+            1,
+            "",
+            "invalid: refused ((-1))\n",
+        )
+        code, out, err = run(["verify", "roundtrip", "1"], capsys=capsys)
+        finished = (GOLDEN / "verify_roundtrip_3.txt").read_text().splitlines()[:2]
+        assert (code, out.splitlines(), err) == (1, finished, "invalid: refused (-1)\n")
+
     def test_oracle_needs_two_edges(self, capsys):
         code, out, err = run(["verify", "oracle", "1"], capsys=capsys)
         assert (code, out, err) == (2, "", "parse error: oracle needs size >= 2\n")
 
     def test_error_partway_keeps_the_finished_lines(self, monkeypatch, capsys):
-        import tamarimaps.bijections as bijections
-
-        right = bijections.map_to_tree
+        right = tamarimaps.map_to_tree
 
         def refuse_four_edges(M):
             if M.edge_count == 4:
                 raise ValueError("refused a map with 4 edges")
             return right(M)
 
-        monkeypatch.setattr(bijections, "map_to_tree", refuse_four_edges)
+        monkeypatch.setattr(tamarimaps, "map_to_tree", refuse_four_edges)
         code, out, err = run(["verify", "roundtrip", "3"], capsys=capsys)
         finished = (GOLDEN / "verify_roundtrip_3.txt").read_text().splitlines()[:12]
         assert (code, out.splitlines()) == (1, finished)
