@@ -232,7 +232,7 @@ def _suite_roundtrip(size):
 
 def _suite_partition(size):
     for n in range(1, size + 1):
-        by_type = tamarimaps.tamari.dyck_paths_by_type(n)
+        by_type = tamarimaps.tamari.dyck_paths_by_type(tamarimaps.enumerate_dyck_paths(n))
         total = sum(len(f) for f in by_type.values())
         yield (total == tamarimaps.catalan(n),
                "type fibers of size %d cover %d Dyck paths (Catalan %d)"

@@ -496,17 +496,36 @@ def _split_words(lower: str, upper: str) -> list:
 # Exhaustive enumeration
 # ---------------------------------------------------------------------------
 
-def dyck_paths_by_type(n: int) -> dict:
-    """Group all size-n Dyck paths by type word."""
+def dyck_paths_by_type(paths) -> dict:
+    """Group Dyck paths by type word; each fiber keeps the order of ``paths``."""
     fibers = {}
-    for P in enumerate_dyck_paths(n):
+    for P in paths:
         fibers.setdefault(P.type_word(), []).append(P)
     return fibers
 
 
+def _distance_upsets(vectors) -> list:
+    """Bit k of entry j is set when ``vectors[k]`` dominates ``vectors[j]``:
+    per coordinate, entry j keeps the positions whose value is at least its
+    own, ORed from one position mask per value, largest value first."""
+    ups = [(1 << len(vectors)) - 1] * len(vectors)
+    for column in zip(*vectors):
+        at_least = {}
+        for k, a in enumerate(column):
+            at_least[a] = at_least.get(a, 0) | 1 << k
+        above = 0
+        for a in sorted(at_least, reverse=True):
+            above = at_least[a] = above | at_least[a]
+        ups = [up & at_least[a] for up, a in zip(ups, column)]
+    return ups
+
+
 def enumerate_sync_intervals(n: int) -> list:
     """All synchronized intervals of size ``n``, ordered by word encodings.
-    Comparisons are run fiber by fiber: only equal-type paths can form one.
+    :func:`_distance_upsets` gives the up-sets of a type fiber F (only
+    equal-type paths form one) in O(n |F|) big-integer operations, not
+    O(n |F|^2) comparisons.  The lower paths are walked in word order and each
+    fiber keeps it, so reading each up-set by ascending bit needs no sort.
 
     >>> [i.to_text() for i in enumerate_sync_intervals(2)]
     ['udud|udud', 'uudd|uudd']
@@ -515,14 +534,16 @@ def enumerate_sync_intervals(n: int) -> list:
         raise ValueError("size must be nonnegative")
     if n == 0:
         return [SyncInterval(DyckPath(""), DyckPath(""))]
+    paths = enumerate_dyck_paths(n)
+    fibers = dyck_paths_by_type(paths)
+    ups = {t: iter(_distance_upsets([P.distance_vector() for P in f])) for t, f in fibers.items()}
     out = []
-    for fiber in dyck_paths_by_type(n).values():
-        vectors = [P.distance_vector() for P in fiber]
-        for i, P in enumerate(fiber):
-            for j, Q in enumerate(fiber):
-                if all(a <= b for a, b in zip(vectors[i], vectors[j])):
-                    out.append(SyncInterval(P, Q))
-    return sorted(out, key=lambda I: (I.lower.word, I.upper.word))
+    for P in paths:
+        fiber, up = fibers[P.type_word()], next(ups[P.type_word()])
+        while up:
+            out.append(SyncInterval(P, fiber[(up & -up).bit_length() - 1]))
+            up &= up - 1
+    return out
 
 
 def enumerate_canopy_intervals(v: GridPath) -> list:

@@ -97,7 +97,7 @@ class DecoratedTree(_Value):
                     raise ValueError(
                         "internal node without children at %r" % (_address(code, k - 1),)
                     )
-            elif not isinstance(tok, int) or tok < -1:
+            elif type(tok) is not int or tok < -1:  # a bool equals 0 or 1 but prints as no label
                 raise ValueError("bad token %r at %r of a tree code" % (tok, _address(code, k)))
             if (depth == 0) != (k == last):  # the root closes at the last token
                 raise ValueError("unbalanced tree code at token %d" % (k,))

@@ -32,7 +32,7 @@ from tamarimaps import (
     tamari_leq,
 )
 from tamarimaps.paths import grid_path_from_north_abscissas
-from tamarimaps.tamari import cover_closures, dyck_paths_by_type, tam_leq
+from tamarimaps.tamari import _distance_upsets, cover_closures, dyck_paths_by_type, tam_leq
 
 
 def all_canopies(n):
@@ -305,8 +305,55 @@ class TestIntervals:
         assert len(enumerate_sync_intervals(5)) == 91
 
     def test_counts_match_closed_form(self, sync_by_size):
+        for n in range(1, 10):
+            intervals = sync_by_size[n] if n in sync_by_size else enumerate_sync_intervals(n)
+            assert len(intervals) == closed_form(n - 1)
+
+    def test_enumeration_is_the_definition(self, sync_by_size):
+        # every ordered pair of equal-type paths in the Tamari order, sorted
+        # by words: the enumerator's output order is part of its contract
+        for n in range(0, 8):
+            paths = enumerate_dyck_paths(n)
+            brute = sorted(
+                (P.word, Q.word)
+                for P in paths
+                for Q in paths
+                if P.type_word() == Q.type_word() and tamari_leq(P, Q)
+            )
+            assert [(I.lower.word, I.upper.word) for I in sync_by_size[n]] == brute
+
+    def test_constructor_checks_every_interval(self, monkeypatch):
+        # the up-sets choose the pairs, and SyncInterval still proves each one
+        calls = []
+
+        def counted(P, Q):
+            calls.append(None)
+            return tamari_leq(P, Q)
+
+        monkeypatch.setattr("tamarimaps.tamari.tamari_leq", counted)
         for n in range(1, 8):
-            assert len(sync_by_size[n]) == closed_form(n - 1)
+            calls.clear()
+            assert len(enumerate_sync_intervals(n)) == len(calls)
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            [],
+            [(3, 1, 1)],
+            [(1, 2), (2, 1), (2, 2), (1, 1)],  # ties on each coordinate
+            [(2, 1), (1, 3), (2, 1), (1, 3)],  # duplicates dominate each other
+            [(5, 1, 1), (3, 1, 1), (3, 1, 1), (1, 1, 1)],
+            [P.distance_vector() for P in enumerate_dyck_paths(4)],  # mixed types
+            [()] * 3,
+        ],
+        ids=["empty", "one", "ties", "duplicates", "chain", "mixed-types", "zero-length"],
+    )
+    def test_distance_upsets_match_pairwise(self, vectors):
+        ups = _distance_upsets(vectors)
+        assert len(ups) == len(vectors)
+        for j, low in enumerate(vectors):
+            above = {k for k, high in enumerate(vectors) if all(a <= b for a, b in zip(low, high))}
+            assert {k for k in range(len(vectors)) if ups[j] >> k & 1} == above
 
 
 class TestSyncCanopyBijection:
@@ -581,7 +628,7 @@ class TestFiberIsInterval:
         # every type fiber is a full interval of the Tamari order
         for n in range(1, 9):
             paths = enumerate_dyck_paths(n)
-            for fiber_word, fiber in dyck_paths_by_type(n).items():
+            for fiber_word, fiber in dyck_paths_by_type(paths).items():
                 bottom = [P for P in fiber if all(tamari_leq(P, Q) for Q in fiber)]
                 top = [P for P in fiber if all(tamari_leq(Q, P) for Q in fiber)]
                 assert len(bottom) == 1 and len(top) == 1

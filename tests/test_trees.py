@@ -104,6 +104,12 @@ class TestCode:
         with pytest.raises(ValueError):
             DecoratedTree(code)
 
+    def test_rejects_bool_labels(self):
+        # True == 1 and hashes like it, but a tree labelled True would print
+        # as text that from_text rejects
+        with pytest.raises(ValueError, match=r"^bad token True at \(0,\) of a tree code$"):
+            DecoratedTree((trees.OPEN, True, False, trees.CLOSE))
+
     def test_empty_tree(self):
         T = DecoratedTree((trees.OPEN, trees.CLOSE))
         assert T.edge_count == 0
