@@ -151,7 +151,7 @@ def tree_to_upper(T: DecoratedTree) -> DyckPath:
     >>> tree_to_upper(DecoratedTree.from_text("(-1 -1)")).word
     'udud'
     """
-    return DyckPath(
+    return object.__new__(DyckPath)._set(
         "".join("u" if tok == OPEN else "d" if tok == CLOSE else "ud" for tok in T.code[1:-1])
     )
 
@@ -164,7 +164,7 @@ def tree_to_lower(T: DecoratedTree) -> DyckPath:
     'uudd'
     """
     charges = iter(T.compute_charges().charges)
-    return DyckPath(
+    return object.__new__(DyckPath)._set(
         "".join(
             "u" if tok == OPEN else "u" + "d" * (1 + next(charges))
             for tok in T.code[1:-1]
@@ -174,10 +174,12 @@ def tree_to_lower(T: DecoratedTree) -> DyckPath:
 
 
 def tree_to_interval(T: DecoratedTree) -> SyncInterval:
-    """The synchronized interval [lower, upper] attached to a decorated tree."""
+    """The synchronized interval [lower, upper] attached to a decorated tree.
+    The charges check the tree, and a valid tree gives an interval (the
+    tree <-> interval bijection), so neither path nor the pair is checked."""
     if T.edge_count == 0:
         raise ValueError("needs a tree with at least one edge")
-    return SyncInterval(tree_to_lower(T), tree_to_upper(T))
+    return object.__new__(SyncInterval)._set(tree_to_lower(T), tree_to_upper(T))
 
 
 def interval_to_tree(interval: SyncInterval) -> DecoratedTree:

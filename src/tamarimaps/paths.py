@@ -50,6 +50,10 @@ class _Value:
 class DyckPath(_Value):
     """A Dyck path stored as its word over ``u``/``d``.
 
+    The constructor checks the word.  ``_set`` writes a word without the
+    check, with its heights and up-step positions when the caller has them;
+    only a caller holding a proof that the word is a Dyck word may use it.
+
     >>> P = DyckPath("uududd")
     >>> P.size
     3
@@ -59,36 +63,36 @@ class DyckPath(_Value):
     2
     """
 
-    __slots__ = ("word", "size", "_heights", "_ups", "_match", "_distances", "_type")
+    __slots__ = ("word", "size", "_heights", "_ups", "_distances", "_type")
 
     def __init__(self, word: str = ""):
         if word.count("u") + word.count("d") != len(word):
             raise ParseError("Dyck word may only contain 'u' and 'd': %r" % (word,))
-        heights = [0]
-        ups = []
-        stack = []
-        match = [0] * len(word)
-        h = 0
-        for j, c in enumerate(word):
-            if c == "u":
-                ups.append(j + 1)
-                stack.append(j)
-                h += 1
-            else:
-                if not stack:
-                    raise ParseError("not a Dyck word (prefix goes below 0): %r" % (word,))
-                match[stack.pop()] = j + 1
-                h -= 1
-            heights.append(h)
-        if h != 0:
+        self._set(word)
+        if min(self._heights) < 0:
+            raise ParseError("not a Dyck word (prefix goes below 0): %r" % (word,))
+        if self._heights[-1]:
             raise ParseError("not a Dyck word (unbalanced): %r" % (word,))
+
+    def _set(self, word, heights=None, ups=None):
+        """Write every slot and return the path; ``heights`` (points 0..2n)
+        and ``ups`` (1-based positions) are walked off ``word`` if None."""
+        if heights is None:
+            heights, ups, h = [0], [], 0
+            for j, c in enumerate(word, 1):
+                if c == "u":
+                    ups.append(j)
+                    h += 1
+                else:
+                    h -= 1
+                heights.append(h)
         self.word = word
-        self.size = len(ups)
         self._heights = tuple(heights)
         self._ups = tuple(ups)
-        self._match = tuple(match)
-        self._distances = None  # distance vector, computed on first use
+        self.size = len(self._ups)
+        self._distances = None  # distance vector (the matching), computed on first use
         self._type = None       # type word, computed on first use
+        return self
 
     # -- basic protocol ----------------------------------------------------
 
@@ -123,7 +127,7 @@ class DyckPath(_Value):
         >>> DyckPath("uududd").match_up(1)
         6
         """
-        return self._match[self.up_position(i) - 1]
+        return self.up_position(i) + self.distance_vector()[i - 1]
 
     def distance(self, i: int) -> int:
         """Letter distance from the i-th up step to its match: the number
@@ -141,7 +145,19 @@ class DyckPath(_Value):
         (5, 1, 1)
         """
         if self._distances is None:
-            self._distances = tuple(self._match[p - 1] - p for p in self._ups)
+            # the one matching loop: a down step closes the latest open up step
+            ups = self._ups
+            distances = [0] * self.size
+            open_ups = []  # ranks of the up steps not yet matched
+            k = 0
+            for j, c in enumerate(self.word, 1):
+                if c == "u":
+                    open_ups.append(k)
+                    k += 1
+                else:
+                    i = open_ups.pop()
+                    distances[i] = j - ups[i]
+            self._distances = tuple(distances)
         return self._distances
 
     def type_word(self) -> str:
@@ -307,7 +323,7 @@ def enumerate_dyck_paths(n: int) -> list:
     """
     if n < 0:
         raise ValueError("size must be nonnegative")
-    return [DyckPath(w) for w in lattice_words(range(n + 1), "d", "u")]
+    return [object.__new__(DyckPath)._set(w) for w in lattice_words(range(n + 1), "d", "u")]
 
 
 def lattice_words(levels, low: str, high: str):

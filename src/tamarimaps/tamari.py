@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import accumulate, product
+from operator import le
 
 from .paths import (
     DyckPath,
@@ -40,7 +41,7 @@ def tamari_leq(P: DyckPath, Q: DyckPath) -> bool:
     """
     if P.size != Q.size:
         raise ValueError("paths must have equal size")
-    return all(a <= b for a, b in zip(P.distance_vector(), Q.distance_vector()))
+    return all(map(le, P.distance_vector(), Q.distance_vector()))
 
 
 def dyck_rotation_covers(P: DyckPath) -> list:
@@ -230,6 +231,10 @@ class SyncInterval(_Value):
     """A synchronized interval: two Dyck paths of equal size and equal type,
     comparable in the Tamari order.  The size-0 interval (two empty paths) is
     allowed; it is the unit of interval composition.
+
+    The constructor checks the pair.  ``_set`` writes it unchecked; only a
+    caller holding a proof that the pair is an interval may use it, such as
+    a bijection from a checked value or the enumerator's up-sets.
     """
 
     __slots__ = ("lower", "upper")
@@ -245,8 +250,13 @@ class SyncInterval(_Value):
                 )
             if not tamari_leq(lower, upper):
                 raise ValueError("%r is not below %r" % (lower.word, upper.word))
+        self._set(lower, upper)
+
+    def _set(self, lower, upper):
+        """Write every slot and return the interval."""
         self.lower = lower
         self.upper = upper
+        return self
 
     @property
     def size(self) -> int:
@@ -341,8 +351,13 @@ class PointedSyncInterval(_Value):
                 raise ValueError("the empty interval admits only cut 0")
         elif not 1 <= cut <= contacts - 1:
             raise ValueError("cut must be in 1..%d, got %d" % (contacts - 1, cut))
+        self._set(base, cut)
+
+    def _set(self, base, cut):
+        """Write every slot, unchecked as by SyncInterval._set, and return it."""
         self.base = base
         self.cut = cut
+        return self
 
     @property
     def size(self) -> int:
@@ -381,8 +396,8 @@ def sync_to_canopy(interval: SyncInterval) -> CanopyInterval:
 
 def canopy_to_sync(ci: CanopyInterval) -> SyncInterval:
     """Inverse of :func:`sync_to_canopy`: the interval of the two Dyck paths
-    the canopy interval derived for its order check."""
-    return SyncInterval(*ci._paths)
+    the canopy interval proved in order."""
+    return object.__new__(SyncInterval)._set(*ci._paths)
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +410,29 @@ def compose_intervals(pointed: PointedSyncInterval, other: SyncInterval) -> Sync
     the one-factor case of :func:`compose_factors`: it equals
     ``compose_factors([pointed] + split_interval(other))``.
 
+    Each path is an operand's lifted and joined to the other's, so its
+    heights and up steps are theirs, shifted: nothing is walked or checked.
+
     >>> empty = SyncInterval(DyckPath(""), DyckPath(""))
     >>> compose_intervals(PointedSyncInterval(empty, 0), empty).to_text()
     'ud|ud'
     """
-    lower, upper, _ = _join_words([_factor_words(pointed)])
-    return SyncInterval(DyckPath(lower + other.lower.word), DyckPath(upper + other.upper.word))
+    P, Q = pointed.base.lower, pointed.base.upper
+    at = len(Q.word) + 2  # where [P2, Q2] starts
+    cuts = (P.contact_positions()[pointed.cut], len(Q.word))  # Pl, and all of Q1
+    paths = [_lifted(*args, at) for args in zip((P, Q), cuts, (other.lower, other.upper))]
+    return object.__new__(SyncInterval)._set(*paths)
+
+
+def _lifted(R: DyckPath, p: int, S: DyckPath, at: int) -> DyckPath:
+    """The path u R[:p] d R[p:] S, for a contact p of R and ``at`` =
+    len(R) + 2, with its heights and up steps read off those of R and S."""
+    one, k = (1).__add__, p // 2
+    return object.__new__(DyckPath)._set(
+        "u%sd%s%s" % (R.word[:p], R.word[p:], S.word),
+        (0, *map(one, R._heights[: p + 1]), *R._heights[p:], *S._heights[1:]),
+        (1, *map(one, R._ups[:k]), *map((2).__add__, R._ups[k:]), *map(at.__add__, S._ups)),
+    )
 
 
 def compose_factors(factors) -> SyncInterval:
@@ -413,13 +445,19 @@ def compose_factors(factors) -> SyncInterval:
     >>> compose_factors([]).size
     0
     """
-    lower, upper, _ = _join_words([_factor_words(pointed) for pointed in factors])
-    return SyncInterval(DyckPath(lower), DyckPath(upper))
+    lower, upper, _ = _join_words(
+        (f.base.lower.word, f.base.upper.word, f.base.lower.contact_positions(), f.cut)
+        for f in factors
+    )
+    return _interval(lower, upper)
 
 
-def _factor_words(pointed: PointedSyncInterval) -> tuple:
-    base = pointed.base
-    return base.lower.word, base.upper.word, base.lower.contact_positions(), pointed.cut
+def _interval(lower: str, upper: str) -> SyncInterval:
+    """The interval of two words that compose or split a checked one, by the
+    split/compose bijection, so neither path nor the pair is checked."""
+    return object.__new__(SyncInterval)._set(
+        object.__new__(DyckPath)._set(lower), object.__new__(DyckPath)._set(upper)
+    )
 
 
 def _join_words(factors) -> tuple:
@@ -439,15 +477,22 @@ def _join_words(factors) -> tuple:
 
 def decompose_interval(interval: SyncInterval) -> tuple:
     """Inverse of :func:`compose_intervals` on nonempty intervals: the first
-    factor of :func:`split_interval`, and the rest as an interval.
+    factor of :func:`split_interval`, and the rest as an interval, whose
+    paths are slices of the interval's from its first upper contact b, so
+    their heights and up steps are too.
     """
     if interval.size == 0:
         raise ValueError("cannot decompose the empty interval")
-    P, Q = interval.lower.word, interval.upper.word
-    low, up, cut, _ = _split_words(P, Q)[0]
-    b = len(up) + 2
-    pointed = PointedSyncInterval(SyncInterval(DyckPath(low), DyckPath(up)), cut)
-    return pointed, SyncInterval(DyckPath(P[b:]), DyckPath(Q[b:]))
+    b = interval.upper._heights.index(0, 1)
+    low, up, cut, _ = _split_words(interval.lower.word[:b], interval.upper.word[:b])[0]
+    pointed = object.__new__(PointedSyncInterval)._set(_interval(low, up), cut)
+    rest = [
+        object.__new__(DyckPath)._set(
+            R.word[b:], R._heights[b:], map((-b).__add__, R._ups[b // 2 :])
+        )
+        for R in (interval.lower, interval.upper)
+    ]
+    return pointed, object.__new__(SyncInterval)._set(*rest)
 
 
 def split_interval(interval: SyncInterval) -> list:
@@ -461,7 +506,7 @@ def split_interval(interval: SyncInterval) -> list:
     [(0, 0), (0, 0)]
     """
     return [
-        PointedSyncInterval(SyncInterval(DyckPath(low), DyckPath(up)), cut)
+        object.__new__(PointedSyncInterval)._set(_interval(low, up), cut)
         for low, up, cut, _ in _split_words(interval.lower.word, interval.upper.word)
     ]
 
@@ -533,7 +578,7 @@ def enumerate_sync_intervals(n: int) -> list:
     if n < 0:
         raise ValueError("size must be nonnegative")
     if n == 0:
-        return [SyncInterval(DyckPath(""), DyckPath(""))]
+        return [_interval("", "")]
     paths = enumerate_dyck_paths(n)
     fibers = dyck_paths_by_type(paths)
     ups = {t: iter(_distance_upsets([P.distance_vector() for P in f])) for t, f in fibers.items()}
@@ -541,7 +586,7 @@ def enumerate_sync_intervals(n: int) -> list:
     for P in paths:
         fiber, up = fibers[P.type_word()], next(ups[P.type_word()])
         while up:
-            out.append(SyncInterval(P, fiber[(up & -up).bit_length() - 1]))
+            out.append(object.__new__(SyncInterval)._set(P, fiber[(up & -up).bit_length() - 1]))
             up &= up - 1
     return out
 

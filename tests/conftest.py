@@ -59,7 +59,9 @@ def _rotate_to_dyck(letters):
 def random_sync_interval(n, seed):
     """A seeded synchronized interval of size ``n`` (not uniform): a random
     split tree built bottom-up by ``compose_factors``, the pointed base of
-    each node before the rest, so every value is checked by the library."""
+    each node before the rest.  Each pointed factor is checked by the
+    ``PointedSyncInterval`` constructor; the composition is trusted, as
+    ``compose_factors`` writes it unchecked."""
     rng = random.Random(seed)
     empty = SyncInterval(DyckPath(""), DyckPath(""))
     built = []

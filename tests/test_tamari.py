@@ -25,11 +25,13 @@ from tamarimaps import (
     enumerate_dyck_paths,
     enumerate_sync_intervals,
     enumerate_tam,
+    interval_to_tree,
     pathpair_to_dyck,
     split_interval,
     sync_to_canopy,
     tam_covers,
     tamari_leq,
+    tree_to_interval,
 )
 from tamarimaps.paths import grid_path_from_north_abscissas
 from tamarimaps.tamari import _distance_upsets, cover_closures, dyck_paths_by_type, tam_leq
@@ -37,6 +39,10 @@ from tamarimaps.tamari import _distance_upsets, cover_closures, dyck_paths_by_ty
 
 def all_canopies(n):
     return [GridPath("".join(w)) for w in product("EN", repeat=n)]
+
+
+def path_facts(P):
+    return P.heights(), P._ups, P.size, P.distance_vector(), P.type_word(), P.contacts()
 
 
 def pointed_intervals(intervals):
@@ -322,19 +328,6 @@ class TestIntervals:
             )
             assert [(I.lower.word, I.upper.word) for I in sync_by_size[n]] == brute
 
-    def test_constructor_checks_every_interval(self, monkeypatch):
-        # the up-sets choose the pairs, and SyncInterval still proves each one
-        calls = []
-
-        def counted(P, Q):
-            calls.append(None)
-            return tamari_leq(P, Q)
-
-        monkeypatch.setattr("tamarimaps.tamari.tamari_leq", counted)
-        for n in range(1, 8):
-            calls.clear()
-            assert len(enumerate_sync_intervals(n)) == len(calls)
-
     @pytest.mark.parametrize(
         "vectors",
         [
@@ -365,8 +358,8 @@ class TestSyncCanopyBijection:
 
     def test_round_trip(self, sync_by_size, monkeypatch):
         # the canopy interval keeps the interval's own Dyck paths, so a round
-        # trip derives no path back, and sync_to_canopy compares none again
-        # (size 1 is the empty canopy)
+        # trip derives no path back, and neither direction compares them
+        # again (size 1 is the empty canopy)
         calls = []
 
         def counted(name, f):
@@ -385,13 +378,16 @@ class TestSyncCanopyBijection:
                 C = sync_to_canopy(I)
                 assert calls == []
                 J = canopy_to_sync(C)
-                assert calls == ["tamari_leq"]  # the SyncInterval constructor's
-                calls.clear()
+                assert calls == []
                 assert J == I
                 assert J.lower is I.lower and J.upper is I.upper
 
     @staticmethod
-    def check_proved_facts(I):
+    def check_proved_facts(I, checked):
+        # I may have been written unchecked (by the enumerator or by
+        # compose_factors): its paths have one type and are in order
+        assert I.lower.type_word() == I.upper.type_word()
+        assert tamari_leq(I.lower, I.upper)
         # the canopy interval read off the interval's facts is the one the
         # public constructor proves from scratch, with the same Dyck paths
         C = sync_to_canopy(I)
@@ -399,13 +395,34 @@ class TestSyncCanopyBijection:
         assert C == D
         assert C._paths == D._paths == (I.lower, I.upper)
         assert C.canopy == I.upper.type_of()
-        assert canopy_to_sync(C) == I
+        # every producer that skips the public checks gives I back
+        factors = split_interval(I)
+        pointed, rest = decompose_interval(I)
+        images = [
+            canopy_to_sync(C),
+            tree_to_interval(interval_to_tree(I)),
+            compose_factors(factors),
+            compose_intervals(pointed, rest),
+        ]
+        assert images == [I] * 4
+        # and every path they wrote (canopy_to_sync's are I's own) holds what
+        # the public constructor computes
+        written = [
+            P
+            for J in [I, rest, pointed.base, *images[1:], *(p.base for p in factors)]
+            for P in (J.lower, J.upper)
+        ]
+        for P in written:
+            if P.word not in checked:
+                checked[P.word] = path_facts(DyckPath(P.word))
+        assert list(map(path_facts, written)) == [checked[P.word] for P in written]
 
     def test_proved_facts_up_to_size_nine(self, sync_by_size):
         count = 0
+        checked = {}
         for n in range(1, 10):
             for I in sync_by_size[n] if n in sync_by_size else enumerate_sync_intervals(n):
-                self.check_proved_facts(I)
+                self.check_proved_facts(I, checked)
                 count += 1
         assert count == sum(closed_form(n) for n in range(9))
 
@@ -418,7 +435,7 @@ class TestSyncCanopyBijection:
             word = "ud" * n if kind == "comb" else "u" * n + "d" * n
             I = SyncInterval(DyckPath(word), DyckPath(word))
         assert I.size == n
-        self.check_proved_facts(I)
+        self.check_proved_facts(I, {})
 
     def test_stored_paths_are_the_pair_bijection(self):
         # the kept paths are those the pair bijection gives, canopy by canopy
