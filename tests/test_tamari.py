@@ -328,6 +328,22 @@ class TestIntervals:
             )
             assert [(I.lower.word, I.upper.word) for I in sync_by_size[n]] == brute
 
+    def test_constructor_checks_every_interval(self, monkeypatch, sync_by_size):
+        # the up-sets write the pairs unchecked; the public constructor still
+        # proves each one, and accepts every pair the enumerator emits
+        calls = []
+
+        def counted(P, Q):
+            calls.append(None)
+            return tamari_leq(P, Q)
+
+        monkeypatch.setattr("tamarimaps.tamari.tamari_leq", counted)
+        for n in range(1, 8):
+            calls.clear()
+            intervals = sync_by_size[n]
+            assert [SyncInterval(I.lower, I.upper) for I in intervals] == intervals
+            assert len(intervals) == len(calls)
+
     @pytest.mark.parametrize(
         "vectors",
         [
