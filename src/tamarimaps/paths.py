@@ -51,8 +51,8 @@ class DyckPath(_Value):
     """A Dyck path stored as its word over ``u``/``d``.
 
     The constructor checks the word.  ``_set`` writes a word without the
-    check, with its heights and up-step positions when the caller has them;
-    only a caller holding a proof that the word is a Dyck word may use it.
+    check; only a caller holding a proof that the word is a Dyck word may
+    use it.
 
     >>> P = DyckPath("uududd")
     >>> P.size
@@ -74,18 +74,16 @@ class DyckPath(_Value):
         if self._heights[-1]:
             raise ParseError("not a Dyck word (unbalanced): %r" % (word,))
 
-    def _set(self, word, heights=None, ups=None):
-        """Write every slot and return the path; ``heights`` (points 0..2n)
-        and ``ups`` (1-based positions) are walked off ``word`` if None."""
-        if heights is None:
-            heights, ups, h = [0], [], 0
-            for j, c in enumerate(word, 1):
-                if c == "u":
-                    ups.append(j)
-                    h += 1
-                else:
-                    h -= 1
-                heights.append(h)
+    def _set(self, word):
+        """Write every slot and return the path."""
+        heights, ups, h = [0], [], 0
+        for j, c in enumerate(word, 1):
+            if c == "u":
+                ups.append(j)
+                h += 1
+            else:
+                h -= 1
+            heights.append(h)
         self.word = word
         self._heights = tuple(heights)
         self._ups = tuple(ups)

@@ -410,29 +410,12 @@ def compose_intervals(pointed: PointedSyncInterval, other: SyncInterval) -> Sync
     the one-factor case of :func:`compose_factors`: it equals
     ``compose_factors([pointed] + split_interval(other))``.
 
-    Each path is an operand's lifted and joined to the other's, so its
-    heights and up steps are theirs, shifted: nothing is walked or checked.
-
     >>> empty = SyncInterval(DyckPath(""), DyckPath(""))
     >>> compose_intervals(PointedSyncInterval(empty, 0), empty).to_text()
     'ud|ud'
     """
-    P, Q = pointed.base.lower, pointed.base.upper
-    at = len(Q.word) + 2  # where [P2, Q2] starts
-    cuts = (P.contact_positions()[pointed.cut], len(Q.word))  # Pl, and all of Q1
-    paths = [_lifted(*args, at) for args in zip((P, Q), cuts, (other.lower, other.upper))]
-    return object.__new__(SyncInterval)._set(*paths)
-
-
-def _lifted(R: DyckPath, p: int, S: DyckPath, at: int) -> DyckPath:
-    """The path u R[:p] d R[p:] S, for a contact p of R and ``at`` =
-    len(R) + 2, with its heights and up steps read off those of R and S."""
-    one, k = (1).__add__, p // 2
-    return object.__new__(DyckPath)._set(
-        "u%sd%s%s" % (R.word[:p], R.word[p:], S.word),
-        (0, *map(one, R._heights[: p + 1]), *R._heights[p:], *S._heights[1:]),
-        (1, *map(one, R._ups[:k]), *map((2).__add__, R._ups[k:]), *map(at.__add__, S._ups)),
-    )
+    lower, upper, _ = _join_words([_factor_words(pointed)])
+    return _interval(lower + other.lower.word, upper + other.upper.word)
 
 
 def compose_factors(factors) -> SyncInterval:
@@ -445,11 +428,13 @@ def compose_factors(factors) -> SyncInterval:
     >>> compose_factors([]).size
     0
     """
-    lower, upper, _ = _join_words(
-        (f.base.lower.word, f.base.upper.word, f.base.lower.contact_positions(), f.cut)
-        for f in factors
-    )
+    lower, upper, _ = _join_words([_factor_words(pointed) for pointed in factors])
     return _interval(lower, upper)
+
+
+def _factor_words(pointed: PointedSyncInterval) -> tuple:
+    base = pointed.base
+    return base.lower.word, base.upper.word, base.lower.contact_positions(), pointed.cut
 
 
 def _interval(lower: str, upper: str) -> SyncInterval:
@@ -477,22 +462,15 @@ def _join_words(factors) -> tuple:
 
 def decompose_interval(interval: SyncInterval) -> tuple:
     """Inverse of :func:`compose_intervals` on nonempty intervals: the first
-    factor of :func:`split_interval`, and the rest as an interval, whose
-    paths are slices of the interval's from its first upper contact b, so
-    their heights and up steps are too.
+    factor of :func:`split_interval`, and the rest as an interval.
     """
     if interval.size == 0:
         raise ValueError("cannot decompose the empty interval")
-    b = interval.upper._heights.index(0, 1)
-    low, up, cut, _ = _split_words(interval.lower.word[:b], interval.upper.word[:b])[0]
+    P, Q = interval.lower.word, interval.upper.word
+    b = interval.upper._heights.index(0, 1)  # the first upper contact
+    low, up, cut, _ = _split_words(P[:b], Q[:b])[0]
     pointed = object.__new__(PointedSyncInterval)._set(_interval(low, up), cut)
-    rest = [
-        object.__new__(DyckPath)._set(
-            R.word[b:], R._heights[b:], map((-b).__add__, R._ups[b // 2 :])
-        )
-        for R in (interval.lower, interval.upper)
-    ]
-    return pointed, object.__new__(SyncInterval)._set(*rest)
+    return pointed, _interval(P[b:], Q[b:])
 
 
 def split_interval(interval: SyncInterval) -> list:

@@ -421,21 +421,27 @@ class TestSyncCanopyBijection:
             compose_intervals(pointed, rest),
         ]
         assert images == [I] * 4
-        # and every path they wrote (canopy_to_sync's are I's own) holds what
-        # the public constructor computes
-        written = [
-            P
-            for J in [I, rest, pointed.base, *images[1:], *(p.base for p in factors)]
-            for P in (J.lower, J.upper)
-        ]
-        for P in written:
-            if P.word not in checked:
-                checked[P.word] = path_facts(DyckPath(P.word))
-        assert list(map(path_facts, written)) == [checked[P.word] for P in written]
+        # the intervals the splits wrote are ones the public constructors
+        # accept, and every path written has the facts DyckPath(word)
+        # computes; a setter's value is a function of its arguments, so each
+        # distinct interval and word in ``checked`` is checked once
+        for f in [pointed, *factors]:
+            if f not in checked:
+                checked.add(f)
+                base = SyncInterval(DyckPath(f.base.lower.word), DyckPath(f.base.upper.word))
+                assert PointedSyncInterval(base, f.cut) == f
+        if rest not in checked:
+            checked.add(rest)
+            assert SyncInterval(DyckPath(rest.lower.word), DyckPath(rest.upper.word)) == rest
+        for J in [I, rest, pointed.base, *images[1:], *(f.base for f in factors)]:
+            for P in (J.lower, J.upper):
+                if P.word not in checked:
+                    checked.add(P.word)
+                    assert path_facts(P) == path_facts(DyckPath(P.word))
 
     def test_proved_facts_up_to_size_nine(self, sync_by_size):
         count = 0
-        checked = {}
+        checked = set()
         for n in range(1, 10):
             for I in sync_by_size[n] if n in sync_by_size else enumerate_sync_intervals(n):
                 self.check_proved_facts(I, checked)
@@ -451,7 +457,7 @@ class TestSyncCanopyBijection:
             word = "ud" * n if kind == "comb" else "u" * n + "d" * n
             I = SyncInterval(DyckPath(word), DyckPath(word))
         assert I.size == n
-        self.check_proved_facts(I, {})
+        self.check_proved_facts(I, set())
 
     def test_stored_paths_are_the_pair_bijection(self):
         # the kept paths are those the pair bijection gives, canopy by canopy
