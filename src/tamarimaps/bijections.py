@@ -114,7 +114,7 @@ def tree_to_map(T: DecoratedTree) -> PlanarMap:
     kids = [[]]  # child edges of each open internal node
     edges = 0
     for tok in T.code[1:]:
-        if tok == CLOSE:
+        if tok is CLOSE:
             # clockwise: parent edge first, then the children in reverse
             # traversal order (visited first = scanned first)
             rotation = [2 * path.pop() + 1]
@@ -125,7 +125,7 @@ def tree_to_map(T: DecoratedTree) -> PlanarMap:
             continue
         edges += 1
         kids[-1].append(edges)
-        if tok == OPEN:
+        if tok is OPEN:
             path.append(edges)
             kids.append([])
         else:
@@ -152,7 +152,7 @@ def tree_to_upper(T: DecoratedTree) -> DyckPath:
     'udud'
     """
     return object.__new__(DyckPath)._set(
-        "".join("u" if tok == OPEN else "d" if tok == CLOSE else "ud" for tok in T.code[1:-1])
+        "".join("u" if tok is OPEN else "d" if tok is CLOSE else "ud" for tok in T.code[1:-1])
     )
 
 
@@ -166,9 +166,9 @@ def tree_to_lower(T: DecoratedTree) -> DyckPath:
     charges = iter(T.compute_charges().charges)
     return object.__new__(DyckPath)._set(
         "".join(
-            "u" if tok == OPEN else "u" + "d" * (1 + next(charges))
+            "u" if tok is OPEN else "u" + "d" * (1 + next(charges))
             for tok in T.code[1:-1]
-            if tok != CLOSE
+            if tok is not CLOSE
         )
     )
 

@@ -13,12 +13,12 @@ child order):
    traversal order) with a label smaller than p.
 
 A tree is built from, and stored as, its flat code: the preorder token
-sequence with ``OPEN`` on entering an internal node, ``CLOSE`` on leaving
-it, and the label of each leaf.  The root is always an internal node, and
-``(OPEN, CLOSE)`` is the empty tree, which has no decorations.  Every walk
-is a loop over that sequence, so no operation recurses, whatever the depth
-of the tree.  Text form: ``tree := label | "(" tree+ ")"``, e.g. ``((-1))``
-and ``(-1 -1)``.
+sequence with ``OPEN`` (the text's ``(``) on entering an internal node,
+``CLOSE`` (its ``)``) on leaving it, and the integer label of each leaf.
+The root is always an internal node, and ``(OPEN, CLOSE)`` is the empty
+tree, which has no decorations.  Every walk is a loop over that sequence,
+so no operation recurses, whatever the depth of the tree.  Text form:
+``tree := label | "(" tree+ ")"``, e.g. ``((-1))`` and ``(-1 -1)``.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from operator import itemgetter
 
 from .paths import DyckPath, ParseError, _read_int, _Value, enumerate_dyck_paths
 
-# tokens of the flat code; leaf labels are at least -1, so they never collide
-OPEN = -2
-CLOSE = -3
+# tokens of the flat code, never an int label; walks test them by identity
+OPEN = "("
+CLOSE = ")"
 
 
 class Violation(namedtuple("Violation", ["condition", "address", "detail"])):
@@ -49,12 +49,12 @@ def _preorder(code):
     the token is the label of a leaf, or OPEN for an internal node."""
     path = [-1]  # index of the current child at each open level
     for tok in code[1:-1]:
-        if tok == CLOSE:
+        if tok is CLOSE:
             path.pop()
             continue
         path[-1] += 1
         yield tuple(path), tok
-        if tok == OPEN:
+        if tok is OPEN:
             path.append(-1)
 
 
@@ -66,8 +66,9 @@ def _address(code, k):
 
 class DecoratedTree(_Value):
     """A plane tree with integer leaf labels, built from its flat code.  A
-    code with a label below -1, an empty internal node below the root, or
-    other than one root ``OPEN`` ... ``CLOSE``, raises ValueError.
+    code with a bad token, a label below -1, an empty internal node below
+    the root, or other than one root ``OPEN`` ... ``CLOSE``, raises
+    ValueError at its first fault in token order.
 
     A tree is immutable: ``code`` must not be reassigned.  The one scan of
     the decoration conditions (violations and charges) is made on first use
@@ -84,21 +85,23 @@ class DecoratedTree(_Value):
 
     def __init__(self, code):
         code = tuple(code)
-        if code[:1] != (OPEN,):
-            raise ValueError("a tree code starts with OPEN")
+        if not code or code[0] is not OPEN:
+            raise ValueError("a tree code starts with '('")
         last = len(code) - 1
         depth = 0
         for k, tok in enumerate(code):
-            if tok == OPEN:
+            if tok is OPEN:
                 depth += 1
-            elif tok == CLOSE:
+            elif tok is CLOSE:
                 depth -= 1
-                if depth and code[k - 1] == OPEN:
+                if depth and code[k - 1] is OPEN:
                     raise ValueError(
                         "internal node without children at %r" % (_address(code, k - 1),)
                     )
-            elif type(tok) is not int or tok < -1:  # a bool equals 0 or 1 but prints as no label
+            elif type(tok) is not int:  # a bool equals 0 or 1 but prints as no label
                 raise ValueError("bad token %r at %r of a tree code" % (tok, _address(code, k)))
+            elif tok < -1:
+                raise ValueError("leaf label %d below -1 at %r" % (tok, _address(code, k)))
             if (depth == 0) != (k == last):  # the root closes at the last token
                 raise ValueError("unbalanced tree code at token %d" % (k,))
         self.code = code
@@ -109,9 +112,9 @@ class DecoratedTree(_Value):
         """The tree as nested tuples, rebuilt from the code."""
         stack = [[]]
         for tok in self.code[1:-1]:
-            if tok == OPEN:
+            if tok is OPEN:
                 stack.append([])
-            elif tok == CLOSE:
+            elif tok is CLOSE:
                 node = tuple(stack.pop())
                 stack[-1].append(node)
             else:
@@ -128,15 +131,17 @@ class DecoratedTree(_Value):
 
     @property
     def edge_count(self) -> int:
-        # one edge above every node but the root; a CLOSE ends each internal node
-        return len(self.code) - self.code.count(CLOSE) - 1
+        # one edge above each leaf (one charge each) and each internal node
+        # but the root, read off the stored scan that every chain step makes
+        _violations, charges, internal = self._scan()
+        return len(charges) + internal
 
     def leaves_in_traversal_order(self) -> list:
         """Leaves as (address, label, parent depth), in traversal order."""
         return [
             Leaf(address, tok, len(address) - 1)
             for address, tok in _preorder(self.code)
-            if tok != OPEN
+            if tok is not OPEN
         ]
 
     # -- decoration conditions ----------------------------------------------
@@ -167,7 +172,7 @@ class DecoratedTree(_Value):
         min_at, min_label = [], []  # suffix minima: leaf index and label
         internal = 0
         for tok in self.code[1:-1]:
-            if tok == CLOSE:
+            if tok is CLOSE:
                 p = len(pre) - 1
                 if waiting and waiting[-1] == p:
                     waiting.pop()
@@ -187,7 +192,7 @@ class DecoratedTree(_Value):
                 path.pop()
                 continue
             path[-1] += 1
-            if tok == OPEN:
+            if tok is OPEN:
                 internal += 1
                 waiting.append(len(pre))
                 pre.append(internal)
@@ -265,7 +270,7 @@ class DecoratedTree(_Value):
 
     def to_text(self) -> str:
         # tokens joined by spaces, then no space after "(" or before ")"
-        words = ["(" if tok == OPEN else ")" if tok == CLOSE else str(tok) for tok in self.code]
+        words = [tok if tok is OPEN or tok is CLOSE else str(tok) for tok in self.code]
         return " ".join(words).replace("( ", "(").replace(" )", ")")
 
     def to_dot(self) -> str:
@@ -275,7 +280,7 @@ class DecoratedTree(_Value):
         lines = ["graph decorated_tree {", '  n [label="root"];']
         for address, tok in _preorder(self.code):
             child = "n" + "_".join(map(str, address))
-            if tok == OPEN:
+            if tok is OPEN:
                 lines.append('  %s [label=""];' % (child,))
             else:
                 lines.append('  %s [label="%d", shape=box];' % (child, tok))
@@ -285,53 +290,23 @@ class DecoratedTree(_Value):
 
     @staticmethod
     def from_text(text: str) -> "DecoratedTree":
-        """Read the text form.  Text not in that form, a label below -1 or
-        an empty internal node included, raises :class:`ParseError`; a
-        readable tree may still break the decoration conditions (see
-        :meth:`validate`)."""
-        tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-        if not tokens:
-            raise ParseError("unexpected end of tree text")
+        """Read the text form: its parentheses and ASCII integer labels are
+        the code.  Any other token, or a code the constructor rejects,
+        raises :class:`ParseError`; a readable tree may still break the
+        decoration conditions (see :meth:`validate`)."""
         code = []
-        depth = 0
-        low = None  # (token index, label, depth) of the first label below -1
-        for pos, tok in enumerate(tokens):
-            if code and not depth:
-                raise ParseError("trailing tokens in tree text")
-            if tok == "(":
-                depth += 1
-                code.append(OPEN)
-            elif tok == ")":
-                if not depth:
-                    raise ParseError("unexpected ')' in tree text")
-                depth -= 1
-                code.append(CLOSE)
+        for tok in text.replace("(", " ( ").replace(")", " ) ").split():
+            if tok == "(" or tok == ")":
+                code.append(OPEN if tok == "(" else CLOSE)
             else:
                 try:
-                    label = _read_int(tok)
-                except ValueError:
+                    code.append(_read_int(tok))
+                except ParseError:
                     raise ParseError("bad token %r in tree text" % (tok,)) from None
-                if not depth:
-                    if pos + 1 < len(tokens):
-                        raise ParseError("trailing tokens in tree text")
-                    raise ParseError("the outermost node must be parenthesized")
-                if label < -1 and low is None:
-                    low = (len(code), label, depth)
-                code.append(label)
-        if depth:
-            raise ParseError("unbalanced '(' in tree text")
-        if low is not None:
-            # a code reads -2 and -3 as OPEN and CLOSE, so the code ends at
-            # a stand-in leaf there, closed: an earlier empty node comes first
-            k, label, depth = low
-            code = code[:k] + [-1] + [CLOSE] * depth
         try:
-            tree = DecoratedTree(code)
+            return DecoratedTree(code)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-        if low is not None:
-            raise ParseError("leaf label %d below -1 at %r" % (label, _address(tree.code, k)))
-        return tree
 
 
 class ChargeAssignment(_Value):

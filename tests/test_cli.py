@@ -1,4 +1,5 @@
 import io
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from tamarimaps import (
     interval_to_tree,
     sync_to_canopy,
 )
-from tamarimaps.cli import _CHAIN, _COUNTS, _DOWN, _UP, main
+from tamarimaps.cli import _CHAIN, _COUNTS, _DOWN, _UP, _build_parser, main
 from tamarimaps.paths import _read_int
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -383,6 +384,31 @@ class TestLibraryParity:
         assert err.splitlines()[-1].endswith(
             "error: argument %s: not an integer: %r" % (name, token)
         )
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [(["count", "sync-intervals"], "size"), (["verify", "roundtrip"], "size"), (["series"], "order")],
+        ids=["count", "verify", "series"],
+    )
+    def test_sizes_read_as_the_library_reads_integers(self, argv, name, capsys):
+        # every string of at most 3 characters from a mixed alphabet: the
+        # positional is accepted exactly when _read_int accepts it
+        parser = _build_parser()
+        for size in range(4):
+            for chars in itertools.product("01-+_\u0662 ", repeat=size):
+                token = "".join(chars)
+                try:
+                    expected = _read_int(token)
+                except ParseError:
+                    expected = None
+                if expected is not None:
+                    assert getattr(parser.parse_args(argv + [token]), name) == expected, token
+                    continue
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv + [token])
+                assert exc.value.code == 2, token
+                out, err = capsys.readouterr()
+                assert out == "" and sum(": error: " in line for line in err.splitlines()) == 1, token
 
 
 class TestInputSources:

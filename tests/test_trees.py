@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from tamarimaps import (
@@ -53,12 +55,34 @@ class TestTextForm:
             ("((-1 -7) ())", "leaf label -7 below -1 at (0, 1)"),
             ("(-1 ())", "internal node without children at (1,)"),
             ("(())", "internal node without children at (0,)"),
+            ("(() -7)", "internal node without children at (0,)"),
+            ("(-3)", "leaf label -3 below -1 at (0,)"),
         ],
     )
     def test_error_names_the_address(self, text, message):
         with pytest.raises(ParseError) as info:
             tree(text)
         assert str(info.value) == message
+
+    def test_reader_only_tokenizes(self):
+        # every text of at most 5 tokens: the reader rejects exactly the
+        # codes the constructor rejects, with the constructor's message
+        structure = {"(": trees.OPEN, ")": trees.CLOSE}
+        for size in range(6):
+            for words in itertools.product(("(", ")", "-3", "-2", "-1", "0", "1", "x"), repeat=size):
+                text = " ".join(words)
+                T, expected = None, "bad token 'x' in tree text"
+                if "x" not in words:
+                    try:
+                        T = DecoratedTree([structure.get(w) or int(w) for w in words])
+                    except ValueError as exc:
+                        expected = str(exc)
+                try:
+                    read = tree(text)
+                except ParseError as exc:
+                    assert T is None and str(exc) == expected, text
+                else:
+                    assert read == T and tree(read.to_text()) == read, text
 
     def test_enumeration_is_reserialization_stable(self):
         for T in enumerate_decorated_trees(4):
@@ -109,6 +133,17 @@ class TestCode:
         # as text that from_text rejects
         with pytest.raises(ValueError, match=r"^bad token True at \(0,\) of a tree code$"):
             DecoratedTree((trees.OPEN, True, False, trees.CLOSE))
+
+    def test_structure_tokens_are_the_constants(self):
+        # walks test OPEN by identity, so the constructor lets through no
+        # other "(": an instance of a str subclass is never the constant
+        class Paren(str):
+            pass
+
+        paren = Paren("(")
+        assert paren == trees.OPEN and paren is not trees.OPEN
+        with pytest.raises(ValueError, match=r"^bad token '\(' at \(0,\) of a tree code$"):
+            DecoratedTree((trees.OPEN, paren, -1, trees.CLOSE, trees.CLOSE))
 
     def test_empty_tree(self):
         T = DecoratedTree((trees.OPEN, trees.CLOSE))
