@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from .maps import (
     PlanarMap,
+    _canonical_map,
     _cycle,
     _is_non_separable,
     _labels,
@@ -20,12 +21,12 @@ from .maps import (
     _phi,
     _series_join,
     _series_split,
-    canonical_map,
 )
 from .paths import DyckPath
 from .tamari import (
     CanopyInterval,
     SyncInterval,
+    _heights,
     _join_words,
     _split_words,
     canopy_to_sync,
@@ -100,7 +101,8 @@ def tree_to_map(T: DecoratedTree) -> PlanarMap:
     Around that ancestor, the new dart sits just after, in clockwise order,
     the edge through which the ancestor reaches the leaf; several leaves
     reached through the same edge follow it in traversal order.  Each vertex
-    cycle is written straight into an integer sigma, twin d <-> d^1.
+    cycle is written straight into an integer sigma, twin d <-> d^1: a
+    permutation by construction, which :func:`maps._canonical_map` takes.
     """
     if T.edge_count == 0:
         raise ValueError("needs a tree with at least one edge")
@@ -134,7 +136,7 @@ def tree_to_map(T: DecoratedTree) -> PlanarMap:
             hosted.setdefault(path[tok + 1], []).append(2 * edges + 1)
     _link(sigma, [0] + hosted.pop(0, []))
 
-    M = canonical_map(sigma, 0)
+    M = _canonical_map(sigma, 0)
     if not M.is_non_separable():
         raise AssertionError("reconstruction produced a separable map")
     return M
@@ -335,7 +337,8 @@ def recursive_interval_to_map(interval: SyncInterval) -> PlanarMap:
     # one frame per interval being translated: its factors not yet taken
     # (last first), the dual bricks of those taken, and its root-side count
     # as the base of a factor
-    stack = [(_split_words(interval.lower.word, interval.upper.word)[::-1], [], 0)]
+    P, Q = interval.lower, interval.upper
+    stack = [(_split_words(P.word, Q.word, P._heights, Q._heights)[::-1], [], 0)]
     while True:
         factors, bricks, _ = stack[-1]
         if factors:
@@ -343,12 +346,13 @@ def recursive_interval_to_map(interval: SyncInterval) -> PlanarMap:
             if not upper:
                 bricks.append(_EDGE)
             else:
-                stack.append((_split_words(lower, upper)[::-1], [], j))
+                heights = _heights(lower), _heights(upper)
+                stack.append((_split_words(lower, upper, *heights)[::-1], [], j))
             continue
         _, bricks, j = stack.pop()
         sigma, root = _series_join(bricks)
         if not stack:
-            return canonical_map(_phi(sigma), root)
+            return _canonical_map(_phi(sigma), root)
         if not _is_non_separable(sigma, *_labels(sigma)):
             raise ValueError("series bricks must be single edges or non-separable")
         face = _cycle(sigma, root, 1)

@@ -11,7 +11,7 @@ face on the left of d, so the outer face is the phi-orbit of the root dart.
 Planarity is the Euler relation V - E + F = 2 (genus 0 only); it is checked
 at construction, as is connectivity (sigma and twin must act transitively).
 Every map the package builds is written as such an integer sigma and put
-in canonical form by :func:`canonical_map`.
+in canonical form by one trusted writer, :func:`_canonical_map`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ class PlanarMap(_Value):
     facts derived from them are computed on first use and stored: the
     non-separability answer, which depends on sigma alone and so is shared
     by :meth:`rerooted`, and the canonical code, which depends on the root
-    (a map from :func:`canonical_map` is its own code and stores it at once).
+    (a map in canonical form is its own code and stores it at once).  The
+    package's own maps skip the permutation check (:func:`_canonical_map`).
 
     >>> M = double_edge_map()
     >>> M.edge_count, M.vertex_count, M.face_count
@@ -46,7 +47,8 @@ class PlanarMap(_Value):
 
     def __init__(self, sigma, root: int = 0):
         sigma = tuple(sigma)
-        _traverse(sigma, root)
+        _check_sigma(sigma, root)
+        _root_first(sigma, root)  # raises when not connected
         self._set(sigma, root, *_labels(sigma), None, None)
 
     def _set(self, sigma, root, vlabel, nv, flabel, nf, non_separable, code):
@@ -202,15 +204,13 @@ class PlanarMap(_Value):
         length then grows strictly with the dart count, so maps of different
         sizes never share a code.  Computed once."""
         if self._code is None:
-            new, order = _root_first(self.sigma, self.root)
-            sigma = self.sigma
-            self._code = _code_bytes([new[sigma[d]] for d in order])
+            self._code = _code_bytes(_root_first(self.sigma, self.root)[1])
         return self._code
 
     def canonical_form(self) -> "PlanarMap":
         """The same rooted map with darts renamed by the canonical traversal
         (root dart 0, twin pairing 2i <-> 2i+1 preserved)."""
-        return canonical_map(self.sigma, self.root)
+        return _canonical_map(self.sigma, self.root)
 
     def is_isomorphic_to(self, other: "PlanarMap") -> bool:
         return self.canonical_code() == other.canonical_code()
@@ -285,20 +285,16 @@ def _map(*slots) -> PlanarMap:
     return object.__new__(PlanarMap)._set(*slots)
 
 
-def _traverse(sigma, root):
-    """Check that ``sigma`` is a connected rotation system on a positive
-    even number of darts, twin d <-> d^1, with ``root`` among its darts, and
-    return its root-first traversal (see :func:`_root_first`)."""
+def _check_sigma(sigma, root):
+    """Check that ``sigma`` is a permutation of a positive even number of
+    darts with ``root`` among them: what :func:`_canonical_map` takes on
+    trust."""
     n = len(sigma)
     _check_dart_count(n)
     if sorted(sigma) != list(range(n)):
         raise ValueError("sigma is not a permutation of the darts")
     if not 0 <= root < n:
         raise ValueError("root dart %d out of range" % (root,))
-    new, order = _root_first(sigma, root)
-    if len(order) != n:
-        raise ValueError("rotation system is not connected")
-    return new, order
 
 
 def _phi(sigma) -> tuple:
@@ -339,25 +335,27 @@ def _code_bytes(canonical):
 
 
 def _root_first(sigma, root):
-    """Root-first traversal of the darts connected to ``root``, with twin
-    d <-> d^1: the root dart and its twin come first, then, taking visited
-    darts in turn, the sigma-image of each and its twin, when not yet seen.
-    Returns the new label of each dart (-1 when not reached) and the visit
-    order; the map is connected exactly when every dart is visited."""
+    """Root-first traversal of the permutation ``sigma``, twin d <-> d^1:
+    the root dart and its twin come first, then, taking visited darts in
+    turn, the sigma-image of each and its twin, when not yet seen.  Returns
+    the new label of each dart and the renamed sigma (a list), written as
+    the traversal goes; a disconnected rotation system raises ValueError."""
     new = [-1] * len(sigma)
     new[root] = 0
     new[root ^ 1] = 1
     order = [root, root ^ 1]
-    i = 0
-    while i < len(order):
-        e = sigma[order[i]]
-        i += 1
+    renamed = []
+    for d in order:  # the loop reaches the darts appended while it runs
+        e = sigma[d]
         if new[e] < 0:
             new[e] = len(order)
             new[e ^ 1] = len(order) + 1
             order.append(e)
             order.append(e ^ 1)
-    return new, order
+        renamed.append(new[e])
+    if len(order) != len(sigma):
+        raise ValueError("rotation system is not connected")
+    return new, renamed
 
 
 def _orbit_labels(perm):
@@ -505,16 +503,22 @@ def _is_non_separable(sigma, vlabel, nv, flabel, nf) -> bool:
 
 def canonical_map(sigma, root) -> PlanarMap:
     """The map (sigma, root), twin d <-> d^1, renamed by the root-first
-    traversal into canonical form.  The renamed sigma is its own root-first
-    labelling, so it is a connected permutation and its own canonical code,
-    which is stored; the map is built once, with its orbit labellings and
-    the Euler check.  A path rooted at its middle vertex:
+    traversal into canonical form: the constructor's checks, then
+    :func:`_canonical_map`.  A path rooted at its middle vertex:
 
     >>> canonical_map([0, 2, 1, 3], 1)
     PlanarMap(sigma=[2, 1, 0, 3], root=0)
     """
-    new, order = _traverse(sigma, root)
-    renamed = tuple([new[sigma[d]] for d in order])
+    _check_sigma(sigma, root)
+    return _canonical_map(sigma, root)
+
+
+def _canonical_map(sigma, root) -> PlanarMap:
+    """The trusted writer: :func:`canonical_map` for a permutation ``sigma``
+    its caller built, with ``root`` among its darts.  The renamed sigma is
+    its own canonical code, which is stored; connectivity and the Euler
+    relation are still checked."""
+    renamed = tuple(_root_first(sigma, root)[1])
     return _map(renamed, 0, *_labels(renamed), None, _code_bytes(renamed))
 
 
@@ -644,7 +648,7 @@ def series_components(M: PlanarMap) -> list:
         raise ValueError("series decomposition needs a non-separable map")
     bricks = []
     for sigma, root, j in _series_split(M.sigma, M._vlabel, M._nv, M.root):
-        K = canonical_map(sigma, root)
+        K = _canonical_map(sigma, root)
         if len(sigma) > 2:
             K._non_separable = True
         bricks.append(SeriesBrick(K, j))
@@ -676,7 +680,7 @@ def compose_series(bricks) -> PlanarMap:
             raise ValueError(
                 "exposed count %d out of range 1..%d" % (j, K.outer_face_degree - 1)
             )
-    return canonical_map(*_series_join([(K.sigma, K.root, j) for K, j in bricks]))
+    return _canonical_map(*_series_join([(K.sigma, K.root, j) for K, j in bricks]))
 
 
 def _series_split(sigma, vlabel, nv, root) -> list:
@@ -774,7 +778,7 @@ def compose_parallel(bricks) -> PlanarMap:
                 "root-side count %d out of range 1..%d" % (j, K.root_vertex_degree - 1)
             )
     sigma, R = _series_join([(_phi(K.sigma), K.root, j) for K, j in bricks])
-    return canonical_map(_phi(sigma), R)
+    return _canonical_map(_phi(sigma), R)
 
 
 def _runs(walk, block_of):
@@ -836,19 +840,22 @@ def enumerate_nonseparable_by_composition(m: int) -> list:
     chain of bricks (single edges and pointed smaller non-separable maps)
     whose edges sum to m - 1.  Complete and duplicate-free by the series
     decomposition bijection; cross-checked against the direct census
-    :func:`enumerate_nonseparable` in the test suite.  The maps are in
-    canonical form, so sorting their sigmas puts them in canonical-code order.
+    :func:`enumerate_nonseparable` in the test suite.  Bricks are raw
+    :func:`_series_join` triples, and a map is tested non-separable when it
+    becomes a brick.  Sorting the canonical sigmas gives canonical-code order.
     """
     if m < 2:
         raise ValueError("non-separable maps need at least two edges")
-    bricks_by_cost = [[], [SeriesBrick(single_edge_map(), 1)]]
+    bricks_by_cost = [[], [((0, 1), 0, 1)]]
     for k in range(2, m + 1):
         out = {}
         _extend_series(k - 1, [], bricks_by_cost, out)
         census = [out[sigma] for sigma in sorted(out)]
         if k < m:
+            if not all(K.is_non_separable() for K in census):
+                raise AssertionError("series composition produced a separable map")
             bricks_by_cost.append(
-                [SeriesBrick(K, j) for K in census for j in range(1, K.outer_face_degree)]
+                [(K.sigma, 0, j) for K in census for j in range(1, K.outer_face_degree)]
             )
     return census
 
@@ -858,7 +865,7 @@ def _extend_series(budget, acc, bricks_by_cost, out):
     into a map, keyed in ``out`` by its sigma (the map is in canonical form,
     so the sigma identifies the rooted map)."""
     if budget == 0:
-        M = compose_series(acc)
+        M = _canonical_map(*_series_join(acc))
         if M.sigma in out:
             raise AssertionError("series composition produced a duplicate")
         out[M.sigma] = M

@@ -466,11 +466,11 @@ def decompose_interval(interval: SyncInterval) -> tuple:
     """
     if interval.size == 0:
         raise ValueError("cannot decompose the empty interval")
-    P, Q = interval.lower.word, interval.upper.word
-    b = interval.upper._heights.index(0, 1)  # the first upper contact
-    low, up, cut, _ = _split_words(P[:b], Q[:b])[0]
+    P, Q = interval.lower, interval.upper
+    b = Q._heights.index(0, 1)  # the first upper contact
+    low, up, cut, _ = _split_words(P.word[:b], Q.word[:b], P._heights, Q._heights)[0]
     pointed = object.__new__(PointedSyncInterval)._set(_interval(low, up), cut)
-    return pointed, _interval(P[b:], Q[b:])
+    return pointed, _interval(P.word[b:], Q.word[b:])
 
 
 def split_interval(interval: SyncInterval) -> list:
@@ -483,33 +483,35 @@ def split_interval(interval: SyncInterval) -> list:
     >>> [(p.size, p.cut) for p in split_interval(SyncInterval(DyckPath("udud"), DyckPath("udud")))]
     [(0, 0), (0, 0)]
     """
+    P, Q = interval.lower, interval.upper
     return [
         object.__new__(PointedSyncInterval)._set(_interval(low, up), cut)
-        for low, up, cut, _ in _split_words(interval.lower.word, interval.upper.word)
+        for low, up, cut, _ in _split_words(P.word, Q.word, P._heights, Q._heights)
     ]
 
 
-_STEP = {"u": 1, "d": -1}
+def _heights(word: str) -> list:
+    """The heights of a u/d word at its points 0..len(word)."""
+    return list(accumulate(map({"u": 1, "d": -1}.__getitem__, word), initial=0))
 
 
-def _split_words(lower: str, upper: str) -> list:
+def _split_words(lower: str, upper: str, low_heights, up_heights) -> list:
     """The pointed factors of [lower, upper] as (Pl Pr, Q1, cut, contacts of
     Pr) tuples, where upper[a:b] = u Q1 d runs between consecutive contacts
-    and lower[a:b] must be u Pl d Pr, cut where Pl ends."""
-    low_heights = list(accumulate(map(_STEP.__getitem__, lower)))  # points 1..2n
-    up_heights = list(accumulate(map(_STEP.__getitem__, upper)))
+    and lower[a:b] must be u Pl d Pr, cut where Pl ends; the heights are the
+    words' :func:`_heights`, and may run on past the end of ``upper``."""
     factors = []
     a = 0
     while a < len(upper):
-        b = up_heights.index(0, a) + 1
-        if low_heights[b - 1] != 0:
+        b = up_heights.index(0, a + 1)
+        if low_heights[b] != 0:
             raise ValueError("lower path has no contact under the upper return at %d" % (b,))
-        pcut = low_heights.index(0, a) + 1  # the end of u Pl d
+        pcut = low_heights.index(0, a + 1)  # the end of u Pl d
         factors.append((
             lower[a + 1 : pcut - 1] + lower[pcut:b],
             upper[a + 1 : b - 1],
-            low_heights[a : pcut - 1].count(1) - 1,
-            low_heights[pcut - 1 : b].count(0),
+            low_heights[a + 1 : pcut].count(1) - 1,
+            low_heights[pcut : b + 1].count(0),
         ))
         a = b
     return factors

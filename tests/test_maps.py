@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from tamarimaps import (
@@ -567,12 +569,19 @@ class TestSeriesDecomposition:
                         assert K.is_non_separable() == fresh
 
     def test_compose_validates_bricks(self):
-        with pytest.raises(ValueError):
-            compose_series([])
-        with pytest.raises(ValueError):
-            compose_series([SeriesBrick(single_loop_map(), 1)])
-        with pytest.raises(ValueError):
-            compose_series([SeriesBrick(double_edge_map(), 2)])
+        # each bad brick is rejected with its own message, whole, also after
+        # a good brick
+        path = PlanarMap((0, 2, 1, 3), 0)
+        for bricks, message in (
+            ([], "a series decomposition has at least one brick"),
+            ([(single_loop_map(), 1)], "a series brick cannot be a loop"),
+            ([(single_edge_map(), 2)], "a single-edge brick exposes exactly one dart"),
+            ([(path, 1)], "series bricks must be single edges or non-separable"),
+            ([(double_edge_map(), 2)], "exposed count 2 out of range 1..1"),
+            ([(single_edge_map(), 1), (triangle_map(), 0)], "exposed count 0 out of range 1..2"),
+        ):
+            with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+                compose_series([SeriesBrick(K, j) for K, j in bricks])
 
     def test_compose_output_is_non_separable(self, brute_maps_by_edges):
         for K in brute_maps_by_edges[3]:
@@ -618,16 +627,19 @@ class TestParallelDecomposition:
                         assert K.is_non_separable() or (K.edge_count == 1 and K.has_loop())
 
     def test_compose_validates_bricks(self):
-        with pytest.raises(ValueError, match="at least one brick"):
-            compose_parallel([])
-        with pytest.raises(ValueError, match="plain edge"):
-            compose_parallel([ParallelBrick(single_edge_map(), 1)])
-        with pytest.raises(ValueError, match="exactly one dart"):
-            compose_parallel([ParallelBrick(single_loop_map(), 2)])
-        with pytest.raises(ValueError, match="loops or non-separable"):
-            compose_parallel([ParallelBrick(PlanarMap((0, 2, 1, 3), 0), 1)])
-        with pytest.raises(ValueError, match="out of range 1..1"):
-            compose_parallel([ParallelBrick(double_edge_map(), 2)])
+        # each bad brick is rejected with its own message, whole, also after
+        # a good brick
+        path = PlanarMap((0, 2, 1, 3), 0)
+        for bricks, message in (
+            ([], "a parallel decomposition has at least one brick"),
+            ([(single_edge_map(), 1)], "a parallel brick cannot be a plain edge"),
+            ([(single_loop_map(), 2)], "a loop brick keeps exactly one dart at the root"),
+            ([(path, 1)], "parallel bricks must be loops or non-separable"),
+            ([(double_edge_map(), 2)], "root-side count 2 out of range 1..1"),
+            ([(single_loop_map(), 1), (triangle_map(), 0)], "root-side count 0 out of range 1..1"),
+        ):
+            with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+                compose_parallel([ParallelBrick(K, j) for K, j in bricks])
 
     def test_duality_exchanges_the_decompositions(self, maps_by_edges):
         # series bricks of the dual are the duals of the parallel bricks, in

@@ -10,6 +10,7 @@ from tamarimaps import (
     DyckPath,
     GridPath,
     PathPair,
+    PlanarMap,
     PointedSyncInterval,
     SyncInterval,
     canopy_to_sync,
@@ -23,6 +24,7 @@ from tamarimaps import (
     dyck_to_pathpair,
     enumerate_canopy_intervals,
     enumerate_dyck_paths,
+    enumerate_nonseparable_by_composition,
     enumerate_sync_intervals,
     enumerate_tam,
     interval_to_tree,
@@ -32,7 +34,9 @@ from tamarimaps import (
     tam_covers,
     tamari_leq,
     tree_to_interval,
+    tree_to_map,
 )
+from tamarimaps.maps import _code_bytes
 from tamarimaps.paths import grid_path_from_north_abscissas
 from tamarimaps.tamari import _distance_upsets, cover_closures, dyck_paths_by_type, tam_leq
 
@@ -401,7 +405,9 @@ class TestSyncCanopyBijection:
     @staticmethod
     def check_proved_facts(I, checked):
         # I may have been written unchecked (by the enumerator or by
-        # compose_factors): its paths have one type and are in order
+        # compose_factors): its paths have one type and are in order.
+        # Returns the map of I, which tree_to_map writes through the trusted
+        # map writer
         assert I.lower.type_word() == I.upper.type_word()
         assert tamari_leq(I.lower, I.upper)
         # the canopy interval read off the interval's facts is the one the
@@ -414,9 +420,10 @@ class TestSyncCanopyBijection:
         # every producer that skips the public checks gives I back
         factors = split_interval(I)
         pointed, rest = decompose_interval(I)
+        T = interval_to_tree(I)
         images = [
             canopy_to_sync(C),
-            tree_to_interval(interval_to_tree(I)),
+            tree_to_interval(T),
             compose_factors(factors),
             compose_intervals(pointed, rest),
         ]
@@ -438,15 +445,31 @@ class TestSyncCanopyBijection:
                 if P.word not in checked:
                     checked.add(P.word)
                     assert path_facts(P) == path_facts(DyckPath(P.word))
+        # the map is one the public constructor accepts, with the same
+        # labels and code: the writer skipped only checks its sigma passes.
+        # It is in canonical form: rooted at dart 0 and its own code
+        M = tree_to_map(T)
+        fresh = PlanarMap(M.sigma, M.root)
+        assert fresh == M
+        assert (fresh._vlabel, fresh._flabel) == (M._vlabel, M._flabel)
+        assert fresh.canonical_code() == M.canonical_code() == _code_bytes(M.sigma)
+        assert M.root == 0
+        return M
 
     def test_proved_facts_up_to_size_nine(self, sync_by_size):
         count = 0
         checked = set()
+        keys = []
         for n in range(1, 10):
             for I in sync_by_size[n] if n in sync_by_size else enumerate_sync_intervals(n):
-                self.check_proved_facts(I, checked)
+                M = self.check_proved_facts(I, checked)
+                if n == 9:
+                    keys.append(M._key())
                 count += 1
         assert count == sum(closed_form(n) for n in range(9))
+        # the maps of size 9 are the composition census at 10 edges, which
+        # the writer builds from raw bricks
+        assert sorted(keys) == [M._key() for M in enumerate_nonseparable_by_composition(10)]
 
     @pytest.mark.parametrize("kind", ["comb", "spine", "random"])
     def test_proved_facts_on_large_probes(self, kind):
