@@ -14,13 +14,12 @@ from .maps import (
     PlanarMap,
     _canonical_map,
     _cycle,
+    _face_blocks,
     _is_non_separable,
     _labels,
     _link,
-    _orbit_labels,
     _phi,
     _series_join,
-    _series_split,
 )
 from .paths import DyckPath
 from .tamari import (
@@ -278,13 +277,18 @@ def recursive_map_to_interval(M: PlanarMap) -> SyncInterval:
     recursion coincide with ``map_to_interval`` at every tested size; the
     coincidence is a reported test, not an assumption.
 
-    Bricks stay raw triples of :func:`maps._series_split`, one block split
-    per level, none re-tested: the split proves them non-separable.  Below
-    the top, intervals are word pairs joined by :func:`tamari._join_words`;
-    only the result becomes a :class:`SyncInterval`.  That one check covers
-    every level: split and join are inverse bijections on words, so a
-    joined pair is a synchronized interval exactly when every factor is.
-    Nesting runs on an explicit stack.
+    No brick is copied: each level's bricks are the (outer run, inner run)
+    pairs of :func:`maps._face_blocks` on darts of ``M``, whose vertex
+    cycles are the faces of the dual.  A brick is a single edge when its
+    outer run starts at the twin of its inner run's first dart.  Otherwise
+    it is re-rooted at that dart, and its faces beside the new root are the
+    rest of the inner run then the outer run, and an inner face of the
+    brick, so a face of the whole dual.  Below the top, intervals are word
+    pairs joined by :func:`tamari._join_words`; only the result becomes a
+    :class:`SyncInterval`.  That one check covers every level: split and
+    join are inverse bijections on words, so a joined pair is a
+    synchronized interval exactly when every factor is.  Nesting runs on an
+    explicit stack.
 
     >>> from tamarimaps.maps import double_edge_map
     >>> recursive_map_to_interval(double_edge_map()).to_text()
@@ -292,19 +296,21 @@ def recursive_map_to_interval(M: PlanarMap) -> SyncInterval:
     """
     if not M.is_non_separable():
         raise ValueError("the recursive bijection needs a non-separable map")
-    # one frame per map being translated: the dual's bricks not yet taken
-    # (last first), the factors of those taken, as _join_words takes them,
-    # and its root-side count as a brick
-    stack = [(_series_split(_phi(M.sigma), M._flabel, M._nf, M.root)[::-1], [], 0)]
+    sigma, vlabel, root = M.sigma, M._flabel, M.root
+    # one frame per map being translated: the blocks of its dual not yet
+    # taken (last first), the factors of those taken, as _join_words takes
+    # them, and its root-side count as a brick
+    walks = _cycle(sigma, root, 0)[1:], _cycle(sigma, root ^ 1, 0)[1:]
+    stack = [(_face_blocks(*walks, vlabel)[::-1], [], 0)]
     while True:
-        bricks, factors, _ = stack[-1]
-        if bricks:
-            brick, root, j = bricks.pop()
-            if len(brick) == 2:
+        blocks, factors, _ = stack[-1]
+        if blocks:
+            outer, inner = blocks.pop()
+            if outer[0] == inner[0] ^ 1:
                 factors.append(_EMPTY)
             else:
-                root = _cycle(brick, root, 1)[j]
-                stack.append((_series_split(brick, *_orbit_labels(brick), root)[::-1], [], j))
+                walks = inner[1:] + outer, _cycle(sigma, inner[0] ^ 1, 0)[1:]
+                stack.append((_face_blocks(*walks, vlabel)[::-1], [], len(outer)))
             continue
         _, factors, j = stack.pop()
         lower, upper, contacts = _join_words(factors)

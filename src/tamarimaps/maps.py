@@ -367,7 +367,7 @@ def _orbit_labels(perm):
         if label[d] < 0:
             label[d] = count
             e = perm[d]
-            while e != d:
+            while label[e] < 0:  # ends on any function, not only a permutation
                 label[e] = count
                 e = perm[e]
             count += 1
@@ -424,9 +424,9 @@ def double_edge_map() -> PlanarMap:
 def _lowpoint_blocks(sigma, vlabel, nv, skip):
     """The block of each edge (-1 for ``skip``, deleted) and the block
     count of a loopless rotation system, by one lowpoint search over the
-    darts in sigma order: the block split of :func:`_series_split`.  The
-    tree edge is skipped by its id, so parallel edges count as back edges.
-    A loop or disconnection raises ValueError.
+    darts in sigma order: the tests' reference for :func:`_face_blocks`.
+    The tree edge is skipped by its id, so parallel edges count as back
+    edges.  A loop or disconnection raises ValueError.
     """
     depth = [-1] * nv
     low = [0] * nv
@@ -641,13 +641,13 @@ def series_components(M: PlanarMap) -> list:
     vertex is the linking vertex nearer the root's head.  The face on the
     other side of the root edge meets the blocks in the reverse order, which
     is checked.  The split itself is :func:`_series_split`, on raw sigmas;
-    a block of two or more edges is non-separable because the block split
-    cut it out, and that answer is stored on its map.
+    a block of two or more edges is non-separable because it is a block of
+    the map less its root edge, and that answer is stored on its map.
     """
     if not M.is_non_separable():
         raise ValueError("series decomposition needs a non-separable map")
     bricks = []
-    for sigma, root, j in _series_split(M.sigma, M._vlabel, M._nv, M.root):
+    for sigma, root, j in _series_split(M.sigma, M._vlabel, M.root):
         K = _canonical_map(sigma, root)
         if len(sigma) > 2:
             K._non_separable = True
@@ -683,23 +683,67 @@ def compose_series(bricks) -> PlanarMap:
     return _canonical_map(*_series_join([(K.sigma, K.root, j) for K, j in bricks]))
 
 
-def _series_split(sigma, vlabel, nv, root) -> list:
-    """The series split of the non-separable rotation system ``sigma``
-    (vertex labels ``vlabel``, ``nv`` vertices) rooted at ``root``: the
-    blocks left when the root edge is deleted, as (sigma restricted to the
-    block, local root, exposed count) triples in the order of the outer
-    walk.  Both faces beside the root edge are checked to meet every block
-    once, in reverse orders.  Nothing is re-validated or put in canonical
-    form; see :func:`series_components`.
+def _face_blocks(outer, inner, vlabel) -> list:
+    """The blocks of a non-separable map less its root edge, read off the
+    faces beside that edge, which ``outer`` and ``inner`` walk from after
+    the root dart and after its twin (``vlabel`` labels dart tails).  The
+    cut vertices are exactly the vertices both walks leave, so each walk is
+    cut there: one (outer run, inner run) pair per block, in outer-walk
+    order.  Both walks must give as many blocks, and each pair close up.
     """
-    block_of, count = _lowpoint_blocks(sigma, vlabel, nv, root >> 1)
-    runs = _runs(_cycle(sigma, root, 1)[1:], block_of)
-    if sorted(bi for bi, _ in runs) != list(range(count)):
-        raise AssertionError("outer walk does not expose each block exactly once")
-    inner = _runs(_cycle(sigma, root ^ 1, 1)[1:], block_of)
-    if [bi for bi, _ in inner] != [bi for bi, _ in reversed(runs)]:
-        raise AssertionError("the faces beside the root edge meet the blocks in different orders")
-    return _bricks(sigma, block_of, runs)
+    get = vlabel.__getitem__
+    cut = set(map(get, outer)).intersection(map(get, inner))
+    if not cut:
+        return [(outer, inner)]
+    runs = []
+    for walk in (outer, inner):
+        starts = [i for i, d in enumerate(walk) if vlabel[d] in cut]
+        runs.append([walk[a:b] for a, b in zip([0] + starts, starts + [None])])
+    if len(runs[0]) != len(runs[1]):
+        raise AssertionError("the faces beside the root edge meet different numbers of blocks")
+    blocks = list(zip(runs[0], reversed(runs[1])))
+    for out, back in blocks:
+        if vlabel[out[-1] ^ 1] != vlabel[back[0]] or vlabel[back[-1] ^ 1] != vlabel[out[0]]:
+            raise AssertionError("a block's runs on the faces beside the root edge do not close up")
+    return blocks
+
+
+def _flood_blocks(sigma, root, blocks) -> list:
+    """The block of each edge (-1 for the root edge) of ``sigma`` split
+    into ``blocks`` at ``root``: a flood from each block's face darts to
+    twins and to the next dart around a vertex, unless that dart is on a
+    face beside the root edge, where the blocks meet.  Two blocks meeting
+    at another corner raise AssertionError."""
+    owner = [-1] * len(sigma)
+    on_face = [False] * len(sigma)
+    on_face[root] = on_face[root ^ 1] = True
+    stack = []
+    for k, (outer, inner) in enumerate(blocks):
+        for d in outer + inner:
+            owner[d] = k
+            on_face[d] = True
+            stack.append(d)
+    while stack:
+        d = stack.pop()
+        k = owner[d]
+        for e in (d ^ 1,) if on_face[sigma[d]] else (d ^ 1, sigma[d]):
+            if owner[e] < 0:
+                owner[e] = k
+                stack.append(e)
+            elif owner[e] != k:
+                raise AssertionError("two blocks meet at a corner off the faces beside the root edge")
+    return owner[0::2]
+
+
+def _series_split(sigma, vlabel, root) -> list:
+    """The series split of the non-separable rotation system ``sigma``
+    (vertex labels ``vlabel``) rooted at ``root``: the blocks left when the
+    root edge is deleted, as (sigma restricted to the block, local root,
+    exposed count) triples in outer-walk order, neither re-validated nor
+    put in canonical form (see :func:`series_components`)."""
+    blocks = _face_blocks(_cycle(sigma, root, 1)[1:], _cycle(sigma, root ^ 1, 1)[1:], vlabel)
+    runs = [(k, run) for k, (run, _) in enumerate(blocks)]
+    return _bricks(sigma, _flood_blocks(sigma, root, blocks), runs)
 
 
 def _series_join(bricks):
@@ -779,19 +823,6 @@ def compose_parallel(bricks) -> PlanarMap:
             )
     sigma, R = _series_join([(_phi(K.sigma), K.root, j) for K, j in bricks])
     return _canonical_map(_phi(sigma), R)
-
-
-def _runs(walk, block_of):
-    """Group a walk of darts into maximal runs of darts of the same block:
-    a list of (block index, darts)."""
-    runs = []
-    for d in walk:
-        bi = block_of[d >> 1]
-        if runs and runs[-1][0] == bi:
-            runs[-1][1].append(d)
-        else:
-            runs.append((bi, [d]))
-    return runs
 
 
 def _bricks(sigma, block_of, runs):

@@ -32,7 +32,7 @@ from tamarimaps import (
     tree_to_map,
     tree_to_upper,
 )
-from tamarimaps.maps import _lowpoint_blocks
+from tamarimaps.maps import _face_blocks
 
 
 def tree(text):
@@ -365,6 +365,27 @@ class TestRecursiveBijection:
         assert recursive_map_to_interval(M) == start
         assert recursive_interval_to_map(start).is_isomorphic_to(M)
 
+    @pytest.mark.parametrize(
+        "word", ["u" * 2000 + "d" * 2000, "ud" * 2000], ids=["spine", "comb"]
+    )
+    def test_forward_walks_total_one_entry_per_dart(self, word, monkeypatch):
+        # over all its levels the forward direction hands the face-block
+        # split one walk entry per dart of the map, less the root edge's
+        # two: on the spine's 2000 nested levels as on the comb's one level
+        # of 2000 bricks; the inverse is still quadratic on the spine, so
+        # only the forward direction runs at this size
+        start = SyncInterval(DyckPath(word), DyckPath(word))
+        M = interval_to_map(start)
+        walked = []
+
+        def counted(outer, inner, vlabel):
+            walked.append(len(outer) + len(inner))
+            return _face_blocks(outer, inner, vlabel)
+
+        monkeypatch.setattr("tamarimaps.bijections._face_blocks", counted)
+        assert recursive_map_to_interval(M) == start
+        assert sum(walked) == M.dart_count - 2
+
     def test_nesting_past_the_recursion_limit(self):
         # the spine nests its bricks 150 deep; each level is a frame of the
         # oracle's own stack, not an interpreter frame
@@ -428,18 +449,19 @@ class TestRecursiveBijection:
     def test_one_block_split_per_level(self, monkeypatch):
         # the forward direction runs one block split per level of bricks and
         # re-tests no brick: the maps' own answers are stored first, then the
-        # lowpoint runs are counted against the levels read off the interval
-        # side (the interval, and the base of every nonempty factor below it)
+        # splits off the faces beside each root edge are counted against the
+        # levels read off the interval side (the interval, and the base of
+        # every nonempty factor below it)
         maps = enumerate_nonseparable_by_composition(8)
         for M in maps:
             assert M.is_non_separable()
         calls = []
 
-        def counted(sigma, vlabel, nv, skip):
-            calls.append(nv)
-            return _lowpoint_blocks(sigma, vlabel, nv, skip)
+        def counted(outer, inner, vlabel):
+            calls.append(len(outer) + len(inner))
+            return _face_blocks(outer, inner, vlabel)
 
-        monkeypatch.setattr("tamarimaps.maps._lowpoint_blocks", counted)
+        monkeypatch.setattr("tamarimaps.bijections._face_blocks", counted)
         intervals = [recursive_map_to_interval(M) for M in maps]
 
         def levels(I):

@@ -23,7 +23,11 @@ from tamarimaps import (
 from tamarimaps.maps import (
     ParallelBrick,
     SeriesBrick,
+    _canonical_map,
     _canonical_sigmas,
+    _cycle,
+    _face_blocks,
+    _flood_blocks,
     _is_non_separable,
     _lowpoint_blocks,
     _orbit_labels,
@@ -80,6 +84,13 @@ class TestPlanarMapBasics:
             PlanarMap((2, 3, 1, 0), 0)
         with pytest.raises(ValueError, match="Euler"):
             canonical_map((2, 3, 1, 0), 0)
+
+    def test_writer_raises_on_a_non_permutation(self):
+        # the trusted writer skips the permutation check, so a faulty
+        # producer's sigma must still end in an error, not an endless walk
+        # around an orbit that never closes
+        with pytest.raises(ValueError, match="Euler relation fails"):
+            _canonical_map([2, 2, 0, 1], 0)
 
     def test_single_edge(self):
         M = single_edge_map()
@@ -558,7 +569,8 @@ class TestSeriesDecomposition:
 
     def test_bricks_store_their_non_separability(self, maps_by_edges):
         # a brick of two or more edges is stored as non-separable because
-        # the block split cut it out; every rooting of every map of 2-7 edges
+        # it is a block of the map less its root edge, read off the two
+        # faces beside that edge; every rooting of every map of 2-7 edges
         for m in range(2, 8):
             for M in maps_by_edges[m]:
                 for d in range(M.dart_count):
@@ -686,3 +698,27 @@ class TestBlocks:
         sigma = (0, 1)
         with pytest.raises(ValueError, match="not connected"):
             _lowpoint_blocks(sigma, *_orbit_labels(sigma), 0)
+
+    def test_face_rule_matches_lowpoint_blocks(self, maps_by_edges):
+        # the series split reads its blocks off the two faces beside the root
+        # edge and floods their interiors; the lowpoint search, which needs
+        # no faces, must cut the same edges into the same blocks, on every
+        # rooting of every map of 2-7 edges and of its dual
+        def partition(block_of):
+            parts = {}
+            for e, b in enumerate(block_of):
+                parts.setdefault(b, []).append(e)
+            return sorted(parts.values())
+
+        splits = 0
+        for m in range(2, 8):
+            for M in maps_by_edges[m]:
+                for X in (M, M.dual()):
+                    sigma, vlabel = X.sigma, X._vlabel
+                    for root in range(X.dart_count):
+                        walks = _cycle(sigma, root, 1)[1:], _cycle(sigma, root ^ 1, 1)[1:]
+                        face_rule = _flood_blocks(sigma, root, _face_blocks(*walks, vlabel))
+                        lowpoint = _lowpoint_blocks(sigma, vlabel, X.vertex_count, root >> 1)[0]
+                        assert partition(face_rule) == partition(lowpoint)
+                        splits += 1
+        assert splits == 14176
