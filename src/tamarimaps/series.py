@@ -1,16 +1,21 @@
 r"""Exact bivariate generating series and closed-form counts.
 
-Series are truncated in the size variable t; the coefficient of t^n is a
-dense integer polynomial in the catalytic variable x (row ``n`` has x-degree
-at most ``n``).  Everything is exact big-integer arithmetic; the divided
-difference (G(x) - G(1))/(x - 1) is an exact polynomial quotient.  Both
-functional equations are solved in one triangular pass: row n of the
-right-hand side only involves rows below n, so each row is computed once.
+Series are truncated in the size variable t; the coefficient of t^n is an
+integer polynomial in the catalytic variable x (row ``n`` has x-degree at
+most ``n``).  Both functional equations are solved in one triangular pass
+on values, one scalar series per point x = 2, ..., N + 3 for order N.  Row
+n's forward differences give G_n(1) = sum_k (-1)^k Delta^k G_n(2), so the
+divided difference (G(x) - G(1))/(x - 1) is one exact division per point;
+Delta^(n + 1) must vanish (N + 2 points leave that spare value for the last
+row), and each row's Newton form becomes coefficients in x once, at the
+end, dividing Delta^k exactly by k!.  Any remainder, or a nonzero
+Delta^(n + 1), raises ArithmeticError.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial
+from operator import mul, sub
 
 
 def closed_form(n: int) -> int:
@@ -41,52 +46,52 @@ def catalan(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomial rows (coefficient lists in x)
+# Rows as values at the points x = 2, 3, ... (Newton form)
 # ---------------------------------------------------------------------------
 
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _differences(values, degree):
+    """Delta^0 .. Delta^degree at x = 2 of the polynomial of degree at most
+    ``degree`` taking ``values`` at x = 2, 3, ...; ArithmeticError if the
+    first degree + 2 values have a nonzero Delta^(degree + 1)."""
+    column, diagonal = values[: degree + 2], []
+    while column:
+        diagonal.append(column[0])
+        column = list(map(sub, column[1:], column))
+    if len(diagonal) < degree + 2 or diagonal.pop():
+        raise ArithmeticError("values come from no polynomial of degree %d" % degree)
+    return diagonal
 
 
-def _poly_add(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _poly_trim(out)
+def _divided_difference(values, diagonal):
+    """(G(x) - G(1))/(x - 1) at x = 2, 3, ..., where G takes ``values`` there
+    and has the forward differences ``diagonal`` at x = 2."""
+    at_one = sum(diagonal[0::2]) - sum(diagonal[1::2])
+    out = []
+    for x, v in enumerate(values, 2):
+        q, r = divmod(v - at_one, x - 1)
+        if r:
+            raise ArithmeticError("G(%d) - G(1) is not divisible by %d" % (x, x - 1))
+        out.append(q)
+    return out
 
 
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                out[i + j] += c * d
-    return _poly_trim(out)
-
-
-def _poly_divided_difference(p):
-    """(p(x) - p(1)) / (x - 1) as an exact polynomial (synthetic division).
-
-    The remainder of p(x) - p(1) by x - 1 vanishes identically; it is still
-    asserted, as the structural sanity check of the catalytic variable.
-    """
-    if not p:
-        return []
-    q = [0] * (len(p) - 1)
-    acc = 0
-    for i in range(len(p) - 1, 0, -1):
-        acc += p[i]
-        q[i - 1] = acc
-    remainder = acc + p[0] - sum(p)
-    if remainder:
-        raise ArithmeticError("divided difference left a nonzero remainder")
-    return _poly_trim(q)
+def _monomial(diagonal):
+    """Coefficients in x, trailing zeros trimmed, of the Newton form
+    sum_k Delta^k * binom(x - 2, k), by Horner's rule on (Delta^k / k!)."""
+    coeffs, factorial_k = [], factorial(len(diagonal) - 1)
+    for k in range(len(diagonal) - 1, -1, -1):  # coeffs * (x - 2 - k) + Delta^k / k!
+        q, r = divmod(diagonal[k], factorial_k)
+        if r:
+            raise ArithmeticError("Delta^%d is not divisible by %d!" % (k, k))
+        factorial_k //= k or 1
+        shifted = [0] + coeffs
+        for i, c in enumerate(coeffs):
+            shifted[i] -= (2 + k) * c
+        shifted[0] += q
+        coeffs = shifted
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
 
 
 class BiSeries:
@@ -144,9 +149,14 @@ class BiSeries:
 
 def solve_interval_equation(order: int) -> BiSeries:
     """Unique series solution of F = x*t * (1 + (F(x,t)-F(1,t))/(x-1)) * (1+F)
-    to the given t-order, in one triangular pass.  Row n only involves rows
-    below n: F_n = x * sum_{i+j=n-1} (1 + dF)_i * (1 + F)_j, where dF is the
-    divided difference, so each row is computed once.
+    to the given t-order, dF denoting the divided difference.
+
+    At each point x = 2, ..., order + 3 the solve carries the scalar series
+    F(x, t) and (1 + dF)(x, t).  Row n is one scalar convolution per point,
+    F_n(x) = x * sum_{i+j=n-1} (1 + dF)_i(x) * (1 + F)_j(x), and dF_n(x) =
+    (F_n(x) - F_n(1))/(x - 1) one exact division, F_n(1) read off the
+    forward differences of row n's values.  Each row becomes coefficients in
+    x once, from its Newton form.  O(order^3) integer operations in all.
 
     >>> F = solve_interval_equation(5)
     >>> F.row(2)
@@ -156,16 +166,19 @@ def solve_interval_equation(order: int) -> BiSeries:
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    one_plus_f = [[1]]  # rows of 1 + F
-    one_plus_df = [[1]]  # rows of 1 + (F(x,t)-F(1,t))/(x-1)
+    points = range(2, order + 4)
+    one_plus_f = [[1] for _ in points]  # per point, the t-series (1 + F)(x)
+    one_plus_df = [[1] for _ in points]  # and (1 + dF)(x)
+    diagonals = []  # per row, its forward differences at x = 2
     for n in range(1, order + 1):
-        inner = []
-        for i in range(n):
-            inner = _poly_add(inner, _poly_mul(one_plus_df[i], one_plus_f[n - 1 - i]))
-        row = _poly_mul([0, 1], inner)
-        one_plus_f.append(row)
-        one_plus_df.append(_poly_divided_difference(row))
-    return BiSeries(order, [[]] + one_plus_f[1:])
+        values = [x * sum(map(mul, df, reversed(f)))
+                  for x, df, f in zip(points, one_plus_df, one_plus_f)]
+        diagonals.append(_differences(values, n))
+        for f, df, v, q in zip(one_plus_f, one_plus_df, values,
+                               _divided_difference(values, diagonals[-1])):
+            f.append(v)
+            df.append(q)
+    return BiSeries(order, [[]] + [_monomial(d) for d in diagonals])
 
 
 def solve_map_equation(order: int) -> BiSeries:
@@ -173,30 +186,32 @@ def solve_map_equation(order: int) -> BiSeries:
     A = x*t + x*t*(M(x,t)-M(1,t))/(x-1), to the given t-order.
 
     The quotient is expanded as the geometric series sum_{k>=1} A^k (A has
-    positive t-valuation, so the sum truncates), which is a genuinely
-    different computation route from :func:`solve_interval_equation`; the
-    two must agree coefficientwise.  One triangular pass: row n of A needs
-    row n-1 of M, then every power A^k gains its row n from rows below n,
-    and M_n is the sum of those rows.
+    positive t-valuation, so the sum truncates).  At each point x = 2, ...,
+    order + 3 the solve carries the scalar series of A and of each power
+    A^k: row n of A needs row n - 1 of 1 + dM, each A^k gains its row n from
+    rows below n, and M_n(x) = sum_k [t^n] A(x, t)^k.  That is O(order^3)
+    products and about order^2 / 2 stored powers per point.  Summing the
+    powers, not solving M = A(1 + M), keeps this a different computation
+    from :func:`solve_interval_equation`; the two must agree coefficientwise.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    one_plus_dm = [[1]]  # rows of 1 + (M(x,t)-M(1,t))/(x-1)
-    powers = []  # powers[k - 1][m] is [t^m] A^k; A^k has t-valuation k
-    rows = [[]]
+    points = range(2, order + 4)
+    one_plus_dm = [[1] for _ in points]  # per point, the t-series (1 + dM)(x)
+    powers = [[] for _ in points]  # per point, powers[k - 1] is [t^k, t^(k+1), ...] A(x)^k
+    diagonals = []
     for n in range(1, order + 1):
-        powers.append([[]] * n)
-        a = powers[0]
-        a.append(_poly_mul([0, 1], one_plus_dm[n - 1]))
-        for j in range(1, n):  # row n of A^(j+1) = A * A^j
-            lower = powers[j - 1]
-            row = []
-            for i in range(1, n - j + 1):
-                row = _poly_add(row, _poly_mul(a[i], lower[n - i]))
-            powers[j].append(row)
-        row = []
-        for power in powers:
-            row = _poly_add(row, power[n])
-        rows.append(row)
-        one_plus_dm.append(_poly_divided_difference(row))
-    return BiSeries(order, rows)
+        values = []
+        for x, dm, pw in zip(points, one_plus_dm, powers):
+            pw.append([])
+            a = pw[0]
+            # row n of A^(j+1) = A * A^j reads every row of A^j so far, so
+            # the powers gain row n from the top down, and A last
+            for j in range(n - 1, 0, -1):
+                pw[j].append(sum(map(mul, a, reversed(pw[j - 1]))))
+            a.append(x * dm[n - 1])
+            values.append(sum(power[-1] for power in pw))
+        diagonals.append(_differences(values, n))
+        for dm, q in zip(one_plus_dm, _divided_difference(values, diagonals[-1])):
+            dm.append(q)
+    return BiSeries(order, [[]] + [_monomial(d) for d in diagonals])

@@ -104,8 +104,13 @@ class DecoratedTree(_Value):
                 raise ValueError("leaf label %d below -1 at %r" % (tok, _address(code, k)))
             if (depth == 0) != (k == last):  # the root closes at the last token
                 raise ValueError("unbalanced tree code at token %d" % (k,))
+        self._set(code)
+
+    def _set(self, code):
+        """Write every slot and return the tree; ``code`` is a tuple."""
         self.code = code
         self._scanned = None  # result of _scan, computed on first use
+        return self
 
     @property
     def root(self) -> tuple:
@@ -365,7 +370,9 @@ def enumerate_decorated_trees(n: int) -> list:
     a leaf against earlier leaves of the same subtree; condition 2 is
     settled when a node closes, right after its last leaf.  So every
     candidate built is a decorated tree, and :meth:`DecoratedTree.is_valid`
-    still checks each one in full.
+    still checks each one in full.  Each path's code template is built once
+    and filled with the labels of each candidate, which is written by
+    ``DecoratedTree._set`` without the constructor's structural loop.
 
     >>> len(enumerate_decorated_trees(2))
     2
@@ -380,29 +387,36 @@ def enumerate_decorated_trees(n: int) -> list:
         # per leaf: (first leaf, depth - 2) of each node that closes right
         # after it, innermost first
         closes = []
+        # the code as indices into labels + [OPEN, CLOSE]: leaf k is k
+        template = [-2]
         entered = [0]  # leaves seen when each open node was entered, root first
         for c in path.word.replace("ud", "l"):  # as in contour_tree
             if c == "l":
+                template.append(len(firsts))
                 firsts.append(entered[1:])
                 closes.append([])
             elif c == "u":
+                template.append(-2)
                 entered.append(len(firsts))
             else:
+                template.append(-1)
                 f = entered.pop()
                 closes[-1].append((f, len(entered) - 2))  # its depth is len(entered)
-        _label_leaves(path, firsts, closes, [], out)
+        template.append(-1)
+        _label_leaves(itemgetter(*template), firsts, closes, [], out)
     return sorted(out, key=lambda t: t.to_text())
 
 
-def _label_leaves(path, firsts, closes, labels, out):
-    """Append to ``out`` every decorated tree on the contour tree of
-    ``path`` whose leaf labels extend ``labels``.  A label l >= 0 needs
-    every earlier leaf under the ancestor at depth l + 1 labeled at least l
-    (condition 3); a node of depth p that closes after this leaf needs one
-    of its leaves labeled at most p - 2 (condition 2)."""
+def _label_leaves(fill, firsts, closes, labels, out):
+    """Append to ``out`` every decorated tree on one contour tree whose leaf
+    labels extend ``labels``; ``fill(labels + [OPEN, CLOSE])`` is the code.
+    A label l >= 0 needs every earlier leaf under the ancestor at depth
+    l + 1 labeled at least l (condition 3); a node of depth p that closes
+    after this leaf needs one of its leaves labeled at most p - 2
+    (condition 2)."""
     k = len(labels)
     if k == len(firsts):
-        tree = contour_tree(path, labels)
+        tree = object.__new__(DecoratedTree)._set(fill(labels + [OPEN, CLOSE]))
         if tree.is_valid():
             out.append(tree)
         return
@@ -412,5 +426,5 @@ def _label_leaves(path, firsts, closes, labels, out):
             continue
         labels.append(label)
         if all(min(labels[f:]) <= bound for f, bound in closes[k]):
-            _label_leaves(path, firsts, closes, labels, out)
+            _label_leaves(fill, firsts, closes, labels, out)
         labels.pop()

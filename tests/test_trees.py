@@ -363,16 +363,28 @@ class TestEnumeration:
 
     def test_every_candidate_is_kept(self, monkeypatch):
         # the prefix prunes settle all three conditions, so the enumerator
-        # builds no tree it then rejects
+        # builds no tree it then rejects; every tree it builds goes through
+        # the one writer
         built = []
+        write = DecoratedTree._set
 
-        def counting_contour_tree(path, labels):
-            built.append(path)
-            return contour_tree(path, labels)
+        def counting_set(self, code):
+            built.append(code)
+            return write(self, code)
 
-        monkeypatch.setattr(trees, "contour_tree", counting_contour_tree)
+        monkeypatch.setattr(DecoratedTree, "_set", counting_set)
         assert len(enumerate_decorated_trees(7)) == 1938
         assert len(built) == 1938
+
+    def test_enumerated_codes_pass_the_constructor(self, trees_by_edges):
+        # the enumerator writes its codes unchecked; the constructor's
+        # structural loop accepts every one of them, up to the CLI cap
+        assert sorted(trees_by_edges) == list(range(1, 8))
+        for found in [*trees_by_edges.values(), enumerate_decorated_trees(8)]:
+            for T in found:
+                assert type(T.code) is tuple
+                assert DecoratedTree(T.code) == T
+                assert DecoratedTree(T.code).to_text() == T.to_text()
 
     def test_first_sizes(self):
         assert [T.to_text() for T in enumerate_decorated_trees(1)] == ["(-1)"]
