@@ -501,23 +501,12 @@ def _is_non_separable(sigma, vlabel, nv, flabel, nf) -> bool:
 # Building maps from integer rotation systems
 # ---------------------------------------------------------------------------
 
-def canonical_map(sigma, root) -> PlanarMap:
-    """The map (sigma, root), twin d <-> d^1, renamed by the root-first
-    traversal into canonical form: the constructor's checks, then
-    :func:`_canonical_map`.  A path rooted at its middle vertex:
-
-    >>> canonical_map([0, 2, 1, 3], 1)
-    PlanarMap(sigma=[2, 1, 0, 3], root=0)
-    """
-    _check_sigma(sigma, root)
-    return _canonical_map(sigma, root)
-
-
 def _canonical_map(sigma, root) -> PlanarMap:
-    """The trusted writer: :func:`canonical_map` for a permutation ``sigma``
-    its caller built, with ``root`` among its darts.  The renamed sigma is
-    its own canonical code, which is stored; connectivity and the Euler
-    relation are still checked."""
+    """The trusted writer: the map (sigma, root), twin d <-> d^1, renamed by
+    the root-first traversal into canonical form, for a permutation
+    ``sigma`` its caller built, with ``root`` among its darts.  The renamed
+    sigma is its own canonical code, which is stored; connectivity and the
+    Euler relation are still checked."""
     renamed = tuple(_root_first(sigma, root)[1])
     return _map(renamed, 0, *_labels(renamed), None, _code_bytes(renamed))
 

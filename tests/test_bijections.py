@@ -93,14 +93,6 @@ class TestTreeToMap:
                 assert M.is_non_separable()
                 assert M.vertex_count - M.edge_count + M.face_count == 2
 
-    def test_round_trips(self, maps_by_edges, trees_by_edges):
-        for m in range(2, 6):
-            for M in maps_by_edges[m]:
-                assert tree_to_map(map_to_tree(M)).is_isomorphic_to(M)
-        for n in range(1, 5):
-            for T in trees_by_edges[n]:
-                assert map_to_tree(tree_to_map(T)) == T
-
 
 class TestTreeToInterval:
     def test_upper_examples(self):
@@ -134,15 +126,6 @@ class TestTreeToInterval:
                         for i in range(1, path.size + 1)
                     ]
                     assert peaks == order
-
-    def test_round_trips(self, sync_by_size, trees_by_edges):
-        for n in range(1, 8):
-            for T in trees_by_edges[n]:
-                assert interval_to_tree(tree_to_interval(T)) == T
-            for I in sync_by_size[n]:
-                T = interval_to_tree(I)
-                assert T.is_valid()
-                assert tree_to_interval(T) == I
 
     def test_leftward_ray_definition(self, sync_by_size):
         # the one-pass labelling agrees with drawing every ray: from the end
@@ -263,28 +246,6 @@ class TestFullChain:
                         range(j + 1, j + 1 + (I.upper.distance(j) - 1) // 2)
                     )
                     assert inside_lower <= inside_upper
-
-
-class TestStatisticTransfer:
-    def test_distribution_identity(self, sync_by_size, maps_by_edges):
-        for n in range(1, 6):
-            contacts = sorted(I.lower.contacts() - 1 for I in sync_by_size[n])
-            outer = sorted(M.outer_face_degree - 1 for M in maps_by_edges[n + 1])
-            root = sorted(M.root_vertex_degree - 1 for M in maps_by_edges[n + 1])
-            assert contacts == outer == root
-
-    def test_per_object_transfer_diagnostic(self, maps_by_edges):
-        # reported, not required: the composed bijection sends contacts-1 to
-        # the root vertex degree minus one on every tested object
-        mismatches = []
-        for m in range(2, 7):
-            for M in maps_by_edges[m]:
-                if map_to_interval(M).lower.contacts() - 1 != M.root_vertex_degree - 1:
-                    mismatches.append(M.to_text())
-        print(
-            "per-object contact/root-degree transfer mismatches:",
-            len(mismatches) or "none",
-        )
 
 
 class TestLargeObjects:

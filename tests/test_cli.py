@@ -81,6 +81,15 @@ class TestCount:
         code, out, _ = run(["count", "decorated-trees", "4"], capsys=capsys)
         assert code == 0 and out == "enumerated 22\nclosed-form 22\n"
 
+    def test_mismatch_exits_1(self, monkeypatch, capsys):
+        right = tamarimaps.enumerate_decorated_trees
+        monkeypatch.setattr(tamarimaps, "enumerate_decorated_trees", lambda n: right(n)[1:])
+        assert run(["count", "decorated-trees", "2"], capsys=capsys) == (
+            1,
+            "enumerated 1\nclosed-form 2\n",
+            "MISMATCH\n",
+        )
+
     def test_cap_enforced(self, capsys):
         code, _, err = run(["count", "sync-intervals", "11"], capsys=capsys)
         assert code == 2
