@@ -16,7 +16,6 @@ in canonical form by one trusted writer, :func:`_canonical_map`.
 
 from __future__ import annotations
 
-import sys
 from collections import namedtuple
 from operator import ne
 
@@ -32,9 +31,10 @@ class PlanarMap(_Value):
     A map is immutable: ``sigma`` and ``root`` must not be reassigned.  Two
     facts derived from them are computed on first use and stored: the
     non-separability answer, which depends on sigma alone and so is shared
-    by :meth:`rerooted`, and the canonical code, which depends on the root
-    (a map in canonical form is its own code and stores it at once).  The
-    package's own maps skip the permutation check (:func:`_canonical_map`).
+    by :meth:`rerooted`, and the canonical code, the root-first relabelling
+    of sigma, which depends on the root.  A map in canonical form is its own
+    code: it stores its sigma as the code at once.  The package's own maps
+    skip the permutation check (:func:`_canonical_map`).
 
     >>> M = double_edge_map()
     >>> M.edge_count, M.vertex_count, M.face_count
@@ -194,17 +194,13 @@ class PlanarMap(_Value):
 
     # -- canonical form ------------------------------------------------------------
 
-    def canonical_code(self) -> bytes:
-        """A byte string equal for two maps exactly when they are isomorphic
-        as rooted maps (root-first traversal relabeling; rooted maps have no
-        nontrivial automorphisms).
-
-        Each dart's new label takes one byte up to 256 darts and, past that,
-        the fewest big-endian bytes that hold the largest label; the code
-        length then grows strictly with the dart count, so maps of different
-        sizes never share a code.  Computed once."""
+    def canonical_code(self) -> tuple:
+        """The sigma renamed by the root-first traversal (:func:`_root_first`),
+        which is the sigma of :meth:`canonical_form`: equal for two maps
+        exactly when they are isomorphic as rooted maps, since rooted maps
+        have no nontrivial automorphisms.  Computed once."""
         if self._code is None:
-            self._code = _code_bytes(_root_first(self.sigma, self.root)[1])
+            self._code = _root_first(self.sigma, self.root)
         return self._code
 
     def canonical_form(self) -> "PlanarMap":
@@ -314,32 +310,12 @@ def _labels(sigma):
     return vlabel, nv, flabel, nf
 
 
-def _code_bytes(canonical):
-    """The canonical code of a sigma that is its own root-first labelling:
-    one byte per dart up to 256 darts, else the fewest big-endian bytes that
-    hold the largest label, sliced from big-endian 8-byte words."""
-    n = len(canonical)
-    if n <= 256:
-        return bytes(canonical)
-    from array import array
-
-    width = ((n - 1).bit_length() + 7) // 8
-    words = array("Q", canonical)
-    if sys.byteorder == "little":
-        words.byteswap()
-    packed = words.tobytes()
-    code = bytearray(width * n)
-    for i in range(width):
-        code[i::width] = packed[8 - width + i :: 8]
-    return bytes(code)
-
-
 def _root_first(sigma, root):
     """Root-first traversal of the permutation ``sigma``, twin d <-> d^1:
     the root dart and its twin come first, then, taking visited darts in
     turn, the sigma-image of each and its twin, when not yet seen.  Returns
-    the new label of each dart and the renamed sigma (a list), written as
-    the traversal goes; a disconnected rotation system raises ValueError."""
+    the renamed sigma as a tuple, written as the traversal goes; a
+    disconnected rotation system raises ValueError."""
     new = [-1] * len(sigma)
     new[root] = 0
     new[root ^ 1] = 1
@@ -355,7 +331,7 @@ def _root_first(sigma, root):
         renamed.append(new[e])
     if len(order) != len(sigma):
         raise ValueError("rotation system is not connected")
-    return new, renamed
+    return tuple(renamed)
 
 
 def _orbit_labels(perm):
@@ -505,10 +481,10 @@ def _canonical_map(sigma, root) -> PlanarMap:
     """The trusted writer: the map (sigma, root), twin d <-> d^1, renamed by
     the root-first traversal into canonical form, for a permutation
     ``sigma`` its caller built, with ``root`` among its darts.  The renamed
-    sigma is its own canonical code, which is stored; connectivity and the
-    Euler relation are still checked."""
-    renamed = tuple(_root_first(sigma, root)[1])
-    return _map(renamed, 0, *_labels(renamed), None, _code_bytes(renamed))
+    sigma is its own canonical code, so that one tuple is stored as both;
+    connectivity and the Euler relation are still checked."""
+    renamed = _root_first(sigma, root)
+    return _map(renamed, 0, *_labels(renamed), None, renamed)
 
 
 def _link(sigma, cycle):
@@ -564,7 +540,7 @@ def enumerate_nonseparable(m: int) -> list:
             continue
         flabel, nf = _orbit_labels(_phi(sigma))
         if _is_non_separable(sigma, vlabel, nv, flabel, nf):
-            kept.append(_map(sigma, 0, vlabel, nv, flabel, nf, True, _code_bytes(sigma)))
+            kept.append(_map(sigma, 0, vlabel, nv, flabel, nf, True, sigma))
     return kept
 
 
@@ -731,8 +707,7 @@ def _series_split(sigma, vlabel, root) -> list:
     exposed count) triples in outer-walk order, neither re-validated nor
     put in canonical form (see :func:`series_components`)."""
     blocks = _face_blocks(_cycle(sigma, root, 1)[1:], _cycle(sigma, root ^ 1, 1)[1:], vlabel)
-    runs = [(k, run) for k, (run, _) in enumerate(blocks)]
-    return _bricks(sigma, _flood_blocks(sigma, root, blocks), runs)
+    return _bricks(sigma, _flood_blocks(sigma, root, blocks), [run for run, _ in blocks])
 
 
 def _series_join(bricks):
@@ -815,11 +790,11 @@ def compose_parallel(bricks) -> PlanarMap:
 
 
 def _bricks(sigma, block_of, runs):
-    """One brick per run, one run per block, as a raw triple: sigma
-    restricted to the block's darts (edges renumbered in order, a list), the
-    local label of the run's first dart as its root, and the run length.
-    One walk over the vertex cycles links consecutive darts of each block;
-    darts in no block are skipped."""
+    """One brick per outer run (one run per block, in block order), as a
+    raw triple: sigma restricted to the block's darts (edges renumbered in
+    order, a list), the local label of the run's first dart as its root,
+    and the run length.  One walk over the vertex cycles links consecutive
+    darts of each block; darts in no block are skipped."""
     size = [0] * len(runs)
     local = [0] * len(sigma)
     for eid, bi in enumerate(block_of):
@@ -847,7 +822,7 @@ def _bricks(sigma, block_of, runs):
         for bi, first in touched:
             restricted[bi][local[last[bi]]] = local[first]
             last[bi] = -1
-    return [(restricted[bi], local[run[0]], len(run)) for bi, run in runs]
+    return [(restricted[bi], local[run[0]], len(run)) for bi, run in enumerate(runs)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import strategies as st
 
 from tamarimaps import (
     DyckPath,
+    GridPath,
     PointedSyncInterval,
     SyncInterval,
     compose_factors,
@@ -42,6 +44,24 @@ def maps_by_edges(brute_maps_by_edges):
     for m in (6, 7):
         out[m] = enumerate_nonseparable_by_composition(m)
     return out
+
+
+def canopies(k):
+    """Every grid word of length ``k``, as grid paths."""
+    return [GridPath("".join(w)) for w in product("EN", repeat=k)]
+
+
+def reach(start, covers):
+    """The words of every element reachable from ``start`` by ``covers``,
+    ``start`` included: a plain search, the reference for cover closures."""
+    seen = {start.word}
+    stack = [start]
+    while stack:
+        for c in covers(stack.pop()):
+            if c.word not in seen:
+                seen.add(c.word)
+                stack.append(c)
+    return seen
 
 
 def _rotate_to_dyck(letters):

@@ -5,11 +5,11 @@ exact; the two stated runtime budgets are asserted as well.
 """
 
 import time
-from itertools import product
+from functools import partial
 
+from conftest import canopies, reach
 from tamarimaps import (
     DyckPath,
-    GridPath,
     catalan,
     closed_form,
     dyck_rotation_covers,
@@ -27,10 +27,6 @@ from tamarimaps import (
     tree_to_map,
 )
 from tamarimaps.tamari import PathPair, pathpair_to_dyck, tam_leq
-
-
-def canopies(n):
-    return [GridPath("".join(w)) for w in product("EN", repeat=n)]
 
 
 def test_criterion_01_interval_counts(sync_by_size):
@@ -101,37 +97,19 @@ def test_criterion_05_membership(sync_by_size, trees_by_edges, brute_maps_by_edg
 def test_criterion_06_order_oracle():
     for n in range(1, 7):
         paths = enumerate_dyck_paths(n)
-        reach = {}
-        for P in paths:
-            seen = {P.word}
-            stack = [P]
-            while stack:
-                for c in dyck_rotation_covers(stack.pop()):
-                    if c.word not in seen:
-                        seen.add(c.word)
-                        stack.append(c)
-            reach[P.word] = seen
+        above = {P.word: reach(P, dyck_rotation_covers) for P in paths}
         for P in paths:
             for Q in paths:
-                assert (Q.word in reach[P.word]) == tamari_leq(P, Q)
+                assert (Q.word in above[P.word]) == tamari_leq(P, Q)
     from tamarimaps import tam_covers
 
     for k in range(1, 6):
         for v in canopies(k):
             elements = enumerate_tam(v)
-            reach = {}
-            for e in elements:
-                seen = {e.word}
-                stack = [e]
-                while stack:
-                    for c in tam_covers(v, stack.pop()):
-                        if c.word not in seen:
-                            seen.add(c.word)
-                            stack.append(c)
-                reach[e.word] = seen
+            above = {e.word: reach(e, partial(tam_covers, v)) for e in elements}
             for a in elements:
                 for b in elements:
-                    assert (b.word in reach[a.word]) == tam_leq(v, a, b)
+                    assert (b.word in above[a.word]) == tam_leq(v, a, b)
     print("criterion 6 pass: both cover closures agree with the order tests")
 
 
@@ -194,8 +172,7 @@ def test_criterion_09_worked_instance_goldens(golden_dir):
 
     golden = (golden_dir / "chain_length2.tsv").read_text().strip("\n").split("\n")
     rows = []
-    for w in product("EN", repeat=2):
-        v = GridPath("".join(w))
+    for v in canopies(2):
         from tamarimaps import enumerate_canopy_intervals, interval_to_map
 
         for C in enumerate_canopy_intervals(v):

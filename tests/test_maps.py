@@ -3,10 +3,8 @@ import re
 import pytest
 
 from tamarimaps import (
-    DyckPath,
     ParseError,
     PlanarMap,
-    SyncInterval,
     closed_form,
     compose_parallel,
     compose_series,
@@ -43,6 +41,13 @@ def triangle_map():
     return PlanarMap((5, 2, 1, 4, 3, 0), 0)
 
 
+def _large_map():
+    # 202 edges, 404 darts: dart labels past 255
+    return compose_series(
+        [SeriesBrick(double_edge_map(), 1), SeriesBrick(single_edge_map(), 1)] * 67
+    )
+
+
 def _with_pendant(M):
     # attach a new degree-1 vertex at the root vertex (always separable):
     # new edge 2m, 2m + 1 with dart 2m spliced in just after the root
@@ -65,17 +70,10 @@ class TestPlanarMapBasics:
     def test_validation(self):
         with pytest.raises(ValueError):
             PlanarMap((0, 1, 2), 0)  # odd dart count
-        with pytest.raises(ValueError):
-            PlanarMap((0, 0, 1, 2), 0)  # not a permutation
-        with pytest.raises(ValueError):
-            PlanarMap((1, 0, 3, 2), 0)  # disconnected (two loops apart)
-
-    def test_canonical_map_validation(self):
         with pytest.raises(ValueError, match="not a permutation"):
-            PlanarMap([0, 0, 1, 2], 0).canonical_form()
+            PlanarMap((0, 0, 1, 2), 0)
         with pytest.raises(ValueError, match="not connected"):
-            PlanarMap([1, 0, 3, 2], 0).canonical_form()  # two loops apart
-        assert PlanarMap([0, 2, 1, 3], 1).canonical_form() == PlanarMap((2, 1, 0, 3), 0)
+            PlanarMap((1, 0, 3, 2), 0)  # two loops apart
 
     def test_euler_gate_rejects_torus(self):
         # one vertex, two crossing loops: V=1, E=2, F=1 -> genus 1
@@ -275,6 +273,9 @@ class TestCanonicalCode:
         assert relabeled.canonical_code() == M.canonical_code()
         assert relabeled.canonical_form() == M.canonical_form()
 
+    def test_canonical_form_renames_from_the_root(self):
+        assert PlanarMap([0, 2, 1, 3], 1).canonical_form() == PlanarMap((2, 1, 0, 3), 0)
+
     def test_codes_separate_the_census(self, maps_by_edges):
         for m in (2, 3, 4):
             codes = {M.canonical_code() for M in maps_by_edges[m]}
@@ -300,10 +301,7 @@ class TestCanonicalCode:
         assert PlanarMap(M.sigma, 1).canonical_code() == M.canonical_code()
 
     def test_large_maps(self):
-        # 202 edges: dart labels no longer fit in one byte
-        M = compose_series(
-            [SeriesBrick(double_edge_map(), 1), SeriesBrick(single_edge_map(), 1)] * 67
-        )
+        M = _large_map()
         assert M.edge_count == 202
         # rename the edges in reverse, keeping twin pairs 2i <-> 2i + 1
         swap = [M.dart_count - 2 + (d & 1) - (d & ~1) for d in range(M.dart_count)]
@@ -317,18 +315,19 @@ class TestCanonicalCode:
         assert relabeled.canonical_form() == M.canonical_form()
         assert not PlanarMap(M.sigma, M.root ^ 1).is_isomorphic_to(M)
 
-
-@pytest.mark.parametrize("n,width", [(1000, 2), (33000, 3)])
-def test_wide_codes_equal_the_per_dart_form(n, width):
-    # past 256 darts the code is packed once and sliced; the same bytes as
-    # one big-endian to_bytes per dart, for the canonical map (its code is
-    # stored at construction) and for a rerooting (computed on first use)
-    word = "ud" * n
-    M = tree_to_map(interval_to_tree(SyncInterval(DyckPath(word), DyckPath(word))))
-    assert ((M.dart_count - 1).bit_length() + 7) // 8 == width
-    for K in (M, M.rerooted(M.dart_count - 1)):
-        canonical = K.canonical_form().sigma
-        assert K.canonical_code() == b"".join(x.to_bytes(width, "big") for x in canonical)
+    def test_a_canonical_map_is_its_own_code(self, sync_by_size, maps_by_edges):
+        # the writer (through tree_to_map and canonical_form) and both
+        # censuses store each map's own sigma object as its code
+        large = _large_map()
+        maps = [tree_to_map(interval_to_tree(I)) for I in sync_by_size[4]]
+        maps += [triangle_map().canonical_form(), large.rerooted(3).canonical_form()]
+        maps += maps_by_edges[5] + maps_by_edges[6]  # direct, then composition census
+        for M in maps:
+            assert M.canonical_code() is M.sigma
+        # a rerooting computes its code: the sigma of its canonical form
+        for d in (1, 203, 403):
+            R = large.rerooted(d)
+            assert R.canonical_code() == R.canonical_form().sigma
 
 
 def _assert_same_facts(M, fresh):
@@ -354,15 +353,13 @@ class TestRerooted:
                     assert C._code is not None
                     _assert_same_facts(C, PlanarMap(C.sigma, C.root))
                     assert C.canonical_code() == R.canonical_code()
-        # past 256 darts the stored code takes two bytes per dart
-        M = compose_series(
-            [SeriesBrick(double_edge_map(), 1), SeriesBrick(single_edge_map(), 1)] * 67
-        )
+        # past 256 darts, each canonical map stores its own sigma as its code
+        M = _large_map()
         assert M.dart_count == 404
         for d in (0, 1, 203, 403):
             fresh = PlanarMap(M.sigma, d)
             C = fresh.canonical_form()
-            assert len(C._code) == 2 * C.dart_count
+            assert C._code is C.sigma
             _assert_same_facts(C, PlanarMap(C.sigma, C.root))
             assert C.canonical_code() == fresh.canonical_code()
 
@@ -516,7 +513,7 @@ class TestCanonicalSigmas:
         sigmas = list(_canonical_sigmas(m))
         for s in sigmas:
             assert sorted(s) == list(range(2 * m))
-            assert _root_first(s, 0)[0] == list(range(2 * m))
+            assert _root_first(s, 0) == s
         assert len(set(sigmas)) == len(sigmas)
         assert sigmas == sorted(sigmas)
 

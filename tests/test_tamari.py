@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given
 
-from conftest import canopies_with_element, random_sync_interval
+from conftest import canopies, canopies_with_element, random_sync_interval, reach
 from tamarimaps import (
     CanopyInterval,
     DyckPath,
@@ -35,13 +35,8 @@ from tamarimaps import (
     tree_to_interval,
     tree_to_map,
 )
-from tamarimaps.maps import _code_bytes
 from tamarimaps.paths import grid_path_from_north_abscissas
 from tamarimaps.tamari import _distance_upsets, cover_closures, dyck_paths_by_type, tam_leq
-
-
-def all_canopies(n):
-    return [GridPath("".join(w)) for w in product("EN", repeat=n)]
 
 
 def path_facts(P):
@@ -92,22 +87,11 @@ class TestOrder:
 
 
 class TestCoverClosures:
-    @staticmethod
-    def reach(start, covers):
-        seen = {start.word}
-        stack = [start]
-        while stack:
-            for c in covers(stack.pop()):
-                if c.word not in seen:
-                    seen.add(c.word)
-                    stack.append(c)
-        return seen
-
     def lattices(self):
         """(elements, covers) for every canopy of length <= 6 and the Dyck
         rotation order at sizes 1 to 6."""
         for k in range(0, 7):
-            for v in all_canopies(k):
+            for v in canopies(k):
                 yield enumerate_tam(v), partial(tam_covers, v)
         for n in range(1, 7):
             yield enumerate_dyck_paths(n), dyck_rotation_covers
@@ -117,7 +101,7 @@ class TestCoverClosures:
             up = cover_closures(elements, covers)
             for i, e in enumerate(elements):
                 got = {f.word for j, f in enumerate(elements) if up[i] >> j & 1}
-                assert got == self.reach(e, covers)
+                assert got == reach(e, covers)
 
     def test_calls_covers_once_per_element(self):
         for elements, covers in self.lattices():
@@ -174,7 +158,7 @@ class TestCanopyLattice:
         assert tam_covers(GridPath("NE"), GridPath("NE")) == []
 
     def test_top_element_has_no_cover(self):
-        for v in all_canopies(4):
+        for v in canopies(4):
             top = GridPath("N" * v.north_count + "E" * v.east_count)
             assert tam_covers(v, top) == []
 
@@ -184,7 +168,7 @@ class TestCanopyLattice:
 
     def test_covers_stay_in_lattice(self):
         # tam_covers checks its input only, so this is the check on its output
-        for v in (v for k in range(8) for v in all_canopies(k)):
+        for v in (v for k in range(8) for v in canopies(k)):
             for e in enumerate_tam(v):
                 for c in tam_covers(v, e):
                     assert c.weakly_above(v)
@@ -236,7 +220,7 @@ class TestPathPairBijection:
                 assert rebuilt == P
 
     def test_image_fills_each_lattice(self):
-        for v in all_canopies(5):
+        for v in canopies(5):
             n = len(v) + 1
             fiber = [P for P in enumerate_dyck_paths(n) if P.type_of() == v]
             images = {dyck_to_pathpair(P).upper.word for P in fiber}
@@ -245,7 +229,7 @@ class TestPathPairBijection:
     def test_order_isomorphism_covers_to_covers(self):
         # within a fiber, rotation covers map exactly onto lattice covers
         for k in range(0, 6):
-            for v in all_canopies(k):
+            for v in canopies(k):
                 n = k + 1
                 fiber = {P.word: P for P in enumerate_dyck_paths(n) if P.type_of() == v}
                 for P in fiber.values():
@@ -427,7 +411,7 @@ class TestSyncCanopyBijection:
         fresh = PlanarMap(M.sigma, M.root)
         assert fresh == M
         assert (fresh._vlabel, fresh._flabel) == (M._vlabel, M._flabel)
-        assert fresh.canonical_code() == M.canonical_code() == _code_bytes(M.sigma)
+        assert fresh.canonical_code() == M.canonical_code() == M.sigma
         assert M.root == 0
         return M
 
@@ -460,7 +444,7 @@ class TestSyncCanopyBijection:
     def test_stored_paths_are_the_pair_bijection(self):
         # the kept paths are those the pair bijection gives, canopy by canopy
         for n in range(0, 6):
-            for v in all_canopies(n):
+            for v in canopies(n):
                 for C in enumerate_canopy_intervals(v):
                     I = canopy_to_sync(CanopyInterval.from_text(C.to_text()))
                     assert I == SyncInterval(
@@ -475,7 +459,7 @@ class TestSyncCanopyBijection:
             assert count_canopy_intervals_of_length(n) == closed_form(n)
 
     def test_canopy_fibers_at_length_two(self):
-        sizes = {v.word: len(enumerate_canopy_intervals(v)) for v in all_canopies(2)}
+        sizes = {v.word: len(enumerate_canopy_intervals(v)) for v in canopies(2)}
         assert sizes == {"NN": 1, "NE": 1, "EN": 3, "EE": 1}
 
     def test_bijection_onto_canopy_intervals(self, sync_by_size):
@@ -483,7 +467,7 @@ class TestSyncCanopyBijection:
             images = {sync_to_canopy(I).to_text() for I in sync_by_size[n]}
             direct = {
                 C.to_text()
-                for v in all_canopies(n - 1)
+                for v in canopies(n - 1)
                 for C in enumerate_canopy_intervals(v)
             }
             assert images == direct
@@ -509,7 +493,7 @@ class TestSyncCanopyBijection:
             return weakly_above(self, v)
 
         monkeypatch.setattr(GridPath, "weakly_above", counting)
-        for v in all_canopies(4):
+        for v in canopies(4):
             for C in enumerate_canopy_intervals(v):
                 calls.clear()
                 CanopyInterval(C.upper, C.lower, C.canopy)
