@@ -11,6 +11,7 @@ recovers each leaf label with a leftward ray in the lower path.
 from __future__ import annotations
 
 from .maps import (
+    _EDGE,
     PlanarMap,
     _canonical_map,
     _cycle,
@@ -258,7 +259,6 @@ def canopy_to_map(ci: CanopyInterval) -> PlanarMap:
 # ---------------------------------------------------------------------------
 
 _EMPTY = ("", "", (0,), 0)  # the factor of every loop brick
-_EDGE = ((0, 1), 0, 1)  # the dual brick of every empty factor: a single edge
 
 
 def recursive_map_to_interval(M: PlanarMap) -> SyncInterval:
@@ -350,7 +350,7 @@ def recursive_interval_to_map(interval: SyncInterval) -> PlanarMap:
         if factors:
             lower, upper, _, j = factors.pop()
             if not upper:
-                bricks.append(_EDGE)
+                bricks.append(_EDGE)  # the dual brick of every empty factor
             else:
                 heights = _heights(lower), _heights(upper)
                 stack.append((_split_words(lower, upper, *heights)[::-1], [], j))

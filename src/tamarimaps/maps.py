@@ -48,8 +48,8 @@ class PlanarMap(_Value):
     def __init__(self, sigma, root: int = 0):
         sigma = tuple(sigma)
         _check_sigma(sigma, root)
-        _root_first(sigma, root)  # raises when not connected
-        self._set(sigma, root, *_labels(sigma), None, None)
+        code = _root_first(sigma, root)  # raises when not connected
+        self._set(sigma, root, *_labels(sigma), None, sigma if code == sigma else None)
 
     def _set(self, sigma, root, vlabel, nv, flabel, nf, non_separable, code):
         """Write every slot and return the map; the two stored facts may be
@@ -591,6 +591,7 @@ def _canonical_sigmas(m):
 # ---------------------------------------------------------------------------
 
 SeriesBrick = namedtuple("SeriesBrick", ["component", "exposed"])
+_EDGE = ((0, 1), 0, 1)  # the single-edge brick as a raw (sigma, root, exposed) triple
 
 
 def series_components(M: PlanarMap) -> list:
@@ -673,48 +674,71 @@ def _face_blocks(outer, inner, vlabel) -> list:
     return blocks
 
 
-def _flood_blocks(sigma, root, blocks) -> list:
-    """The block of each edge (-1 for the root edge) of ``sigma`` split
-    into ``blocks`` at ``root``: a flood from each block's face darts to
-    twins and to the next dart around a vertex, unless that dart is on a
-    face beside the root edge, where the blocks meet.  Two blocks meeting
-    at another corner raise AssertionError."""
+def _series_cut(sigma, vlabel, root):
+    """The series split of ``sigma`` at ``root`` in its global labels:
+    (blocks, cut, owner).  ``blocks`` are the (outer run, inner run) pairs
+    of :func:`_face_blocks`; ``cut`` is sigma with the splices of
+    :func:`_series_join` undone, the root darts taken out of their vertices
+    and each link vertex split in two, so that it is the disjoint union of
+    the blocks and the root edge; ``owner`` is each dart's block (-1 for the
+    root edge), flooded from each block's first outer dart over twins and
+    ``cut``.  A flood that reaches another block raises AssertionError.
+    Without one, the floods cover every dart off the root edge: the map
+    less that edge is connected, and each link cut adds at most one piece."""
+    outer, inner = _cycle(sigma, root, 1)[1:], _cycle(sigma, root ^ 1, 1)[1:]
+    blocks = _face_blocks(outer, inner, vlabel)
+    cut = list(sigma)
+    # each face walk beside the root edge ends at the twin of the dart
+    # before a root dart in its vertex cycle
+    for d, before in ((root, outer[-1] ^ 1), (root ^ 1, inner[-1] ^ 1)):
+        cut[before], cut[d] = sigma[d], d
+    # the join spliced the cycle of block k + 1 in after out_k[-1] ^ 1 at
+    # their link vertex, and back_{k+1}[-1] ^ 1 ends that cycle
+    for (out, _), (_, back) in zip(blocks, blocks[1:]):
+        a, b = out[-1] ^ 1, back[-1] ^ 1
+        cut[a], cut[b] = cut[b], cut[a]
     owner = [-1] * len(sigma)
-    on_face = [False] * len(sigma)
-    on_face[root] = on_face[root ^ 1] = True
-    stack = []
-    for k, (outer, inner) in enumerate(blocks):
-        for d in outer + inner:
-            owner[d] = k
-            on_face[d] = True
-            stack.append(d)
-    while stack:
-        d = stack.pop()
-        k = owner[d]
-        for e in (d ^ 1,) if on_face[sigma[d]] else (d ^ 1, sigma[d]):
-            if owner[e] < 0:
-                owner[e] = k
-                stack.append(e)
-            elif owner[e] != k:
-                raise AssertionError("two blocks meet at a corner off the faces beside the root edge")
-    return owner[0::2]
+    for k, (out, _) in enumerate(blocks):
+        stack = [out[0]]
+        while stack:
+            d = stack.pop()
+            if owner[d] < 0:
+                owner[d] = k
+                stack += (d ^ 1, cut[d])
+            elif owner[d] != k:
+                raise AssertionError("two blocks meet off the link vertices")
+    return blocks, cut, owner
 
 
 def _series_split(sigma, vlabel, root) -> list:
     """The series split of the non-separable rotation system ``sigma``
-    (vertex labels ``vlabel``) rooted at ``root``: the blocks left when the
-    root edge is deleted, as (sigma restricted to the block, local root,
-    exposed count) triples in outer-walk order, neither re-validated nor
-    put in canonical form (see :func:`series_components`)."""
-    blocks = _face_blocks(_cycle(sigma, root, 1)[1:], _cycle(sigma, root ^ 1, 1)[1:], vlabel)
-    return _bricks(sigma, _flood_blocks(sigma, root, blocks), [run for run, _ in blocks])
+    (vertex labels ``vlabel``) rooted at ``root``, the exact inverse of
+    :func:`_series_join`: the blocks left when the root edge is deleted, as
+    (sigma of the block, local root, exposed count) triples in outer-walk
+    order, neither re-validated nor put in canonical form (see
+    :func:`series_components`).  Each block's sigma is the cut sigma of
+    :func:`_series_cut` on its darts, edges renumbered in order."""
+    blocks, cut, owner = _series_cut(sigma, vlabel, root)
+    size = [0] * len(blocks)
+    local = [0] * len(sigma)
+    for d in range(0, len(sigma), 2):
+        k = owner[d]
+        if k >= 0:
+            local[d], local[d + 1] = size[k], size[k] + 1
+            size[k] += 2
+    bricks = [[0] * n for n in size]
+    for d, k in enumerate(owner):
+        if k >= 0:
+            bricks[k][local[d]] = local[cut[d]]
+    return [(bricks[k], local[out[0]], len(out)) for k, (out, _) in enumerate(blocks)]
 
 
 def _series_join(bricks):
-    """Inverse of :func:`_series_split` on (sigma, root, exposed count)
-    triples, taken as valid: the sigmas are laid side by side and each link
-    vertex, then each end of a new root edge, is one splice.  Returns the
-    joined sigma (a list) and its root dart."""
+    """The series join of (sigma, root, exposed count) triples, taken as
+    valid, and the exact inverse of :func:`_series_split`: the sigmas are
+    laid side by side and each link vertex, then each end of a new root
+    edge, is one splice.  Returns the joined sigma (a list) and its root
+    dart."""
     sigma = []
     roots = []
     exits = []  # twin of each brick's last exposed dart, at its far link vertex
@@ -789,42 +813,6 @@ def compose_parallel(bricks) -> PlanarMap:
     return _canonical_map(_phi(sigma), R)
 
 
-def _bricks(sigma, block_of, runs):
-    """One brick per outer run (one run per block, in block order), as a
-    raw triple: sigma restricted to the block's darts (edges renumbered in
-    order, a list), the local label of the run's first dart as its root,
-    and the run length.  One walk over the vertex cycles links consecutive
-    darts of each block; darts in no block are skipped."""
-    size = [0] * len(runs)
-    local = [0] * len(sigma)
-    for eid, bi in enumerate(block_of):
-        if bi >= 0:
-            local[2 * eid], local[2 * eid + 1] = size[bi], size[bi] + 1
-            size[bi] += 2
-    restricted = [[0] * k for k in size]
-    last = [-1] * len(runs)
-    seen = [False] * len(sigma)
-    for start in range(len(sigma)):
-        if seen[start]:
-            continue
-        touched = []
-        d = start
-        while not seen[d]:
-            seen[d] = True
-            bi = block_of[d >> 1]
-            if bi >= 0:
-                if last[bi] < 0:
-                    touched.append((bi, d))
-                else:
-                    restricted[bi][local[last[bi]]] = local[d]
-                last[bi] = d
-            d = sigma[d]
-        for bi, first in touched:
-            restricted[bi][local[last[bi]]] = local[first]
-            last[bi] = -1
-    return [(restricted[bi], local[run[0]], len(run)) for bi, run in enumerate(runs)]
-
-
 # ---------------------------------------------------------------------------
 # Census by composition (scales past the direct census)
 # ---------------------------------------------------------------------------
@@ -841,7 +829,7 @@ def enumerate_nonseparable_by_composition(m: int) -> list:
     """
     if m < 2:
         raise ValueError("non-separable maps need at least two edges")
-    bricks_by_cost = [[], [((0, 1), 0, 1)]]
+    bricks_by_cost = [[], [_EDGE]]
     for k in range(2, m + 1):
         out = {}
         _extend_series(k - 1, [], bricks_by_cost, out)

@@ -2,15 +2,19 @@ import re
 
 import pytest
 
+from conftest import random_sync_interval
 from tamarimaps import (
+    DyckPath,
     ParseError,
     PlanarMap,
+    SyncInterval,
     closed_form,
     compose_parallel,
     compose_series,
     double_edge_map,
     enumerate_nonseparable,
     enumerate_nonseparable_by_composition,
+    interval_to_map,
     interval_to_tree,
     parallel_components,
     series_components,
@@ -23,13 +27,12 @@ from tamarimaps.maps import (
     SeriesBrick,
     _canonical_map,
     _canonical_sigmas,
-    _cycle,
     _face_blocks,
-    _flood_blocks,
     _is_non_separable,
     _lowpoint_blocks,
     _orbit_labels,
     _root_first,
+    _series_cut,
     _splice,
 )
 
@@ -327,6 +330,26 @@ class TestCanonicalCode:
         # a rerooting computes its code: the sigma of its canonical form
         for d in (1, 203, 403):
             R = large.rerooted(d)
+            assert R.canonical_code() == R.canonical_form().sigma
+
+    def test_a_parsed_canonical_map_runs_one_root_first_pass(self, monkeypatch):
+        # the constructor's connectivity pass is the code when it renames
+        # nothing, so reading a canonical map and asking for its code runs
+        # one pass; a map read in other labels still gets the code of its
+        # canonical form
+        large = _large_map()
+        calls = []
+
+        def counted(sigma, root):
+            calls.append(root)
+            return _root_first(sigma, root)
+
+        monkeypatch.setattr("tamarimaps.maps._root_first", counted)
+        M = PlanarMap.from_text(large.to_text())
+        assert M.canonical_code() is M.sigma
+        assert len(calls) == 1
+        for d in (1, 203, 403):
+            R = PlanarMap.from_text(large.rerooted(d).to_text())
             assert R.canonical_code() == R.canonical_form().sigma
 
 
@@ -641,6 +664,21 @@ class TestParallelDecomposition:
                 assert compose_parallel(bricks) == composed
 
 
+@pytest.mark.parametrize("kind", ["comb", "spine", "random"])
+def test_decomposition_round_trips_at_size_5000(kind):
+    # the comb's map splits into 5000 parallel bricks, the spine's into 5000
+    # series bricks; each composition gives back the canonical map itself
+    n = 5000
+    if kind == "random":
+        I = random_sync_interval(n, 1)
+    else:
+        word = "ud" * n if kind == "comb" else "u" * n + "d" * n
+        I = SyncInterval(DyckPath(word), DyckPath(word))
+    M = interval_to_map(I)
+    assert compose_series(series_components(M)) == M
+    assert compose_parallel(parallel_components(M)) == M
+
+
 class TestBlocks:
     def test_bridge_and_cycle(self):
         # path a-b plus double edge b-c: two blocks, meeting at b.  Edge 0
@@ -673,9 +711,9 @@ class TestBlocks:
 
     def test_face_rule_matches_lowpoint_blocks(self, maps_by_edges):
         # the series split reads its blocks off the two faces beside the root
-        # edge and floods their interiors; the lowpoint search, which needs
-        # no faces, must cut the same edges into the same blocks, on every
-        # rooting of every map of 2-7 edges and of its dual
+        # edge and floods the pieces left by cutting them apart; the lowpoint
+        # search, which needs no faces, must cut the same edges into the same
+        # blocks, on every rooting of every map of 2-7 edges and of its dual
         def partition(block_of):
             parts = {}
             for e, b in enumerate(block_of):
@@ -688,9 +726,38 @@ class TestBlocks:
                 for X in (M, M.dual()):
                     sigma, vlabel = X.sigma, X._vlabel
                     for root in range(X.dart_count):
-                        walks = _cycle(sigma, root, 1)[1:], _cycle(sigma, root ^ 1, 1)[1:]
-                        face_rule = _flood_blocks(sigma, root, _face_blocks(*walks, vlabel))
+                        face_rule = _series_cut(sigma, vlabel, root)[2][0::2]
                         lowpoint = _lowpoint_blocks(sigma, vlabel, X.vertex_count, root >> 1)[0]
                         assert partition(face_rule) == partition(lowpoint)
                         splits += 1
         assert splits == 14176
+
+    def test_face_blocks_checks_its_runs(self):
+        # darts 0-4 leave vertices 0, 1, 2, 1, 1; vertex 1 is on both walks.
+        # The outer walk (0, 1) is cut into two runs there, the inner walk
+        # (2, 3, 4) into three
+        vlabel = [0, 1, 2, 1, 1]
+        with pytest.raises(AssertionError, match="meet different numbers of blocks"):
+            _face_blocks([0, 1], [2, 3, 4], vlabel)
+        # two runs each, but the inner run (3) paired with (0) ends at the
+        # tail of dart 2, vertex 2, not where (0) starts
+        with pytest.raises(AssertionError, match="do not close up"):
+            _face_blocks([0, 1], [2, 3], vlabel)
+
+    def test_split_checks_the_blocks_it_is_given(self, maps_by_edges, monkeypatch):
+        # blocks in the wrong order, or outer runs paired with the wrong
+        # inner runs, undo splices that the join never made: the flood from
+        # one block reaches another, on each of the 45 maps of 6 edges whose
+        # split has two or more blocks
+        maps = [M for M in maps_by_edges[6] if len(series_components(M)) >= 2]
+        assert len(maps) == 45
+        for wrong in (
+            lambda blocks: blocks[::-1],
+            lambda blocks: [(out, back) for (out, _), (_, back) in zip(blocks, blocks[::-1])],
+        ):
+            monkeypatch.setattr(
+                "tamarimaps.maps._face_blocks", lambda *walks: wrong(_face_blocks(*walks))
+            )
+            for M in maps:
+                with pytest.raises(AssertionError, match="two blocks meet"):
+                    series_components(M)
