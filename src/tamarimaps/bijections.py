@@ -22,11 +22,10 @@ from .maps import (
     _phi,
     _series_join,
 )
-from .paths import DyckPath
+from .paths import DyckPath, _walk
 from .tamari import (
     CanopyInterval,
     SyncInterval,
-    _heights,
     _join_words,
     _split_words,
     canopy_to_sync,
@@ -204,8 +203,7 @@ def interval_to_tree(interval: SyncInterval) -> DecoratedTree:
 
     # where each up step of Q ends, and the depth of the shallower endpoint
     # of the edge owning it
-    qh = Q.heights()
-    ends = Q._ups
+    qh, ends = Q._walked()
     up_parent_depth = [qh[j - 1] for j in ends]
 
     # the ray of an up step starts where the next up step does (or at the
@@ -344,7 +342,7 @@ def recursive_interval_to_map(interval: SyncInterval) -> PlanarMap:
     # (last first), the dual bricks of those taken, and its root-side count
     # as the base of a factor
     P, Q = interval.lower, interval.upper
-    stack = [(_split_words(P.word, Q.word, P._heights, Q._heights)[::-1], [], 0)]
+    stack = [(_split_words(P.word, Q.word, P.heights(), Q.heights())[::-1], [], 0)]
     while True:
         factors, bricks, _ = stack[-1]
         if factors:
@@ -352,7 +350,7 @@ def recursive_interval_to_map(interval: SyncInterval) -> PlanarMap:
             if not upper:
                 bricks.append(_EDGE)  # the dual brick of every empty factor
             else:
-                heights = _heights(lower), _heights(upper)
+                heights = _walk(lower)[0], _walk(upper)[0]
                 stack.append((_split_words(lower, upper, *heights)[::-1], [], j))
             continue
         _, bricks, j = stack.pop()

@@ -47,12 +47,29 @@ class _Value:
         return "%s(%s)" % (type(self).__name__, ", ".join(map(repr, self._key())))
 
 
+def _walk(word: str) -> tuple:
+    """The heights of a u/d word at its points 0..len(word) and the
+    (1-based) positions of its ``u`` letters, as two tuples from one pass."""
+    heights, ups, h = [0], [], 0
+    for j, c in enumerate(word, 1):
+        if c == "u":
+            ups.append(j)
+            h += 1
+        else:
+            h -= 1
+        heights.append(h)
+    return tuple(heights), tuple(ups)
+
+
 class DyckPath(_Value):
     """A Dyck path stored as its word over ``u``/``d``.
 
     The constructor checks the word.  ``_set`` writes a word without the
     check; only a caller holding a proof that the word is a Dyck word may
-    use it.
+    use it.  The heights and up positions come from one walk of the word,
+    made by the constructor or else the first time either is read; the
+    contact positions are computed from the heights on first use, unless
+    ``_set`` was handed them.
 
     >>> P = DyckPath("uududd")
     >>> P.size
@@ -63,34 +80,33 @@ class DyckPath(_Value):
     2
     """
 
-    __slots__ = ("word", "size", "_heights", "_ups", "_distances", "_type")
+    __slots__ = ("word", "size", "_walk", "_contacts", "_distances", "_type")
 
     def __init__(self, word: str = ""):
         if word.count("u") + word.count("d") != len(word):
             raise ParseError("Dyck word may only contain 'u' and 'd': %r" % (word,))
-        self._set(word)
-        if min(self._heights) < 0:
+        heights, _ = self._set(word)._walked()
+        if min(heights) < 0:
             raise ParseError("not a Dyck word (prefix goes below 0): %r" % (word,))
-        if self._heights[-1]:
+        if heights[-1]:
             raise ParseError("not a Dyck word (unbalanced): %r" % (word,))
 
-    def _set(self, word):
-        """Write every slot and return the path."""
-        heights, ups, h = [0], [], 0
-        for j, c in enumerate(word, 1):
-            if c == "u":
-                ups.append(j)
-                h += 1
-            else:
-                h -= 1
-            heights.append(h)
+    def _set(self, word, contacts=None):
+        """Write every slot and return the path; ``contacts``, when given,
+        is the tuple of its contact positions."""
         self.word = word
-        self._heights = tuple(heights)
-        self._ups = tuple(ups)
-        self.size = len(self._ups)
+        self.size = len(word) // 2
+        self._walk = None       # (heights, up positions), computed on first use
+        self._contacts = contacts
         self._distances = None  # distance vector (the matching), computed on first use
         self._type = None       # type word, computed on first use
         return self
+
+    def _walked(self) -> tuple:
+        """The heights and the up positions, from one walk (made once)."""
+        if self._walk is None:
+            self._walk = _walk(self.word)
+        return self._walk
 
     # -- basic protocol ----------------------------------------------------
 
@@ -107,13 +123,13 @@ class DyckPath(_Value):
 
     def heights(self) -> tuple:
         """Heights at lattice points 0..2n (running #u - #d)."""
-        return self._heights
+        return self._walked()[0]
 
     def up_position(self, i: int) -> int:
         """Word position (1-based) of the i-th up step."""
         if not 1 <= i <= self.size:
             raise IndexError("up-step index %d out of range 1..%d" % (i, self.size))
-        return self._ups[i - 1]
+        return self._walked()[1][i - 1]
 
     def match_up(self, i: int) -> int:
         """Word position of the down step matched with the i-th up step.
@@ -144,7 +160,7 @@ class DyckPath(_Value):
         """
         if self._distances is None:
             # the one matching loop: a down step closes the latest open up step
-            ups = self._ups
+            ups = self._walked()[1]
             distances = [0] * self.size
             open_ups = []  # ranks of the up steps not yet matched
             k = 0
@@ -167,7 +183,7 @@ class DyckPath(_Value):
         """
         if self._type is None:
             w = self.word
-            self._type = "".join(["E" if w[p] == "u" else "N" for p in self._ups[:-1]])
+            self._type = "".join(["E" if w[p] == "u" else "N" for p in self._walked()[1][:-1]])
         return self._type
 
     def type_of(self) -> "GridPath":
@@ -191,11 +207,14 @@ class DyckPath(_Value):
         >>> DyckPath("udud").contacts()
         3
         """
-        return self._heights.count(0)
+        return len(self.contact_positions())
 
     def contact_positions(self) -> tuple:
-        """Lattice point indices (0..2n) where the path touches the x-axis."""
-        return tuple(j for j, h in enumerate(self._heights) if h == 0)
+        """Lattice point indices (0..2n) where the path touches the x-axis
+        (computed once)."""
+        if self._contacts is None:
+            self._contacts = tuple([j for j, h in enumerate(self._walked()[0]) if not h])
+        return self._contacts
 
 
 class GridPath(_Value):

@@ -11,7 +11,7 @@ lattice (``tam_covers``).
 from __future__ import annotations
 
 from functools import partial
-from itertools import accumulate, product
+from itertools import product
 from operator import le
 
 from .paths import (
@@ -186,7 +186,7 @@ def _upper_path(P: DyckPath, v: GridPath) -> GridPath:
     arcs open after the descent following up step r_k, so c_k is the height
     just before up step r_k + 1, read in O(1).
     """
-    heights, ups = P._heights, P._ups
+    heights, ups = P._walked()
     north_ranks = [k for k, c in enumerate(v.word, 1) if c == "N"]
     abscissas = [x - heights[ups[rk] - 1] for rk, x in zip(north_ranks, v.north_abscissas())]
     return grid_path_from_north_abscissas(abscissas, v.east_count)
@@ -414,8 +414,13 @@ def compose_intervals(pointed: PointedSyncInterval, other: SyncInterval) -> Sync
     >>> compose_intervals(PointedSyncInterval(empty, 0), empty).to_text()
     'ud|ud'
     """
-    lower, upper, _ = _join_words([_factor_words(pointed)])
-    return _interval(lower + other.lower.word, upper + other.upper.word)
+    lower, upper, contacts = _join_words([_factor_words(pointed)])
+    rest = other.lower
+    if rest._contacts is None and rest._walk is None:
+        contacts = None  # found on first use, as walking the rest now may be wasted
+    else:
+        contacts += tuple([len(lower) + c for c in rest.contact_positions()[1:]])
+    return _interval(lower + rest.word, upper + other.upper.word, contacts)
 
 
 def compose_factors(factors) -> SyncInterval:
@@ -428,8 +433,7 @@ def compose_factors(factors) -> SyncInterval:
     >>> compose_factors([]).size
     0
     """
-    lower, upper, _ = _join_words([_factor_words(pointed) for pointed in factors])
-    return _interval(lower, upper)
+    return _interval(*_join_words([_factor_words(pointed) for pointed in factors]))
 
 
 def _factor_words(pointed: PointedSyncInterval) -> tuple:
@@ -437,11 +441,14 @@ def _factor_words(pointed: PointedSyncInterval) -> tuple:
     return base.lower.word, base.upper.word, base.lower.contact_positions(), pointed.cut
 
 
-def _interval(lower: str, upper: str) -> SyncInterval:
+def _interval(lower: str, upper: str, contacts=None) -> SyncInterval:
     """The interval of two words that compose or split a checked one, by the
-    split/compose bijection, so neither path nor the pair is checked."""
+    split/compose bijection, so neither path nor the pair is checked;
+    ``contacts``, when known, is the tuple of the lower word's contact
+    positions."""
     return object.__new__(SyncInterval)._set(
-        object.__new__(DyckPath)._set(lower), object.__new__(DyckPath)._set(upper)
+        object.__new__(DyckPath)._set(lower, contacts),
+        object.__new__(DyckPath)._set(upper),
     )
 
 
@@ -457,7 +464,7 @@ def _join_words(factors) -> tuple:
         upper += ("u", up, "d")
         contacts += [at + 2 + c for c in positions[cut:]]
         at += len(up) + 2
-    return "".join(lower), "".join(upper), contacts
+    return "".join(lower), "".join(upper), tuple(contacts)
 
 
 def decompose_interval(interval: SyncInterval) -> tuple:
@@ -467,8 +474,9 @@ def decompose_interval(interval: SyncInterval) -> tuple:
     if interval.size == 0:
         raise ValueError("cannot decompose the empty interval")
     P, Q = interval.lower, interval.upper
-    b = Q._heights.index(0, 1)  # the first upper contact
-    low, up, cut, _ = _split_words(P.word[:b], Q.word[:b], P._heights, Q._heights)[0]
+    ph, qh = P.heights(), Q.heights()
+    b = qh.index(0, 1)  # the first upper contact
+    low, up, cut, _ = _split_words(P.word[:b], Q.word[:b], ph, qh)[0]
     pointed = object.__new__(PointedSyncInterval)._set(_interval(low, up), cut)
     return pointed, _interval(P.word[b:], Q.word[b:])
 
@@ -486,20 +494,16 @@ def split_interval(interval: SyncInterval) -> list:
     P, Q = interval.lower, interval.upper
     return [
         object.__new__(PointedSyncInterval)._set(_interval(low, up), cut)
-        for low, up, cut, _ in _split_words(P.word, Q.word, P._heights, Q._heights)
+        for low, up, cut, _ in _split_words(P.word, Q.word, P.heights(), Q.heights())
     ]
-
-
-def _heights(word: str) -> list:
-    """The heights of a u/d word at its points 0..len(word)."""
-    return list(accumulate(map({"u": 1, "d": -1}.__getitem__, word), initial=0))
 
 
 def _split_words(lower: str, upper: str, low_heights, up_heights) -> list:
     """The pointed factors of [lower, upper] as (Pl Pr, Q1, cut, contacts of
     Pr) tuples, where upper[a:b] = u Q1 d runs between consecutive contacts
     and lower[a:b] must be u Pl d Pr, cut where Pl ends; the heights are the
-    words' :func:`_heights`, and may run on past the end of ``upper``."""
+    words' heights (:func:`paths._walk`), and may run on past the end of
+    ``upper``."""
     factors = []
     a = 0
     while a < len(upper):

@@ -1,3 +1,4 @@
+import random
 from functools import partial
 from itertools import product
 
@@ -35,12 +36,17 @@ from tamarimaps import (
     tree_to_interval,
     tree_to_map,
 )
+from tamarimaps import paths
 from tamarimaps.paths import grid_path_from_north_abscissas
 from tamarimaps.tamari import _distance_upsets, cover_closures, dyck_paths_by_type, tam_leq
 
 
 def path_facts(P):
-    return P.heights(), P._ups, P.size, P.distance_vector(), P.type_word(), P.contacts()
+    # a composed lower path returns the contact positions it was handed
+    return (
+        P._walked(), P.size, P.distance_vector(), P.type_word(), P.contacts(),
+        P.contact_positions(),
+    )
 
 
 def pointed_intervals(intervals):
@@ -379,6 +385,7 @@ class TestSyncCanopyBijection:
         # every producer that skips the public checks gives I back
         factors = split_interval(I)
         pointed, rest = decompose_interval(I)
+        rest.lower.contacts()  # known, so compose_intervals hands them on, shifted
         T = interval_to_tree(I)
         images = [
             canopy_to_sync(C),
@@ -389,8 +396,9 @@ class TestSyncCanopyBijection:
         assert images == [I] * 4
         # the intervals the splits wrote are ones the public constructors
         # accept, and every path written has the facts DyckPath(word)
-        # computes; a setter's value is a function of its arguments, so each
-        # distinct interval and word in ``checked`` is checked once
+        # computes; a setter's value is a function of its arguments (for a
+        # path, its word and any contact positions it was handed), so each
+        # distinct interval and path key in ``checked`` is checked once
         for f in [pointed, *factors]:
             if f not in checked:
                 checked.add(f)
@@ -401,8 +409,9 @@ class TestSyncCanopyBijection:
             assert SyncInterval(DyckPath(rest.lower.word), DyckPath(rest.upper.word)) == rest
         for J in [I, rest, pointed.base, *images[1:], *(f.base for f in factors)]:
             for P in (J.lower, J.upper):
-                if P.word not in checked:
-                    checked.add(P.word)
+                key = P.word, P._contacts
+                if key not in checked:
+                    checked.add(key)
                     assert path_facts(P) == path_facts(DyckPath(P.word))
         # the map is one the public constructor accepts, with the same
         # labels and code: the writer skipped only checks its sigma passes.
@@ -578,6 +587,38 @@ class TestComposition:
                         assert key not in built
                         built.add(key)
             assert built == {I.to_text() for I in sync_by_size[n]}
+
+    def test_composition_walks_no_composed_word(self, monkeypatch):
+        # a size-2000 interval composed bottom-up from the empty interval with
+        # compose_intervals, as the benchmark's generator builds its inputs:
+        # each composed lower path is written with its contact positions, so
+        # neither pointing it nor composing onto it walks a composed word
+        walked = []
+        walk = paths._walk
+        monkeypatch.setattr(paths, "_walk", lambda word: walked.append(word) or walk(word))
+        rng = random.Random(2000)
+        empty = SyncInterval(DyckPath(""), DyckPath(""))
+        built, composed = [], []
+        todo = [2000]  # a size to build, or None: compose the top two values
+        while todo:
+            size = todo.pop()
+            if size is None:
+                other = built.pop()
+                base = built.pop()
+                cut = rng.randrange(1, base.lower.contacts()) if base.size else 0
+                built.append(compose_intervals(PointedSyncInterval(base, cut), other))
+                composed.append(built[-1])
+            elif size == 0:
+                built.append(empty)
+            else:
+                left = rng.randrange(size)  # size of the pointed base
+                todo += [None, size - 1 - left, left]
+        assert walked == ["", ""]  # the empty interval's paths, by the constructor
+        assert len(composed) == built[0].size == 2000
+        for J in composed:
+            assert SyncInterval(DyckPath(J.lower.word), DyckPath(J.upper.word)) == J
+            for P in (J.lower, J.upper):
+                assert path_facts(P) == path_facts(DyckPath(P.word))
 
     def test_contacts_recursion(self, sync_by_size):
         # contacts(P)-1 adds up: lifted left part plus the unchanged tail
