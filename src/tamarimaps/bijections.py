@@ -31,7 +31,7 @@ from .tamari import (
     canopy_to_sync,
     sync_to_canopy,
 )
-from .trees import CLOSE, OPEN, DecoratedTree, contour_tree
+from .trees import CLOSE, OPEN, DecoratedTree, _contour_code
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +49,8 @@ def map_to_tree(M: PlanarMap) -> DecoratedTree:
     order: the exploration writes the flat code backwards (``CLOSE`` on
     entering a vertex, ``OPEN`` on leaving it) and reverses it once.  The
     open vertices are two integer stacks: arrival dart, next dart to scan.
+    The exploration of a checked map writes a tree code, so the code is not
+    checked again.
 
     >>> from tamarimaps.maps import double_edge_map
     >>> map_to_tree(double_edge_map()).to_text()
@@ -88,8 +90,7 @@ def map_to_tree(M: PlanarMap) -> DecoratedTree:
             code.append(OPEN)
             arrivals.pop()
             scans.pop()
-    code.reverse()
-    return DecoratedTree(code)
+    return object.__new__(DecoratedTree)._set(tuple(reversed(code)))
 
 
 def tree_to_map(T: DecoratedTree) -> PlanarMap:
@@ -196,6 +197,8 @@ def interval_to_tree(interval: SyncInterval) -> DecoratedTree:
 
     One left-to-right scan of the lower path finds every ray's stop: it
     keeps, for each height, the label the latest midpoint seen there gives.
+    The contour code of a Dyck word with labels from -1 up is a tree code, so
+    it is not checked again; the decoration conditions are, on first use.
     """
     if interval.size < 1:
         raise ValueError("needs a nonempty interval")
@@ -229,7 +232,8 @@ def interval_to_tree(interval: SyncInterval) -> DecoratedTree:
 
     # the contour tree of Q; a leaf takes the label of its up step
     w = Q.word
-    return contour_tree(Q, [label for label, j in zip(labels, ends) if w[j] == "d"])
+    code = _contour_code(w, [label for label, j in zip(labels, ends) if w[j] == "d"])
+    return object.__new__(DecoratedTree)._set(code)
 
 
 # ---------------------------------------------------------------------------

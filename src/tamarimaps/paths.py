@@ -223,6 +223,11 @@ class GridPath(_Value):
     Any word is allowed: grid paths serve both as lattice elements and as
     canopies, and a canopy may be all-north or all-east.
 
+    The constructor checks the word and walks it for its levels.  ``_set``
+    writes a word with its levels unwalked; only a caller holding the levels
+    of that word may use it, such as :func:`grid_path_from_north_abscissas`,
+    which builds the word from them.
+
     >>> v = GridPath("EEN")
     >>> v.horiz((0, 1))
     2
@@ -233,7 +238,6 @@ class GridPath(_Value):
     def __init__(self, word: str = ""):
         if word.count("N") + word.count("E") != len(word):
             raise ParseError("grid word may only contain 'N' and 'E': %r" % (word,))
-        self.word = word
         # levels[y] = largest abscissa the path reaches at ordinate y
         levels = []
         x = 0
@@ -243,7 +247,14 @@ class GridPath(_Value):
             else:
                 levels.append(x)
         levels.append(x)
-        self._levels = tuple(levels)
+        self._set(word, tuple(levels))
+
+    def _set(self, word, levels):
+        """Write every slot and return the path; ``levels`` is the tuple
+        :meth:`levels` returns."""
+        self.word = word
+        self._levels = levels
+        return self
 
     def _key(self):
         return (self.word,)
@@ -382,10 +393,12 @@ def lattice_words(levels, low: str, high: str):
 
 
 def grid_path_from_north_abscissas(abscissas, east_count: int) -> GridPath:
-    """Rebuild the grid word whose k-th north step has the given abscissa."""
+    """Rebuild the grid word whose k-th north step has the given abscissa;
+    those abscissas and ``east_count`` are its levels, so it is not walked."""
+    levels = (*abscissas, east_count)
     prev = 0
     letters = []
-    for b in abscissas:
+    for b in levels[:-1]:
         if b < prev:
             raise ValueError("north abscissas must be weakly increasing")
         letters.append("E" * (b - prev))
@@ -394,4 +407,4 @@ def grid_path_from_north_abscissas(abscissas, east_count: int) -> GridPath:
     if east_count < prev:
         raise ValueError("east count smaller than the last north abscissa")
     letters.append("E" * (east_count - prev))
-    return GridPath("".join(letters))
+    return object.__new__(GridPath)._set("".join(letters), levels)

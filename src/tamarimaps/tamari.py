@@ -167,7 +167,7 @@ def tam_leq(v: GridPath, v1: GridPath, v2: GridPath) -> bool:
 
 def dyck_to_pathpair(P: DyckPath) -> PathPair:
     """Send a Dyck path of size n to a pair (upper, canopy) of length n-1:
-    the type of ``P`` and :func:`_upper_path` over it.
+    the type of ``P`` and :func:`_upper_paths` over it.
 
     >>> dyck_to_pathpair(DyckPath("udud"))
     PathPair('N', 'N')
@@ -175,21 +175,25 @@ def dyck_to_pathpair(P: DyckPath) -> PathPair:
     if P.size < 1:
         raise ValueError("needs a nonempty Dyck path")
     v = P.type_of()
-    return PathPair(_upper_path(P, v), v)
+    return PathPair(*_upper_paths(v, [P]), v)
 
 
-def _upper_path(P: DyckPath, v: GridPath) -> GridPath:
-    """The upper path of ``P`` over its type ``v`` (not checked).  With
-    r_1 < ... < r_{s-1} the ranks of the north letters of ``v`` and r_s = n,
-    the k-th north step sits c_k columns left of that of ``v``, c_k counting
-    the arcs strictly containing up steps r_k and r_{k+1}.  Those are the
-    arcs open after the descent following up step r_k, so c_k is the height
-    just before up step r_k + 1, read in O(1).
+def _upper_paths(v: GridPath, paths) -> list:
+    """The upper path of each Dyck path of ``paths`` over their common type
+    ``v`` (not checked).  With r_1 < ... < r_{s-1} the ranks of the north
+    letters of ``v`` and r_s = n, the k-th north step sits c_k columns left
+    of that of ``v``, c_k counting the arcs strictly containing up steps r_k
+    and r_{k+1}.  Those are the arcs open after the descent following up
+    step r_k, so c_k is the height just before up step r_k + 1, read in O(1).
+    The ranks are listed once for all the paths.
     """
-    heights, ups = P._walked()
-    north_ranks = [k for k, c in enumerate(v.word, 1) if c == "N"]
-    abscissas = [x - heights[ups[rk] - 1] for rk, x in zip(north_ranks, v.north_abscissas())]
-    return grid_path_from_north_abscissas(abscissas, v.east_count)
+    north = list(zip([k for k, c in enumerate(v.word, 1) if c == "N"], v.north_abscissas()))
+    out = []
+    for P in paths:
+        heights, ups = P._walked()
+        abscissas = [x - heights[ups[rk] - 1] for rk, x in north]
+        out.append(grid_path_from_north_abscissas(abscissas, v.east_count))
+    return out
 
 
 def pathpair_to_dyck(pp: PathPair) -> DyckPath:
@@ -389,8 +393,7 @@ def sync_to_canopy(interval: SyncInterval) -> CanopyInterval:
         raise ValueError("needs a nonempty interval")
     lower, upper = interval.lower, interval.upper
     v = lower.type_of()
-    low = PathPair(_upper_path(lower, v), v)
-    up = PathPair(_upper_path(upper, v), v)
+    low, up = (PathPair(w, v) for w in _upper_paths(v, (lower, upper)))
     return object.__new__(CanopyInterval)._set(up.upper, low.upper, v, (lower, upper))
 
 
@@ -492,10 +495,21 @@ def split_interval(interval: SyncInterval) -> list:
     [(0, 0), (0, 0)]
     """
     P, Q = interval.lower, interval.upper
-    return [
-        object.__new__(PointedSyncInterval)._set(_interval(low, up), cut)
-        for low, up, cut, _ in _split_words(P.word, Q.word, P.heights(), Q.heights())
-    ]
+    ph = P.heights()
+    out = []
+    a = 0  # where the factor starts
+    for low, up, cut, _ in _split_words(P.word, Q.word, ph, Q.heights()):
+        # the base's contacts: the points at height 1 inside u Pl d and at
+        # height 0 in Pr, whose first point is Pl's last
+        b = a + len(up) + 2
+        pcut = ph.index(0, a + 1)
+        contacts = [j - a - 1 for j in range(a + 1, pcut) if ph[j] == 1]
+        contacts += [j - a - 2 for j in range(pcut + 1, b + 1) if not ph[j]]
+        out.append(
+            object.__new__(PointedSyncInterval)._set(_interval(low, up, tuple(contacts)), cut)
+        )
+        a = b
+    return out
 
 
 def _split_words(lower: str, upper: str, low_heights, up_heights) -> list:

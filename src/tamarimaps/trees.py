@@ -41,9 +41,6 @@ class Violation(namedtuple("Violation", ["condition", "address", "detail"])):
         return "condition %d at %s: %s" % self
 
 
-Leaf = namedtuple("Leaf", ["address", "label", "parent_depth"])
-
-
 def _preorder(code):
     """(address, token) of every node below the root, in traversal order;
     the token is the label of a leaf, or OPEN for an internal node."""
@@ -73,6 +70,11 @@ class DecoratedTree(_Value):
     A tree is immutable: ``code`` must not be reassigned.  The one scan of
     the decoration conditions (violations and charges) is made on first use
     and stored.
+
+    ``_set`` writes a code without the constructor's structural loop; only a
+    caller holding a proof that the tuple is a tree code may use it, such as
+    a bijection building the code from a checked value, or the enumerator
+    filling a contour code's leaves.
 
     >>> T = DecoratedTree.from_text("((-1))")
     >>> T.edge_count
@@ -140,14 +142,6 @@ class DecoratedTree(_Value):
         # but the root, read off the stored scan that every chain step makes
         _violations, charges, internal = self._scan()
         return len(charges) + internal
-
-    def leaves_in_traversal_order(self) -> list:
-        """Leaves as (address, label, parent depth), in traversal order."""
-        return [
-            Leaf(address, tok, len(address) - 1)
-            for address, tok in _preorder(self.code)
-            if tok is not OPEN
-        ]
 
     # -- decoration conditions ----------------------------------------------
 
@@ -347,17 +341,22 @@ def contour_tree(path: DyckPath, labels) -> DecoratedTree:
     >>> contour_tree(DyckPath("uuddud"), [-1, -1]).to_text()
     '((-1) -1)'
     """
-    # a peak "ud" is a leaf; every other "u" opens a node and "d" closes one
-    steps = path.word.replace("ud", "l")
-    if steps.count("l") != len(labels):
-        raise ValueError(
-            "%d labels for the %d leaves of %r" % (len(labels), steps.count("l"), path.word)
-        )
+    leaves = path.word.count("ud")
+    if leaves != len(labels):
+        raise ValueError("%d labels for the %d leaves of %r" % (len(labels), leaves, path.word))
+    return DecoratedTree(_contour_code(path.word, labels))
+
+
+def _contour_code(word: str, labels) -> tuple:
+    """The code of the contour tree of the Dyck word ``word``, one label per
+    leaf: a peak "ud" is a leaf, and every other "u" opens a node and "d"
+    closes one."""
     leaf_labels = iter(labels)
-    code = [OPEN]
-    code += [next(leaf_labels) if c == "l" else OPEN if c == "u" else CLOSE for c in steps]
-    code.append(CLOSE)
-    return DecoratedTree(code)
+    steps = [
+        next(leaf_labels) if c == "l" else OPEN if c == "u" else CLOSE
+        for c in word.replace("ud", "l")
+    ]
+    return (OPEN, *steps, CLOSE)
 
 
 def enumerate_decorated_trees(n: int) -> list:
@@ -390,7 +389,7 @@ def enumerate_decorated_trees(n: int) -> list:
         # the code as indices into labels + [OPEN, CLOSE]: leaf k is k
         template = [-2]
         entered = [0]  # leaves seen when each open node was entered, root first
-        for c in path.word.replace("ud", "l"):  # as in contour_tree
+        for c in path.word.replace("ud", "l"):  # as in _contour_code
             if c == "l":
                 template.append(len(firsts))
                 firsts.append(entered[1:])

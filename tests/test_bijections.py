@@ -4,7 +4,8 @@ import sys
 import pytest
 from hypothesis import assume, given, settings
 
-from conftest import dyck_paths
+from conftest import dyck_paths, random_sync_interval
+from test_trees import leaves_in_traversal_order
 from tamarimaps import (
     DecoratedTree,
     DyckPath,
@@ -60,7 +61,7 @@ class TestMapToTree:
         # leaves labeled -1 are exactly the deleted edges back to the tail
         for M in maps_by_edges[4]:
             T = map_to_tree(M)
-            free = sum(1 for lf in T.leaves_in_traversal_order() if lf.label == -1)
+            free = sum(1 for lf in leaves_in_traversal_order(T) if lf.label == -1)
             assert free == M.root_vertex_degree - 1
 
 
@@ -150,7 +151,7 @@ class TestTreeToInterval:
                     expected.append(label)
                 T = interval_to_tree(I)
                 assert tree_to_upper(T) == Q
-                assert [lf.label for lf in T.leaves_in_traversal_order()] == expected
+                assert [lf.label for lf in leaves_in_traversal_order(T)] == expected
 
     def test_trivial_intervals(self):
         assert interval_to_tree(SyncInterval(DyckPath("ud"), DyckPath("ud"))).to_text() == "(-1)"
@@ -265,6 +266,27 @@ class TestLargeObjects:
         assert M.edge_count == I.size + 1
         assert map_to_tree(M) == T
         assert tree_to_interval(T) == start
+
+    def test_builders_call_no_public_constructor(self, monkeypatch):
+        # both tree builders write their codes, and sync_to_canopy its two
+        # upper paths, through the trusted writers; only the type of the
+        # interval is built by a public constructor
+        I = random_sync_interval(2000, 2000)
+        M = tree_to_map(interval_to_tree(I))
+        calls = []
+        for cls in (DecoratedTree, GridPath):
+
+            def counted(self, *args, init=cls.__init__):
+                calls.append(type(self))
+                init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        T = interval_to_tree(I)
+        assert calls == []
+        assert map_to_tree(M) == T
+        assert calls == []
+        sync_to_canopy(I)
+        assert calls == [GridPath]
 
 
 class TestRecursiveBijection:

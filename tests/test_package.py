@@ -1,8 +1,10 @@
 """The package namespace: every public name is imported from its module on
 first use, and each test here starts from a fresh import of the package."""
 
+import ast
 import importlib
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,3 +72,21 @@ def test_module_attribute_after_a_bare_import(package):
     assert "tamarimaps.maps" not in sys.modules
     assert package.maps.PlanarMap is package.PlanarMap
     assert package.maps is sys.modules["tamarimaps.maps"]
+
+
+def test_no_new_recursion():
+    # every walk is a loop, so no input depth reaches the recursion limit;
+    # the two census helpers that still call themselves are bounded by the
+    # edge count at desk sizes
+    recursive = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "tamarimaps").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                called = {
+                    getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                }
+                if node.name in called:
+                    recursive.append("%s.%s" % (path.stem, node.name))
+    assert recursive == ["maps._extend_series", "trees._label_leaves"]

@@ -8,6 +8,7 @@ from hypothesis import given
 from conftest import canopies, canopies_with_element, random_sync_interval, reach
 from tamarimaps import (
     CanopyInterval,
+    DecoratedTree,
     DyckPath,
     GridPath,
     PathPair,
@@ -28,6 +29,7 @@ from tamarimaps import (
     enumerate_sync_intervals,
     enumerate_tam,
     interval_to_tree,
+    map_to_tree,
     pathpair_to_dyck,
     split_interval,
     sync_to_canopy,
@@ -382,6 +384,10 @@ class TestSyncCanopyBijection:
         assert C == D
         assert C._paths == D._paths == (I.lower, I.upper)
         assert C.canopy == I.upper.type_of()
+        # its grid paths, written with the levels they were built from, have
+        # the levels GridPath(word) walks
+        for g in (C.upper, C.lower, C.canopy):
+            assert g._levels == GridPath(g.word)._levels
         # every producer that skips the public checks gives I back
         factors = split_interval(I)
         pointed, rest = decompose_interval(I)
@@ -422,6 +428,12 @@ class TestSyncCanopyBijection:
         assert (fresh._vlabel, fresh._flabel) == (M._vlabel, M._flabel)
         assert fresh.canonical_code() == M.canonical_code() == M.sigma
         assert M.root == 0
+        # both tree builders write a code the public constructor accepts,
+        # with the scan it makes, and the exploration of M gives T back
+        U = map_to_tree(M)
+        tree = DecoratedTree(T.code)
+        assert tree == T == U
+        assert tree._scan() == T._scan() == U._scan()
         return M
 
     def test_proved_facts_up_to_size_nine(self, sync_by_size):
@@ -615,9 +627,17 @@ class TestComposition:
                 todo += [None, size - 1 - left, left]
         assert walked == ["", ""]  # the empty interval's paths, by the constructor
         assert len(composed) == built[0].size == 2000
-        for J in composed:
-            assert SyncInterval(DyckPath(J.lower.word), DyckPath(J.upper.word)) == J
-            for P in (J.lower, J.upper):
+        # a split reads the heights of the interval it splits and hands each
+        # factor base its contacts, so composing the factors again, as the
+        # tests' generator does, walks no factor
+        I = built[0]
+        factors = split_interval(I)
+        J = compose_factors([PointedSyncInterval(I, 1)] + factors)
+        assert walked == ["", "", I.lower.word, I.upper.word]
+        assert split_interval(J)[1:] == factors
+        for K in composed + [J] + [f.base for f in factors]:
+            assert SyncInterval(DyckPath(K.lower.word), DyckPath(K.upper.word)) == K
+            for P in (K.lower, K.upper):
                 assert path_facts(P) == path_facts(DyckPath(P.word))
 
     def test_contacts_recursion(self, sync_by_size):

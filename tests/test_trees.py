@@ -1,4 +1,5 @@
 import itertools
+from collections import namedtuple
 
 import pytest
 
@@ -12,17 +13,29 @@ from tamarimaps import (
     tree_to_upper,
 )
 from tamarimaps import trees
-from tamarimaps.trees import contour_tree
+from tamarimaps.trees import OPEN, contour_tree, _preorder
 
 
 def tree(text):
     return DecoratedTree.from_text(text)
 
 
+Leaf = namedtuple("Leaf", ["address", "label", "parent_depth"])
+
+
+def leaves_in_traversal_order(T):
+    """Leaves as (address, label, parent depth), in traversal order."""
+    return [
+        Leaf(address, tok, len(address) - 1)
+        for address, tok in _preorder(T.code)
+        if tok is not OPEN
+    ]
+
+
 def leaf_depths(P):
     """Parent depth of each leaf of the contour tree of P, in traversal order."""
     skeleton = contour_tree(P, [-1] * P.word.count("ud"))
-    return [lf.parent_depth for lf in skeleton.leaves_in_traversal_order()]
+    return [lf.parent_depth for lf in leaves_in_traversal_order(skeleton)]
 
 
 class TestTextForm:
@@ -190,7 +203,7 @@ class TestValidation:
                 for labels in product(*[range(-1, p) for p in leaf_depths(P)]):
                     candidate = contour_tree(P, labels)
                     label_at = {
-                        lf.address: lf.label for lf in candidate.leaves_in_traversal_order()
+                        lf.address: lf.label for lf in leaves_in_traversal_order(candidate)
                     }
                     for violation in candidate.validate():
                         if violation.condition == 3:
@@ -283,7 +296,7 @@ class TestOnePassScan:
         assert T.compute_charges().charges == (n - 1,)
         assert T.to_text() == "(" * n + "-1" + ")" * n
         assert T == DecoratedTree.from_text(T.to_text())
-        assert T.leaves_in_traversal_order()[0].parent_depth == n - 1
+        assert leaves_in_traversal_order(T)[0].parent_depth == n - 1
 
 
 class TestCharges:
@@ -309,7 +322,7 @@ class TestCharges:
         # every internal non-root node charges somebody below itself
         for T in enumerate_decorated_trees(5):
             charges = T.compute_charges().charges
-            leaves = T.leaves_in_traversal_order()
+            leaves = leaves_in_traversal_order(T)
             for address in _walk(T)[1]:
                 if not address:
                     continue
@@ -405,15 +418,16 @@ class TestEnumeration:
 
 class TestTraversalOrder:
     def test_hand_listed_orders(self):
-        assert [lf.label for lf in tree("(-1 0 -1)".replace("0", "-1")).leaves_in_traversal_order()] == [-1, -1, -1]
+        flat = tree("(-1 0 -1)".replace("0", "-1"))
+        assert [lf.label for lf in leaves_in_traversal_order(flat)] == [-1, -1, -1]
         T = tree("((0 -1) -1)")
-        assert [(lf.label, lf.parent_depth) for lf in T.leaves_in_traversal_order()] == [
+        assert [(lf.label, lf.parent_depth) for lf in leaves_in_traversal_order(T)] == [
             (0, 1),
             (-1, 1),
             (-1, 0),
         ]
         deep = tree("(((1 -1) -1))")
-        assert [lf.address for lf in deep.leaves_in_traversal_order()] == [
+        assert [lf.address for lf in leaves_in_traversal_order(deep)] == [
             (0, 0, 0),
             (0, 0, 1),
             (0, 1),
