@@ -16,9 +16,7 @@ from .maps import (
     _canonical_map,
     _cycle,
     _face_blocks,
-    _is_non_separable,
     _labels,
-    _link,
     _phi,
     _series_join,
 )
@@ -100,41 +98,45 @@ def tree_to_map(T: DecoratedTree) -> PlanarMap:
 
     Around that ancestor, the new dart sits just after, in clockwise order,
     the edge through which the ancestor reaches the leaf; several leaves
-    reached through the same edge follow it in traversal order.  Each vertex
-    cycle is written straight into an integer sigma, twin d <-> d^1: a
-    permutation by construction, which :func:`maps._canonical_map` takes.
+    reached through the same edge follow it in traversal order.  So around
+    a node, clockwise, come the up dart of its parent edge, then each
+    child's group, in reverse traversal order: the child's down dart, then
+    the leaves hosted after it.  Each dart is written into an integer sigma,
+    twin d <-> d^1, by inserting it into a cycle just after another dart: a
+    child's down dart after its parent's up dart, a hosted leaf's dart after
+    the last dart of its group.  So sigma is a permutation by construction,
+    which :func:`maps._canonical_map` takes.
     """
     if T.edge_count == 0:
         raise ValueError("needs a tree with at least one edge")
     T.compute_charges()  # raises on the first violation
 
     # edges are numbered in traversal order, 0 being the new root edge; edge
-    # k has dart 2k at its end nearer the root and dart 2k + 1 at the other
-    sigma = [0] * (2 * T.edge_count + 2)
-    hosted = {}  # edge -> darts of the leaves re-attached just after it
-    path = [0]  # edge above each open node, the tree root first
-    kids = [[]]  # child edges of each open internal node
-    edges = 0
-    for tok in T.code[1:]:
+    # k has dart 2k at its end nearer the root and dart 2k + 1 at the other;
+    # each dart starts as its own cycle
+    sigma = list(range(2 * T.edge_count + 2))
+    ups = [1]  # up dart of the edge above each open node, the tree root first
+    tails = [0]  # last dart of the group of each edge above an open node
+    d = 0
+    for tok in T.code[1:-1]:
         if tok is CLOSE:
-            # clockwise: parent edge first, then the children in reverse
-            # traversal order (visited first = scanned first)
-            rotation = [2 * path.pop() + 1]
-            for child in reversed(kids.pop()):
-                rotation.append(2 * child)
-                rotation += hosted.pop(child, ())
-            _link(sigma, rotation)
+            ups.pop()
+            tails.pop()
             continue
-        edges += 1
-        kids[-1].append(edges)
+        d += 2
+        up = ups[-1]
+        sigma[d] = sigma[up]
+        sigma[up] = d
         if tok is OPEN:
-            path.append(edges)
-            kids.append([])
+            ups.append(d + 1)
+            tails.append(d)
         else:
             # a leaf labeled l hangs after the edge from its ancestor of depth
             # l to the next one down (the root edge when l = -1)
-            hosted.setdefault(path[tok + 1], []).append(2 * edges + 1)
-    _link(sigma, [0] + hosted.pop(0, []))
+            tail = tails[tok + 1]
+            sigma[d + 1] = sigma[tail]
+            sigma[tail] = d + 1
+            tails[tok + 1] = d + 1
 
     M = _canonical_map(sigma, 0)
     if not M.is_non_separable():
@@ -336,7 +338,7 @@ def recursive_interval_to_map(interval: SyncInterval) -> PlanarMap:
     object is built.  Validating the input covers every level: split and
     join are inverse bijections on words, so every factor of a synchronized
     interval is one.  Each composed raw brick is tested once for
-    non-separability and planarity, on its vertex and face labels, and its
+    non-separability and planarity while its faces are labelled, and its
     exposed count checked against its outer face.
     Nesting runs on an explicit stack.  The empty interval has no map and
     raises ValueError."""
@@ -361,7 +363,7 @@ def recursive_interval_to_map(interval: SyncInterval) -> PlanarMap:
         sigma, root = _series_join(bricks)
         if not stack:
             return _canonical_map(_phi(sigma), root)
-        if not _is_non_separable(sigma, *_labels(sigma)):
+        if not _labels(sigma)[4]:
             raise ValueError("series bricks must be single edges or non-separable")
         face = _cycle(sigma, root, 1)
         if not 1 <= j <= len(face) - 1:

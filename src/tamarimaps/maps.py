@@ -28,12 +28,12 @@ MapStats = namedtuple("MapStats", ["outer_face_degree", "root_vertex_degree", "e
 class PlanarMap(_Value):
     """A rooted planar map.
 
-    A map is immutable: ``sigma`` and ``root`` must not be reassigned.  Two
-    facts derived from them are computed on first use and stored: the
-    non-separability answer, which depends on sigma alone and so is shared
-    by :meth:`rerooted`, and the canonical code, the root-first relabelling
-    of sigma, which depends on the root.  A map in canonical form is its own
-    code: it stores its sigma as the code at once.  The package's own maps
+    A map is immutable: ``sigma`` and ``root`` must not be reassigned.  The
+    non-separability answer depends on sigma alone: it is found while the
+    faces are labelled, and shared by :meth:`rerooted` and :meth:`dual`.
+    The canonical code, the root-first relabelling of sigma, depends on the
+    root and is computed on first use; a map in canonical form is its own
+    code and stores its sigma as the code at once.  The package's own maps
     skip the permutation check (:func:`_canonical_map`).
 
     >>> M = double_edge_map()
@@ -49,11 +49,11 @@ class PlanarMap(_Value):
         sigma = tuple(sigma)
         _check_sigma(sigma, root)
         code = _root_first(sigma, root)  # raises when not connected
-        self._set(sigma, root, *_labels(sigma), None, sigma if code == sigma else None)
+        self._set(sigma, root, *_labels(sigma), sigma if code == sigma else None)
 
     def _set(self, sigma, root, vlabel, nv, flabel, nf, non_separable, code):
-        """Write every slot and return the map; the two stored facts may be
-        None (computed on first use).  Every map is built here."""
+        """Write every slot and return the map; the code may be None
+        (computed on first use).  Every map is built here."""
         self.sigma = sigma
         self.root = root
         self._vlabel, self._nv, self._flabel, self._nf = vlabel, nv, flabel, nf
@@ -144,11 +144,7 @@ class PlanarMap(_Value):
         return not all(map(ne, self._vlabel[0::2], self._vlabel[1::2]))
 
     def is_non_separable(self) -> bool:
-        """:func:`_is_non_separable` on the stored labels, computed once."""
-        if self._non_separable is None:
-            self._non_separable = _is_non_separable(
-                self.sigma, self._vlabel, self._nv, self._flabel, self._nf
-            )
+        """The answer of :func:`_faces`, stored when the map was built."""
         return self._non_separable
 
     def separating_bipartition(self):
@@ -301,13 +297,14 @@ def _phi(sigma) -> tuple:
 
 def _labels(sigma):
     """The vertex and face labels of a connected rotation system with their
-    counts, (vlabel, nv, flabel, nf); a map failing the Euler relation
+    counts and its non-separability, (vlabel, nv, flabel, nf, answer) as
+    :meth:`PlanarMap._set` takes them; a map failing the Euler relation
     raises ValueError."""
     vlabel, nv = _orbit_labels(sigma)
-    flabel, nf = _orbit_labels(_phi(sigma))
+    flabel, nf, answer = _faces(sigma, vlabel, nv)
     if nv - len(sigma) // 2 + nf != 2:
         raise ValueError("Euler relation fails: the map is not planar")
-    return vlabel, nv, flabel, nf
+    return vlabel, nv, flabel, nf, answer
 
 
 def _root_first(sigma, root):
@@ -454,23 +451,39 @@ def _lowpoint_blocks(sigma, vlabel, nv, skip):
     return block_of, count
 
 
-def _is_non_separable(sigma, vlabel, nv, flabel, nf) -> bool:
-    """Whether the connected rotation system ``sigma`` (vertex and face
-    labels ``vlabel``, ``flabel``; ``nv`` vertices, ``nf`` faces) is a
-    non-separable planar map: at least two edges, the Euler relation, no
-    loop (a loop and any other edge meet at one vertex only), and no face
-    meeting a vertex at two corners, i.e. distinct (vertex, face) pairs over
-    the darts.  A loopless plane map is 2-connected exactly when its faces
-    are bounded by cycles (Whitney, "Non-separable and planar graphs", Trans.
+def _faces(sigma, vlabel, nv):
+    """The face labels of the rotation system ``sigma`` (``nv`` vertices,
+    labelled ``vlabel``), faces numbered by least dart, their count, and
+    whether it is a non-separable planar map: at least two edges, the Euler
+    relation, and no face meeting a vertex at two corners.  Each face is
+    walked, d -> sigma[d ^ 1], marking each dart's tail with the face, so a
+    corner is repeated when its vertex is already marked with the face being
+    walked.  A loopless plane map is 2-connected exactly when its faces are
+    bounded by cycles (Whitney, "Non-separable and planar graphs", Trans.
     AMS 1932; Diestel, *Graph Theory*, ch. 4).  That holds in genus 0 only,
     hence the Euler test: the 2 x 2 grid on the torus has distinct corners.
+    A loop beside another edge repeats a corner, so no loop test is needed:
+    after a loop dart d its face goes on to sigma[d ^ 1], at the same
+    vertex, which is another dart unless d bounds a face alone; then the
+    face of d ^ 1 goes on to sigma[d], another dart, as the map is connected.
     """
-    return (
-        len(sigma) >= 4
-        and nv - len(sigma) // 2 + nf == 2
-        and all(map(ne, vlabel[0::2], vlabel[1::2]))
-        and len({v * nf + f for v, f in zip(vlabel, flabel)}) == len(sigma)
-    )
+    n = len(sigma)
+    flabel = [-1] * n
+    met = [-1] * nv  # the face each vertex was last met in
+    nf = 0
+    distinct = True
+    for d in range(n):
+        if flabel[d] < 0:
+            e = d
+            while flabel[e] < 0:
+                flabel[e] = nf
+                v = vlabel[e]
+                if met[v] == nf:
+                    distinct = False
+                met[v] = nf
+                e = sigma[e ^ 1]
+            nf += 1
+    return flabel, nf, distinct and n >= 4 and nv - n // 2 + nf == 2
 
 
 # ---------------------------------------------------------------------------
@@ -482,17 +495,10 @@ def _canonical_map(sigma, root) -> PlanarMap:
     the root-first traversal into canonical form, for a permutation
     ``sigma`` its caller built, with ``root`` among its darts.  The renamed
     sigma is its own canonical code, so that one tuple is stored as both;
-    connectivity and the Euler relation are still checked."""
+    connectivity and the Euler relation are still checked, and the
+    non-separability answer is stored."""
     renamed = _root_first(sigma, root)
-    return _map(renamed, 0, *_labels(renamed), None, renamed)
-
-
-def _link(sigma, cycle):
-    """Make the darts of ``cycle`` one vertex, in that clockwise order."""
-    prev = cycle[-1]
-    for d in cycle:
-        sigma[prev] = d
-        prev = d
+    return _map(renamed, 0, *_labels(renamed), renamed)
 
 
 def _splice(sigma, a, b):
@@ -516,7 +522,7 @@ def enumerate_nonseparable(m: int) -> list:
     :func:`_canonical_sigmas` yields every connected rooted map of any genus
     once, already in canonical form (twin d <-> d^1, root dart 0).  A sigma
     with a loop is dropped on its vertex labels; the rest are tested by
-    :func:`_is_non_separable` on their vertex and face labels, and only the
+    :func:`_faces` while their faces are labelled, and only the
     kept ones are built as maps, each its own canonical code.  No
     decomposition is used, so this census stays an independent check on
     :func:`enumerate_nonseparable_by_composition`.
@@ -538,8 +544,8 @@ def enumerate_nonseparable(m: int) -> list:
         vlabel, nv = _orbit_labels(sigma)
         if not all(map(ne, vlabel[0::2], vlabel[1::2])):
             continue
-        flabel, nf = _orbit_labels(_phi(sigma))
-        if _is_non_separable(sigma, vlabel, nv, flabel, nf):
+        flabel, nf, answer = _faces(sigma, vlabel, nv)
+        if answer:
             kept.append(_map(sigma, 0, vlabel, nv, flabel, nf, True, sigma))
     return kept
 
@@ -606,19 +612,14 @@ def series_components(M: PlanarMap) -> list:
     root; each block's root is its first exposed dart, so the block's root
     vertex is the linking vertex nearer the root's head.  The face on the
     other side of the root edge meets the blocks in the reverse order, which
-    is checked.  The split itself is :func:`_series_split`, on raw sigmas;
-    a block of two or more edges is non-separable because it is a block of
-    the map less its root edge, and that answer is stored on its map.
+    is checked.  The split itself is :func:`_series_split`, on raw sigmas.
     """
     if not M.is_non_separable():
         raise ValueError("series decomposition needs a non-separable map")
-    bricks = []
-    for sigma, root, j in _series_split(M.sigma, M._vlabel, M.root):
-        K = _canonical_map(sigma, root)
-        if len(sigma) > 2:
-            K._non_separable = True
-        bricks.append(SeriesBrick(K, j))
-    return bricks
+    return [
+        SeriesBrick(_canonical_map(sigma, root), j)
+        for sigma, root, j in _series_split(M.sigma, M._vlabel, M.root)
+    ]
 
 
 def compose_series(bricks) -> PlanarMap:
@@ -824,8 +825,9 @@ def enumerate_nonseparable_by_composition(m: int) -> list:
     whose edges sum to m - 1.  Complete and duplicate-free by the series
     decomposition bijection; cross-checked against the direct census
     :func:`enumerate_nonseparable` in the test suite.  Bricks are raw
-    :func:`_series_join` triples, and a map is tested non-separable when it
-    becomes a brick.  Sorting the canonical sigmas gives canonical-code order.
+    :func:`_series_join` triples; the writer tests each map it builds for
+    non-separability once, and the answer is checked when the map becomes a
+    brick.  Sorting the canonical sigmas gives canonical-code order.
     """
     if m < 2:
         raise ValueError("non-separable maps need at least two edges")

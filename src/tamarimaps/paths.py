@@ -15,6 +15,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from operator import le
+
 
 class ParseError(ValueError):
     """Text that cannot be read as an object at all, as opposed to readable
@@ -303,8 +305,7 @@ class GridPath(_Value):
         """
         if self.endpoint != v.endpoint:
             return False
-        mine, theirs = self._levels, v._levels
-        return all(mine[y] <= theirs[y] for y in range(len(mine)))
+        return all(map(le, self._levels, v._levels))
 
     def horiz(self, p: tuple) -> int:
         """Maximum number of east steps from the lattice point ``p`` before

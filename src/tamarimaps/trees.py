@@ -42,15 +42,16 @@ class Violation(namedtuple("Violation", ["condition", "address", "detail"])):
 
 
 def _preorder(code):
-    """(address, token) of every node below the root, in traversal order;
-    the token is the label of a leaf, or OPEN for an internal node."""
+    """(token index, address, token) of every node below the root, in
+    traversal order; the token is the label of a leaf, or OPEN for an
+    internal node."""
     path = [-1]  # index of the current child at each open level
-    for tok in code[1:-1]:
+    for k, tok in enumerate(code[1:-1], 1):
         if tok is CLOSE:
             path.pop()
             continue
         path[-1] += 1
-        yield tuple(path), tok
+        yield k, tuple(path), tok
         if tok is OPEN:
             path.append(-1)
 
@@ -58,7 +59,7 @@ def _preorder(code):
 def _address(code, k):
     """The address of the node whose token (OPEN or a label) is ``code[k]``:
     the last one the preorder walk of the tokens up to it reaches."""
-    return list(_preorder(code[: k + 1] + (CLOSE,)))[-1][0]
+    return list(_preorder(code[: k + 1] + (CLOSE,)))[-1][1]
 
 
 class DecoratedTree(_Value):
@@ -156,72 +157,48 @@ class DecoratedTree(_Value):
         a leaf labeled l >= 0 under a node of depth > l belongs to the subtree
         of its ancestor at depth l + 1, which holds the leaves from the one
         that ancestor was entered at; the suffix minima of the labels seen so
-        far give the smallest of them.
+        far give the smallest of them.  A violation is recorded at the token
+        index of its node, and an internal node is known by the index of its
+        OPEN, which orders internal nodes as traversal does; only a tree with
+        violations is walked again, once, for their addresses.
         """
         if self._scanned is not None:
             return self._scanned
-        cond1 = []
-        later = []  # (order key, violation) for conditions 2 and 3
+        code = self.code
+        cond1 = []  # (condition, token index, detail)
+        later = []  # (order key, (condition, token index, detail)), conditions 2 and 3
         flagged = set()  # nodes whose subtree already has its condition-3 violation
         charges = []
-        path = [-1]  # index of the current child at each open level
-        pre = [0]  # preorder number of each open internal node, root first
+        opens = [0]  # token index of each open internal node, root first
         entered = [0]  # leaves seen before each open internal node was entered
         waiting = []  # depths of the open non-root nodes still without a small leaf
         min_at, min_label = [], []  # suffix minima: leaf index and label
         internal = 0
-        for tok in self.code[1:-1]:
+        for k, tok in enumerate(code[1:-1], 1):
             if tok is CLOSE:
-                p = len(pre) - 1
+                p = len(opens) - 1
                 if waiting and waiting[-1] == p:
                     waiting.pop()
-                    later.append(
-                        (
-                            (pre[-1], 0, 0),
-                            Violation(
-                                2,
-                                tuple(path[:-1]),
-                                "internal node of depth %d with no descendant leaf <= %d"
-                                % (p, p - 2),
-                            ),
-                        )
-                    )
-                pre.pop()
+                    detail = "internal node of depth %d with no descendant leaf <= %d" % (p, p - 2)
+                    later.append(((opens[-1], 0, 0), (2, opens[-1], detail)))
+                opens.pop()
                 entered.pop()
-                path.pop()
                 continue
-            path[-1] += 1
             if tok is OPEN:
                 internal += 1
-                waiting.append(len(pre))
-                pre.append(internal)
+                waiting.append(len(opens))
+                opens.append(k)
                 entered.append(len(charges))
-                path.append(-1)
                 continue
-            depth = len(pre) - 1
+            depth = len(opens) - 1
             if tok >= depth:
-                cond1.append(
-                    Violation(
-                        1,
-                        tuple(path),
-                        "leaf labeled %d under a node of depth %d" % (tok, depth),
-                    )
-                )
+                cond1.append((1, k, "leaf labeled %d under a node of depth %d" % (tok, depth)))
             elif tok >= 0:
                 j = bisect_left(min_at, entered[tok + 1])
-                if j < len(min_label) and min_label[j] < tok and pre[tok + 1] not in flagged:
-                    flagged.add(pre[tok + 1])
-                    later.append(
-                        (
-                            (pre[tok], 1, pre[tok + 1]),
-                            Violation(
-                                3,
-                                tuple(path),
-                                "leaf labeled %d preceded in its subtree by a smaller label"
-                                % (tok,),
-                            ),
-                        )
-                    )
+                if j < len(min_label) and min_label[j] < tok and opens[tok + 1] not in flagged:
+                    flagged.add(opens[tok + 1])
+                    detail = "leaf labeled %d preceded in its subtree by a smaller label" % (tok,)
+                    later.append(((opens[tok], 1, opens[tok + 1]), (3, k, detail)))
             charge = 0
             while waiting and waiting[-1] >= tok + 2:
                 waiting.pop()
@@ -232,8 +209,11 @@ class DecoratedTree(_Value):
             min_label.append(tok)
             min_at.append(len(charges))
             charges.append(charge)
-        later.sort(key=itemgetter(0))
-        self._scanned = (tuple(cond1 + [v for _key, v in later]), tuple(charges), internal)
+        found = cond1 + [v for _key, v in sorted(later, key=itemgetter(0))]
+        if found:
+            address = {k: a for k, a, _tok in _preorder(code)}
+            found = [Violation(c, address[k], detail) for c, k, detail in found]
+        self._scanned = (tuple(found), tuple(charges), internal)
         return self._scanned
 
     def validate(self) -> list:
@@ -277,7 +257,7 @@ class DecoratedTree(_Value):
         label, and an unlabeled node per internal node; a node is named
         ``n`` followed by its address, its child indices joined by ``_``."""
         lines = ["graph decorated_tree {", '  n [label="root"];']
-        for address, tok in _preorder(self.code):
+        for _k, address, tok in _preorder(self.code):
             child = "n" + "_".join(map(str, address))
             if tok is OPEN:
                 lines.append('  %s [label=""];' % (child,))

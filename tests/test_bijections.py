@@ -33,6 +33,7 @@ from tamarimaps import (
     tree_to_map,
     tree_to_upper,
 )
+from tamarimaps import maps
 from tamarimaps.maps import _face_blocks
 
 
@@ -288,6 +289,26 @@ class TestLargeObjects:
         sync_to_canopy(I)
         assert calls == [GridPath]
 
+    def test_tree_to_map_walks_each_permutation_once(self, monkeypatch):
+        # the map is renamed root-first once, its vertices labelled by one
+        # orbit pass, and its faces in the walk that tests the corners, with
+        # no phi tuple built
+        T = interval_to_tree(random_sync_interval(2000, 2000))
+        T.compute_charges()
+        calls = []
+        for name in ("_root_first", "_orbit_labels", "_phi"):
+
+            def counted(*args, name=name, f=getattr(maps, name)):
+                calls.append(name)
+                return f(*args)
+
+            monkeypatch.setattr(maps, name, counted)
+        M = tree_to_map(T)
+        assert calls.count("_root_first") == 1
+        assert calls.count("_orbit_labels") <= 1
+        assert calls.count("_phi") == 0
+        assert M.edge_count == 2001 and M.is_non_separable()
+
 
 class TestRecursiveBijection:
     def test_coincides_with_the_composed_bijection(self, maps_by_edges):
@@ -303,8 +324,8 @@ class TestRecursiveBijection:
             assert agree == len(maps_by_edges[m])
 
     def test_second_pass_reads_the_same_answers(self, maps_by_edges):
-        # the first pass fills each map's stored non-separability answer and
-        # canonical code, the second reads them; both give the same results
+        # the first pass fills each map's stored canonical code, the second
+        # reads it; both give the same results
         maps = [PlanarMap(M.sigma, M.root) for M in maps_by_edges[7]]
 
         def one_pass():

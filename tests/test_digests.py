@@ -1,0 +1,63 @@
+"""Pinned outputs: sha256 digests of what the chain and the decoration scan
+print, on objects too large or too many for the goldens.  A digest changes
+only with a change of output, which CHANGES.md must explain."""
+
+import hashlib
+from itertools import product
+
+import pytest
+
+from conftest import random_sync_interval
+from tamarimaps import DyckPath, SyncInterval, enumerate_dyck_paths, interval_to_tree, tree_to_map
+from tamarimaps.trees import contour_tree
+
+# tree_to_map(interval_to_tree(I)).to_text() at size 10^4
+MAP_DIGESTS = {
+    "comb": "1f3bf428a07d01b1d9985f684dca56ebfbf71ef11b70d9c7048256aa5a8dddf3",
+    "spine": "0f1fe2f843172f2fd677e38525d5f9b5288faec31fb4882808d34a2eb08b8fec",
+    "random1": "075e4cfe4fb0b47364fd7d4d013150afe30ef57f08ed78c80d7e6be4c59fb803",
+    "random2": "c7305387e633d40bd8fa72ebe9b63f4c4e35b3338236f6cec33dbd7ca9ec64b7",
+    "random3": "009cd60ef5fe6b179e8ae3884f02e3e0a7e9fc2486a57c8dd2c0bdc7f6c703e7",
+}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(MAP_DIGESTS))
+def test_map_texts_at_size_ten_thousand(name):
+    n = 10**4
+    if name.startswith("random"):
+        I = random_sync_interval(n, int(name[len("random"):]))
+    else:
+        P = DyckPath("ud" * n if name == "comb" else "u" * n + "d" * n)
+        I = SyncInterval(P, P)
+    assert _sha(tree_to_map(interval_to_tree(I)).to_text()) == MAP_DIGESTS[name]
+
+
+def test_chain_texts_of_every_interval_up_to_size_seven(sync_by_size):
+    # the interval, its tree and its map, for each of the 2468 intervals in
+    # enumeration order
+    h = hashlib.sha256()
+    for size in range(1, 8):
+        for I in sync_by_size[size]:
+            T = interval_to_tree(I)
+            h.update((I.to_text() + "\n" + T.to_text() + "\n" + tree_to_map(T).to_text()).encode())
+    assert h.hexdigest() == "a778287d7ee643e907d2b755f3c354c0ce5ec1bc527af74e1e68a503116e9a20"
+
+
+def test_violation_texts_of_every_small_labelling():
+    # every contour tree of 1-5 edges with each leaf labelled from -1 up to
+    # its own depth, valid or not (3915 trees): its text and the text of
+    # each violation, in validate() order
+    h = hashlib.sha256()
+    for size in range(1, 6):
+        for P in enumerate_dyck_paths(size):
+            heights, w = P.heights(), P.word
+            depths = [heights[k] + 1 for k in range(len(w) - 1) if w[k : k + 2] == "ud"]
+            for labels in product(*[range(-1, d + 1) for d in depths]):
+                T = contour_tree(P, labels)
+                line = "%s\t%s\n" % (T.to_text(), "; ".join(map(str, T.validate())))
+                h.update(line.encode())
+    assert h.hexdigest() == "80b90f6523c07a0dfaf4ed020f89aa067df7a33c3a30de96152dc5b44819a56b"

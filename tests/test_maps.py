@@ -28,7 +28,7 @@ from tamarimaps.maps import (
     _canonical_map,
     _canonical_sigmas,
     _face_blocks,
-    _is_non_separable,
+    _faces,
     _lowpoint_blocks,
     _orbit_labels,
     _root_first,
@@ -198,14 +198,14 @@ class TestNonSeparability:
                 assert grown.separating_bipartition() is not None
 
     def test_corner_criterion_matches_lowpoint_blocks(self):
-        # every genus-0 rooted map with 1-6 edges: face corners give the
-        # same answer as one lowpoint search for the block count
+        # every genus-0 rooted map with 1-6 edges: the face walk's corners
+        # give the same answer as one lowpoint search for the block count
         counts = []
         for m in range(1, 7):
             counts.append(0)
             for sigma in _canonical_sigmas(m):
                 vlabel, nv = _orbit_labels(sigma)
-                flabel, nf = _orbit_labels([sigma[d ^ 1] for d in range(2 * m)])
+                _flabel, nf, answer = _faces(sigma, vlabel, nv)
                 if nv - m + nf != 2:
                     continue
                 counts[-1] += 1
@@ -214,14 +214,16 @@ class TestNonSeparability:
                     and all(vlabel[d] != vlabel[d + 1] for d in range(0, 2 * m, 2))
                     and _lowpoint_blocks(sigma, vlabel, nv, -1)[1] == 1
                 )
-                assert _is_non_separable(sigma, vlabel, nv, flabel, nf) == expected
+                assert answer == expected
         assert counts == [2, 9, 54, 378, 2916, 24057]
 
     def test_corner_count_matches_the_pair_set(self, maps_by_edges):
-        # the corners are counted as integers v * nf + f; the same answer as
-        # a set of (vertex, face) pairs on every rooted map of any genus with
-        # 2-6 edges, and on every non-separable map with 7 and 8 edges, each
-        # also with a pendant edge and with a loop added (separable)
+        # the face walk marks each vertex with the face it was last met in;
+        # its face labels are the orbits of phi, and its answer is the test
+        # on a set of (vertex, face) pairs with the loop test, on every rooted
+        # map of any genus with 2-6 edges, and on every non-separable map
+        # with 7 and 8 edges, each also with a pendant edge and with a loop
+        # added (separable)
         def pair_set_test(sigma, vlabel, nv, flabel, nf):
             return (
                 len(sigma) >= 4
@@ -237,7 +239,8 @@ class TestNonSeparability:
         for sigma in sigmas:
             vlabel, nv = _orbit_labels(sigma)
             flabel, nf = _orbit_labels([sigma[d ^ 1] for d in range(len(sigma))])
-            answer = _is_non_separable(sigma, vlabel, nv, flabel, nf)
+            walked_flabel, walked_nf, answer = _faces(sigma, vlabel, nv)
+            assert (walked_flabel, walked_nf) == (flabel, nf)
             assert answer == pair_set_test(sigma, vlabel, nv, flabel, nf)
             answers.append(answer)
         assert 0 < sum(answers) < len(answers)
@@ -251,10 +254,10 @@ class TestNonSeparability:
         grid = (11, 12, 9, 14, 15, 8, 13, 10, 0, 7, 2, 5, 4, 3, 6, 1)
         for sigma, nv_nf, corners in ((theta, (2, 1), 2), (grid, (4, 4), 16)):
             vlabel, nv = _orbit_labels(sigma)
-            flabel, nf = _orbit_labels([sigma[d ^ 1] for d in range(len(sigma))])
+            flabel, nf, answer = _faces(sigma, vlabel, nv)
             assert (nv, nf) == nv_nf and len(set(zip(vlabel, flabel))) == corners
             assert _lowpoint_blocks(sigma, vlabel, nv, -1)[1] == 1
-            assert not _is_non_separable(sigma, vlabel, nv, flabel, nf)
+            assert not answer
 
     def test_bipartition_witness_shape(self):
         witness = single_loop_map().separating_bipartition()
@@ -404,19 +407,20 @@ class TestRerooted:
 
 class TestStoredFacts:
     def test_composition_census_tests_each_map_once(self, monkeypatch):
-        # compose_series tests every brick it is given; a brick reused in many
-        # chains is one map object, tested once.  The bricks are the maps of
-        # 2-7 edges (530 of them); each test used to run per chain (2851 runs).
+        # the writer tests each map it builds while labelling its faces, and
+        # a brick reused in many chains is that one map: the census of 2-8
+        # edges builds 2468 maps and walks their faces once each; each brick
+        # of 2-7 edges used to be tested per chain (2851 runs)
         calls = []
 
-        def counted(sigma, vlabel, nv, flabel, nf):
+        def counted(sigma, vlabel, nv):
             calls.append(nv)
-            return _is_non_separable(sigma, vlabel, nv, flabel, nf)
+            return _faces(sigma, vlabel, nv)
 
-        monkeypatch.setattr("tamarimaps.maps._is_non_separable", counted)
+        monkeypatch.setattr("tamarimaps.maps._faces", counted)
         census = enumerate_nonseparable_by_composition(8)
         assert len(census) == closed_form(6)
-        assert 0 < len(calls) <= sum(closed_form(k) for k in range(0, 6)) == 530
+        assert len(calls) == sum(closed_form(k) for k in range(0, 7)) == 2468
 
 
 class TestDuality:
@@ -563,16 +567,16 @@ class TestSeriesDecomposition:
                 assert M.outer_face_degree - 1 == sum(j for _, j in bricks)
 
     def test_bricks_store_their_non_separability(self, maps_by_edges):
-        # a brick of two or more edges is stored as non-separable because
-        # it is a block of the map less its root edge, read off the two
-        # faces beside that edge; every rooting of every map of 2-7 edges
+        # a brick of two or more edges is non-separable, being a block of the
+        # map less its root edge, and the writer stores the answer it finds
+        # on every brick; every rooting of every map of 2-7 edges
         for m in range(2, 8):
             for M in maps_by_edges[m]:
                 for d in range(M.dart_count):
                     for K, _ in series_components(M.rerooted(d)):
                         fresh = PlanarMap(K.sigma, K.root).is_non_separable()
                         assert fresh == (K.edge_count >= 2)
-                        assert K._non_separable is (True if fresh else None)
+                        assert K._non_separable is fresh
                         assert K.is_non_separable() == fresh
 
     def test_compose_validates_bricks(self):

@@ -27,7 +27,7 @@ def leaves_in_traversal_order(T):
     """Leaves as (address, label, parent depth), in traversal order."""
     return [
         Leaf(address, tok, len(address) - 1)
-        for address, tok in _preorder(T.code)
+        for _k, address, tok in _preorder(T.code)
         if tok is not OPEN
     ]
 
