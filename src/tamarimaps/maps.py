@@ -827,36 +827,35 @@ def enumerate_nonseparable_by_composition(m: int) -> list:
     :func:`enumerate_nonseparable` in the test suite.  Bricks are raw
     :func:`_series_join` triples; the writer tests each map it builds for
     non-separability once, and the answer is checked when the map becomes a
-    brick.  Sorting the canonical sigmas gives canonical-code order.
+    brick.  A loop over b builds the chains of b edges, each a brick before
+    a shorter chain, one per map with b + 1 edges.  Sorting the canonical
+    sigmas gives canonical-code order.
     """
     if m < 2:
         raise ValueError("non-separable maps need at least two edges")
     bricks_by_cost = [[], [_EDGE]]
-    for k in range(2, m + 1):
+    chains = [[()]]  # chains[b]: every chain of bricks with b edges in all
+    for b in range(1, m):
+        chains.append(
+            [
+                (brick, *rest)
+                for cost in range(1, b + 1)
+                for brick in bricks_by_cost[cost]
+                for rest in chains[b - cost]
+            ]
+        )
+        # the map is in canonical form, so its sigma identifies it
         out = {}
-        _extend_series(k - 1, [], bricks_by_cost, out)
+        for chain in chains[b]:
+            M = _canonical_map(*_series_join(chain))
+            if M.sigma in out:
+                raise AssertionError("series composition produced a duplicate")
+            out[M.sigma] = M
         census = [out[sigma] for sigma in sorted(out)]
-        if k < m:
+        if b + 1 < m:
             if not all(K.is_non_separable() for K in census):
                 raise AssertionError("series composition produced a separable map")
             bricks_by_cost.append(
                 [(K.sigma, 0, j) for K in census for j in range(1, K.outer_face_degree)]
             )
     return census
-
-
-def _extend_series(budget, acc, bricks_by_cost, out):
-    """Close every chain of bricks that extends ``acc`` by ``budget`` edges
-    into a map, keyed in ``out`` by its sigma (the map is in canonical form,
-    so the sigma identifies the rooted map)."""
-    if budget == 0:
-        M = _canonical_map(*_series_join(acc))
-        if M.sigma in out:
-            raise AssertionError("series composition produced a duplicate")
-        out[M.sigma] = M
-        return
-    for cost in range(1, budget + 1):
-        for brick in bricks_by_cost[cost]:
-            acc.append(brick)
-            _extend_series(budget - cost, acc, bricks_by_cost, out)
-            acc.pop()

@@ -109,6 +109,8 @@ class BiSeries:
             raise ValueError("truncation order must be nonnegative")
         self.order = order
         self.rows = [list(r) for r in rows]
+        if len(self.rows) != order + 1:
+            raise ValueError("%d rows for truncation order %d" % (len(self.rows), order))
 
     def coefficient(self, n: int, k: int) -> int:
         """The coefficient of t^n x^k."""

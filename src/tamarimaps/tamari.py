@@ -607,6 +607,8 @@ def count_canopy_intervals_of_length(n: int) -> int:
     the sizes of the up-sets of every element of every lattice, from one
     :func:`cover_closures` per canopy, so ``tam_covers`` runs once per
     element rather than once per interval."""
+    if n < 0:
+        raise ValueError("size must be nonnegative")
     total = 0
     for letters in product("EN", repeat=n):
         v = GridPath("".join(letters))

@@ -343,15 +343,18 @@ def enumerate_decorated_trees(n: int) -> list:
     """All decorated trees with ``n`` edges, sorted by text encoding.
 
     The shapes are the contour trees of the Dyck paths of size ``n``.
-    Labels are chosen leaf by leaf in traversal order, and each prefix is
-    pruned by the three conditions as soon as they apply: condition 1 is the
-    label range, -1 up to the parent depth minus one; condition 3 constrains
-    a leaf against earlier leaves of the same subtree; condition 2 is
-    settled when a node closes, right after its last leaf.  So every
-    candidate built is a decorated tree, and :meth:`DecoratedTree.is_valid`
-    still checks each one in full.  Each path's code template is built once
-    and filled with the labels of each candidate, which is written by
-    ``DecoratedTree._set`` without the constructor's structural loop.
+    Labels are chosen leaf by leaf in traversal order: a loop extends the
+    list of label prefixes one leaf at a time, and each prefix is pruned by
+    the three conditions as soon as they apply.  Condition 1 is the label
+    range, -1 up to the parent depth minus one; condition 3 constrains a
+    leaf against earlier leaves of the same subtree; condition 2 is settled
+    when a node closes, right after its last leaf.  So every candidate
+    built is a decorated tree, and :meth:`DecoratedTree.is_valid` still
+    checks each one in full.  Every surviving prefix completes with -1
+    labels, so no list of prefixes outgrows the path's tree count.  Each
+    path's code template is built once and filled with the labels of each
+    candidate, which is written by ``DecoratedTree._set`` without the
+    constructor's structural loop.
 
     >>> len(enumerate_decorated_trees(2))
     2
@@ -366,7 +369,7 @@ def enumerate_decorated_trees(n: int) -> list:
         # per leaf: (first leaf, depth - 2) of each node that closes right
         # after it, innermost first
         closes = []
-        # the code as indices into labels + [OPEN, CLOSE]: leaf k is k
+        # the code as indices into labels + (OPEN, CLOSE): leaf k is k
         template = [-2]
         entered = [0]  # leaves seen when each open node was entered, root first
         for c in path.word.replace("ud", "l"):  # as in _contour_code
@@ -382,28 +385,20 @@ def enumerate_decorated_trees(n: int) -> list:
                 f = entered.pop()
                 closes[-1].append((f, len(entered) - 2))  # its depth is len(entered)
         template.append(-1)
-        _label_leaves(itemgetter(*template), firsts, closes, [], out)
+        # one tuple of labels per prefix that passes conditions 2 and 3 so far
+        prefixes = [()]
+        for first, closing in zip(firsts, closes):
+            prefixes = [
+                longer
+                for labels in prefixes
+                for label in range(-1, len(first))
+                if label < 0 or min(labels[first[label]:], default=label) >= label
+                for longer in [(*labels, label)]
+                if all(min(longer[f:]) <= bound for f, bound in closing)
+            ]
+        fill = itemgetter(*template)
+        for labels in prefixes:
+            tree = object.__new__(DecoratedTree)._set(fill((*labels, OPEN, CLOSE)))
+            if tree.is_valid():
+                out.append(tree)
     return sorted(out, key=lambda t: t.to_text())
-
-
-def _label_leaves(fill, firsts, closes, labels, out):
-    """Append to ``out`` every decorated tree on one contour tree whose leaf
-    labels extend ``labels``; ``fill(labels + [OPEN, CLOSE])`` is the code.
-    A label l >= 0 needs every earlier leaf under the ancestor at depth
-    l + 1 labeled at least l (condition 3); a node of depth p that closes
-    after this leaf needs one of its leaves labeled at most p - 2
-    (condition 2)."""
-    k = len(labels)
-    if k == len(firsts):
-        tree = object.__new__(DecoratedTree)._set(fill(labels + [OPEN, CLOSE]))
-        if tree.is_valid():
-            out.append(tree)
-        return
-    first = firsts[k]
-    for label in range(-1, len(first)):
-        if label >= 0 and min(labels[first[label]:], default=label) < label:
-            continue
-        labels.append(label)
-        if all(min(labels[f:]) <= bound for f, bound in closes[k]):
-            _label_leaves(fill, firsts, closes, labels, out)
-        labels.pop()

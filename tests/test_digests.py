@@ -1,6 +1,7 @@
-"""Pinned outputs: sha256 digests of what the chain and the decoration scan
-print, on objects too large or too many for the goldens.  A digest changes
-only with a change of output, which CHANGES.md must explain."""
+"""Pinned outputs: sha256 digests of what the chain, the decoration scan and
+the census enumerators print, on objects too large or too many for the
+goldens.  A digest changes only with a change of output, which CHANGES.md
+must explain."""
 
 import hashlib
 from itertools import product
@@ -8,7 +9,16 @@ from itertools import product
 import pytest
 
 from conftest import random_sync_interval
-from tamarimaps import DyckPath, SyncInterval, enumerate_dyck_paths, interval_to_tree, tree_to_map
+from tamarimaps import (
+    DyckPath,
+    SyncInterval,
+    enumerate_decorated_trees,
+    enumerate_dyck_paths,
+    enumerate_nonseparable,
+    enumerate_nonseparable_by_composition,
+    interval_to_tree,
+    tree_to_map,
+)
 from tamarimaps.trees import contour_tree
 
 # tree_to_map(interval_to_tree(I)).to_text() at size 10^4
@@ -61,3 +71,25 @@ def test_violation_texts_of_every_small_labelling():
                 line = "%s\t%s\n" % (T.to_text(), "; ".join(map(str, T.validate())))
                 h.update(line.encode())
     assert h.hexdigest() == "80b90f6523c07a0dfaf4ed020f89aa067df7a33c3a30de96152dc5b44819a56b"
+
+
+# the concatenated texts of each census, sizes in increasing order and each
+# size in output order
+CENSUS_DIGESTS = {
+    "decorated_trees": "ed820ea9693195147b7fe6646c790e455e71170f32329ef062ef3fe225788b8b",
+    "nonseparable_by_composition": "99eea9eea01c9e96a95b3fbb2f137bcbbd6dc82a9b53bbdb27651afe83abc307",
+    "nonseparable": "36d14ef374584b4801399524ed45b590fb2bd9be6c204a3b51b200c90195c65b",
+}
+
+
+def test_census_texts():
+    texts = {
+        "decorated_trees": "".join(
+            T.to_text() + "\n" for n in range(1, 8) for T in enumerate_decorated_trees(n)
+        ),
+        "nonseparable_by_composition": "".join(
+            M.to_text() for m in range(2, 9) for M in enumerate_nonseparable_by_composition(m)
+        ),
+        "nonseparable": "".join(M.to_text() for m in range(2, 6) for M in enumerate_nonseparable(m)),
+    }
+    assert {name: _sha(text) for name, text in texts.items()} == CENSUS_DIGESTS

@@ -4,6 +4,7 @@ first use, and each test here starts from a fresh import of the package."""
 import ast
 import importlib
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -75,18 +76,27 @@ def test_module_attribute_after_a_bare_import(package):
 
 
 def test_no_new_recursion():
-    # every walk is a loop, so no input depth reaches the recursion limit;
-    # the two census helpers that still call themselves are bounded by the
-    # edge count at desk sizes
-    recursive = []
+    # every walk is a loop, so no input depth reaches the recursion limit.
+    # The call graph joins each function name to every name it calls, so
+    # f -> g -> f is found as well as f -> f; functions and methods of the
+    # same name share one node
+    calls, sites = defaultdict(set), defaultdict(list)
     for path in sorted((Path(__file__).parents[1] / "src" / "tamarimaps").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                called = {
+                sites[node.name].append("%s.%s" % (path.stem, node.name))
+                calls[node.name] |= {
                     getattr(call.func, "id", None) or getattr(call.func, "attr", None)
                     for call in ast.walk(node)
                     if isinstance(call, ast.Call)
                 }
-                if node.name in called:
-                    recursive.append("%s.%s" % (path.stem, node.name))
-    assert recursive == ["maps._extend_series", "trees._label_leaves"]
+    on_cycle = []
+    for name in sorted(sites):
+        reached, todo = set(), [name]
+        while todo:
+            for callee in (calls[todo.pop()] & sites.keys()) - reached:
+                reached.add(callee)
+                todo.append(callee)
+        if name in reached:
+            on_cycle += sites[name]
+    assert on_cycle == []

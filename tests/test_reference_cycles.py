@@ -12,6 +12,7 @@ from tamarimaps import (
     enumerate_decorated_trees,
     enumerate_dyck_paths,
     enumerate_nonseparable,
+    enumerate_nonseparable_by_composition,
     enumerate_tam,
 )
 
@@ -25,6 +26,7 @@ from tamarimaps import (
         (enumerate_canopy_intervals, GridPath("ENEEN")),
         (enumerate_decorated_trees, 5),
         (enumerate_nonseparable, 4),
+        (enumerate_nonseparable_by_composition, 6),
     ],
     ids=[
         "dyck_paths",
@@ -33,6 +35,7 @@ from tamarimaps import (
         "canopy_intervals",
         "decorated_trees",
         "nonseparable_maps",
+        "composition_census",
     ],
 )
 def test_enumerator_leaves_no_garbage(enumerator, argument):

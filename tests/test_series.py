@@ -5,6 +5,7 @@ from math import comb, factorial
 import pytest
 
 from tamarimaps import (
+    BiSeries,
     catalan,
     closed_form,
     enumerate_nonseparable_by_composition,
@@ -182,6 +183,15 @@ class TestBiSeries:
         assert F.coefficient(3, 9) == 0
         with pytest.raises(IndexError):
             F.coefficient(5, 0)
+
+    def test_row_count_must_match_the_order(self):
+        # one row per t-order 0..order, so every coefficient and TSV line
+        # has a row to read
+        with pytest.raises(ValueError, match="1 rows for truncation order 3"):
+            BiSeries(3, [[1]])
+        with pytest.raises(ValueError):
+            BiSeries(0, [[], []])
+        assert BiSeries(1, [[], [1]]).to_tsv() == "0\n1\t0\n"
 
     def test_tsv_shape(self):
         text = solve_interval_equation(3).to_tsv()

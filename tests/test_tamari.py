@@ -478,6 +478,8 @@ class TestSyncCanopyBijection:
         # summed over the cover-closure interval counts of every lattice
         for n in range(0, 8):
             assert count_canopy_intervals_of_length(n) == closed_form(n)
+        with pytest.raises(ValueError, match="^size must be nonnegative$"):
+            count_canopy_intervals_of_length(-1)
 
     def test_canopy_fibers_at_length_two(self):
         sizes = {v.word: len(enumerate_canopy_intervals(v)) for v in canopies(2)}
