@@ -262,7 +262,7 @@ def canopy_to_map(ci: CanopyInterval) -> PlanarMap:
 # The recursive bijection of the closing remark
 # ---------------------------------------------------------------------------
 
-_EMPTY = ("", "", (0,), 0)  # the factor of every loop brick
+_EMPTY = ("", "", (0,), 0)  # the factor of every loop brick, as _split_words writes it
 
 
 def recursive_map_to_interval(M: PlanarMap) -> SyncInterval:
@@ -352,12 +352,12 @@ def recursive_interval_to_map(interval: SyncInterval) -> PlanarMap:
     while True:
         factors, bricks, _ = stack[-1]
         if factors:
-            lower, upper, _, j = factors.pop()
+            lower, upper, contacts, cut = factors.pop()
             if not upper:
                 bricks.append(_EDGE)  # the dual brick of every empty factor
             else:
                 heights = _walk(lower)[0], _walk(upper)[0]
-                stack.append((_split_words(lower, upper, *heights)[::-1], [], j))
+                stack.append((_split_words(lower, upper, *heights)[::-1], [], len(contacts) - cut))
             continue
         _, bricks, j = stack.pop()
         sigma, root = _series_join(bricks)

@@ -96,7 +96,13 @@ class PlanarMap(_Value):
 
     def vertex_of(self, d: int) -> int:
         """Vertex id (orbit label of sigma) the dart is attached to."""
-        return self._vlabel[d]
+        return self._vlabel[self._dart(d)]
+
+    def _dart(self, d: int) -> int:
+        """``d``, checked: a negative dart would wrap, and its cycle never close."""
+        if not 0 <= d < len(self.sigma):
+            raise ValueError("dart %d out of range" % (d,))
+        return d
 
     def _key(self):
         return (self.sigma, self.root)
@@ -108,24 +114,24 @@ class PlanarMap(_Value):
 
     def vertex_darts(self, d: int) -> list:
         """The sigma-cycle through ``d``, starting at ``d`` (clockwise)."""
-        return _cycle(self.sigma, d, 0)
+        return _cycle(self.sigma, self._dart(d), 0)
 
     def rotations(self) -> list:
         """One clockwise dart cycle per vertex, each starting at its least
         dart, ordered by that least dart."""
-        return [self.vertex_darts(d) for d in _orbit_starts(self._vlabel)]
+        return [_cycle(self.sigma, d, 0) for d in _orbit_starts(self._vlabel)]
 
     def face_of(self, d: int) -> list:
         """The phi-orbit through ``d``, starting at ``d``."""
-        return _cycle(self.sigma, d, 1)
+        return _cycle(self.sigma, self._dart(d), 1)
 
     def faces(self) -> list:
         """All faces as dart cycles, each starting at its least dart."""
-        return [self.face_of(d) for d in _orbit_starts(self._flabel)]
+        return [_cycle(self.sigma, d, 1) for d in _orbit_starts(self._flabel)]
 
     def outer_face(self) -> list:
         """The face on the left of the root dart, starting at the root."""
-        return self.face_of(self.root)
+        return _cycle(self.sigma, self.root, 1)
 
     @property
     def outer_face_degree(self) -> int:
@@ -133,7 +139,7 @@ class PlanarMap(_Value):
 
     @property
     def root_vertex_degree(self) -> int:
-        return len(self.vertex_darts(self.root))
+        return len(_cycle(self.sigma, self.root, 0))
 
     def stats(self) -> MapStats:
         return MapStats(self.outer_face_degree, self.root_vertex_degree, self.edge_count)

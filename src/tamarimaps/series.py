@@ -114,13 +114,16 @@ class BiSeries:
 
     def coefficient(self, n: int, k: int) -> int:
         """The coefficient of t^n x^k."""
-        if not 0 <= n <= self.order:
-            raise IndexError("t-order %d outside truncation 0..%d" % (n, self.order))
-        row = self.rows[n]
+        row = self._row(n)
         return row[k] if 0 <= k < len(row) else 0
 
     def row(self, n: int) -> list:
-        return list(self.rows[n])
+        return list(self._row(n))
+
+    def _row(self, n: int) -> list:
+        if not 0 <= n <= self.order:
+            raise IndexError("t-order %d outside truncation 0..%d" % (n, self.order))
+        return self.rows[n]
 
     def at_x_one(self) -> list:
         """Coefficient list of the specialization x = 1, by t-order."""

@@ -350,6 +350,8 @@ class PointedSyncInterval(_Value):
 
     def __init__(self, base: SyncInterval, cut: int):
         contacts = base.lower.contacts()
+        if type(cut) is not int:  # a float would print as an integer cut
+            raise ValueError("cut must be an integer, got %r" % (cut,))
         if base.size == 0:
             if cut != 0:
                 raise ValueError("the empty interval admits only cut 0")
@@ -479,15 +481,16 @@ def decompose_interval(interval: SyncInterval) -> tuple:
     P, Q = interval.lower, interval.upper
     ph, qh = P.heights(), Q.heights()
     b = qh.index(0, 1)  # the first upper contact
-    low, up, cut, _ = _split_words(P.word[:b], Q.word[:b], ph, qh)[0]
-    pointed = object.__new__(PointedSyncInterval)._set(_interval(low, up), cut)
+    low, up, contacts, cut = _split_words(P.word[:b], Q.word[:b], ph, qh)[0]
+    pointed = object.__new__(PointedSyncInterval)._set(_interval(low, up, contacts), cut)
     return pointed, _interval(P.word[b:], Q.word[b:])
 
 
 def split_interval(interval: SyncInterval) -> list:
-    """All pointed factors of an interval, left to right, in one scan of the
-    upper path's contacts: ``compose_factors(split_interval(I)) == I``, and
-    there are contacts - 1 of them (none for the empty interval).
+    """All pointed factors of an interval, left to right, each base with its
+    contacts, from one reading of the heights of both paths:
+    ``compose_factors(split_interval(I)) == I``, and there are contacts - 1
+    of them (none for the empty interval).
 
     >>> split_interval(SyncInterval(DyckPath("uuddud"), DyckPath("uududd")))
     [PointedSyncInterval(SyncInterval('udud', 'udud'), cut=1)]
@@ -495,29 +498,19 @@ def split_interval(interval: SyncInterval) -> list:
     [(0, 0), (0, 0)]
     """
     P, Q = interval.lower, interval.upper
-    ph = P.heights()
-    out = []
-    a = 0  # where the factor starts
-    for low, up, cut, _ in _split_words(P.word, Q.word, ph, Q.heights()):
-        # the base's contacts: the points at height 1 inside u Pl d and at
-        # height 0 in Pr, whose first point is Pl's last
-        b = a + len(up) + 2
-        pcut = ph.index(0, a + 1)
-        contacts = [j - a - 1 for j in range(a + 1, pcut) if ph[j] == 1]
-        contacts += [j - a - 2 for j in range(pcut + 1, b + 1) if not ph[j]]
-        out.append(
-            object.__new__(PointedSyncInterval)._set(_interval(low, up, tuple(contacts)), cut)
-        )
-        a = b
-    return out
+    return [
+        object.__new__(PointedSyncInterval)._set(_interval(low, up, contacts), cut)
+        for low, up, contacts, cut in _split_words(P.word, Q.word, P.heights(), Q.heights())
+    ]
 
 
 def _split_words(lower: str, upper: str, low_heights, up_heights) -> list:
-    """The pointed factors of [lower, upper] as (Pl Pr, Q1, cut, contacts of
-    Pr) tuples, where upper[a:b] = u Q1 d runs between consecutive contacts
-    and lower[a:b] must be u Pl d Pr, cut where Pl ends; the heights are the
-    words' heights (:func:`paths._walk`), and may run on past the end of
-    ``upper``."""
+    """Inverse of :func:`_join_words`: the pointed factors of [lower, upper]
+    as (Pl Pr, Q1, contact positions of Pl Pr, cut) tuples, where
+    upper[a:b] = u Q1 d runs between consecutive contacts and lower[a:b]
+    must be u Pl d Pr, cut where Pl ends; the heights are the words'
+    heights (:func:`paths._walk`), and may run on past the end of
+    ``upper``.  Each contact is one search of the heights."""
     factors = []
     a = 0
     while a < len(upper):
@@ -525,12 +518,17 @@ def _split_words(lower: str, upper: str, low_heights, up_heights) -> list:
         if low_heights[b] != 0:
             raise ValueError("lower path has no contact under the upper return at %d" % (b,))
         pcut = low_heights.index(0, a + 1)  # the end of u Pl d
-        factors.append((
-            lower[a + 1 : pcut - 1] + lower[pcut:b],
-            upper[a + 1 : b - 1],
-            low_heights[a + 1 : pcut].count(1) - 1,
-            low_heights[pcut : b + 1].count(0),
-        ))
+        contacts, j = [0], a + 1
+        while j < pcut - 1:  # Pl's contacts: the points at height 1 inside u Pl d
+            j = low_heights.index(1, j + 1)
+            contacts.append(j - a - 1)
+        cut, j = len(contacts) - 1, pcut
+        while j < b:  # Pr's: the points at height 0, the first one Pl's last
+            j = low_heights.index(0, j + 1)
+            contacts.append(j - a - 2)
+        factors.append(
+            (lower[a + 1 : pcut - 1] + lower[pcut:b], upper[a + 1 : b - 1], tuple(contacts), cut)
+        )
         a = b
     return factors
 

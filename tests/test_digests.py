@@ -12,11 +12,15 @@ from conftest import random_sync_interval
 from tamarimaps import (
     DyckPath,
     SyncInterval,
+    decompose_interval,
     enumerate_decorated_trees,
     enumerate_dyck_paths,
     enumerate_nonseparable,
     enumerate_nonseparable_by_composition,
+    enumerate_sync_intervals,
     interval_to_tree,
+    recursive_interval_to_map,
+    split_interval,
     tree_to_map,
 )
 from tamarimaps.trees import contour_tree
@@ -55,6 +59,28 @@ def test_chain_texts_of_every_interval_up_to_size_seven(sync_by_size):
             T = interval_to_tree(I)
             h.update((I.to_text() + "\n" + T.to_text() + "\n" + tree_to_map(T).to_text()).encode())
     assert h.hexdigest() == "a778287d7ee643e907d2b755f3c354c0ce5ec1bc527af74e1e68a503116e9a20"
+
+
+def _pointed_text(pointed):
+    base = pointed.base
+    return "%s %d %s\n" % (base.to_text(), pointed.cut, base.lower.contact_positions())
+
+
+def test_factor_texts_of_every_interval_up_to_size_eight(sync_by_size):
+    # for each of the 12083 intervals of sizes 0-8 in enumeration order: every
+    # factor of split_interval, then decompose_interval's pointed part and
+    # rest, then (sizes 1-7) the recursive inverse's map
+    h = hashlib.sha256()
+    for size in range(0, 9):
+        for I in sync_by_size[size] if size in sync_by_size else enumerate_sync_intervals(size):
+            text = "".join(map(_pointed_text, split_interval(I))) + "|"
+            if size:
+                pointed, rest = decompose_interval(I)
+                text += _pointed_text(pointed) + rest.to_text() + "\n"
+            if 1 <= size <= 7:
+                text += recursive_interval_to_map(I).to_text()
+            h.update((text + "\n").encode())
+    assert h.hexdigest() == "0b6739db9a2d69e75a8486a355a8fee09d659ad2437c7e3e4f4629a537033693"
 
 
 def test_violation_texts_of_every_small_labelling():

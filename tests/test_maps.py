@@ -404,6 +404,16 @@ class TestRerooted:
             with pytest.raises(ValueError, match="out of range"):
                 M.rerooted(d)
 
+    def test_dart_out_of_range(self):
+        # a negative dart would never meet itself again in a face or vertex walk
+        M = double_edge_map()
+        for d in (-1, -5, M.dart_count, M.dart_count + 3):
+            for method in (M.vertex_darts, M.face_of, M.vertex_of):
+                with pytest.raises(ValueError, match=r"^dart %d out of range$" % d):
+                    method(d)
+        assert [M.vertex_of(d) for d in range(M.dart_count)] == [0, 1, 0, 1]
+        assert M.face_of(3) == [3, 0] and M.vertex_darts(3) == [3, 1]
+
 
 class TestStoredFacts:
     def test_composition_census_tests_each_map_once(self, monkeypatch):

@@ -184,6 +184,14 @@ class TestBiSeries:
         with pytest.raises(IndexError):
             F.coefficient(5, 0)
 
+    def test_row_access(self):
+        # a negative t-order does not wrap round to the last row
+        F = solve_interval_equation(4)
+        assert F.row(4) == F.rows[4]
+        for n in (-1, 5):
+            with pytest.raises(IndexError, match=r"^t-order %d outside truncation 0\.\.4$" % n):
+                F.row(n)
+
     def test_row_count_must_match_the_order(self):
         # one row per t-order 0..order, so every coefficient and TSV line
         # has a row to read

@@ -38,9 +38,16 @@ from tamarimaps import (
     tree_to_interval,
     tree_to_map,
 )
-from tamarimaps import paths
+from tamarimaps import bijections, paths
 from tamarimaps.paths import grid_path_from_north_abscissas
-from tamarimaps.tamari import _distance_upsets, cover_closures, dyck_paths_by_type, tam_leq
+from tamarimaps.tamari import (
+    _distance_upsets,
+    _join_words,
+    _split_words,
+    cover_closures,
+    dyck_paths_by_type,
+    tam_leq,
+)
 
 
 def path_facts(P):
@@ -547,6 +554,10 @@ class TestComposition:
             PointedSyncInterval(base, 0)
         with pytest.raises(ValueError):
             PointedSyncInterval(base, 3)
+        # a float cut would print as cut=1 yet differ from it
+        for cut in (1.5, 1.0, True, "1"):
+            with pytest.raises(ValueError, match="cut must be an integer"):
+                PointedSyncInterval(base, cut)
 
     def test_decompose_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -559,12 +570,18 @@ class TestComposition:
                 factors = split_interval(I)
                 assert compose_factors(factors) == I
                 assert len(factors) == I.upper.contacts() - 1
+                # on words, split and join are inverses on one tuple format
+                P, Q = I.lower, I.upper
+                words = _split_words(P.word, Q.word, P.heights(), Q.heights())
+                assert _join_words(words) == (P.word, Q.word, P.contact_positions())
                 peeled = []
                 rest = I
                 while rest.size:
                     pointed, rest = decompose_interval(rest)
                     peeled.append(pointed)
                 assert factors == peeled
+        # the empty factor is the one the recursive oracle writes for every loop brick
+        assert _split_words("ud", "ud", (0, 1, 0), (0, 1, 0)) == [bijections._EMPTY]
 
     def test_split_inverts_compose(self, sync_by_size):
         # every list of pointed factors whose composite has size <= 6, built
@@ -633,11 +650,16 @@ class TestComposition:
         # factor base its contacts, so composing the factors again, as the
         # tests' generator does, walks no factor
         I = built[0]
+        # decomposing reads the heights of I and hands the pointed base its
+        # contacts, so composing it back walks no factor
+        pointed, rest = decompose_interval(I)
+        assert compose_intervals(pointed, rest) == I
+        assert walked == ["", "", I.lower.word, I.upper.word]
         factors = split_interval(I)
         J = compose_factors([PointedSyncInterval(I, 1)] + factors)
         assert walked == ["", "", I.lower.word, I.upper.word]
         assert split_interval(J)[1:] == factors
-        for K in composed + [J] + [f.base for f in factors]:
+        for K in composed + [J, pointed.base] + [f.base for f in factors]:
             assert SyncInterval(DyckPath(K.lower.word), DyckPath(K.upper.word)) == K
             for P in (K.lower, K.upper):
                 assert path_facts(P) == path_facts(DyckPath(P.word))
