@@ -10,25 +10,9 @@ recovers each leaf label with a leftward ray in the lower path.
 
 from __future__ import annotations
 
-from .maps import (
-    _EDGE,
-    PlanarMap,
-    _canonical_map,
-    _cycle,
-    _face_blocks,
-    _labels,
-    _phi,
-    _series_join,
-)
-from .paths import DyckPath, _walk
-from .tamari import (
-    CanopyInterval,
-    SyncInterval,
-    _join_words,
-    _split_words,
-    canopy_to_sync,
-    sync_to_canopy,
-)
+from .maps import PlanarMap, _canonical_map, _cycle, _face_blocks, _join_links, _phi
+from .paths import DyckPath
+from .tamari import CanopyInterval, SyncInterval, _join_words, canopy_to_sync, sync_to_canopy
 from .trees import CLOSE, OPEN, DecoratedTree, _contour_code
 
 
@@ -331,41 +315,87 @@ def recursive_interval_to_map(interval: SyncInterval) -> PlanarMap:
     all its pointed factors, turn each factor into a brick of the dual map
     (the empty one into a single edge, any other by translating its base
     recursively and re-rooting it), and join each level's whole brick list
-    once with :func:`maps._series_join`; the map is the dual of the top
+    once with :func:`maps._join_links`; the map is the dual of the top
     level, put in canonical form.
 
-    Levels are split as words (:func:`tamari._split_words`); no interval
-    object is built.  Validating the input covers every level: split and
-    join are inverse bijections on words, so every factor of a synchronized
-    interval is one.  Each composed raw brick is tested once for
-    non-separability and planarity while its faces are labelled, and its
-    exposed count checked against its outer face.
-    Nesting runs on an explicit stack.  The empty interval has no map and
-    raises ValueError."""
+    Levels are read off the matchings of both paths (their distance
+    vectors), in up-step ranks: removing a matched pair leaves every other
+    pair matched, so a factor's base has its parent's matchings.  A level is
+    a range of ranks; its upper roots follow each other by jumps over the
+    upper matchings, and its lower roots by jumps over the lower ones.  The
+    factor of upper root q spans its matching, and its lower roots are q
+    (u Pl d), then those of Pr, which must end where it does; its base is
+    the level of the ranks inside it, and its exposed count as a brick is
+    1 + len(Pr).  Validating the input covers every level: split and join
+    are inverse bijections, so every factor of a synchronized interval is
+    one.
+
+    The dual map is one dart array, in which the factor of up step q owns
+    edge q + 1 and the top root is edge 0; each level is joined in place.  A
+    brick's root, the dart before it around its vertex and its far dart are
+    read off its outer face, so each splice is one step.  Each joined level is
+    checked where it is new: the two faces beside its root edge must not
+    meet a vertex twice (vertices are classes of a union-find over the
+    splices), and its exposed count must fit its outer face; every other
+    face is a face of a brick already checked.  The top is checked in full
+    by the writer.  Nesting runs on an explicit stack.  The empty interval
+    has no map and raises ValueError."""
     if interval.size < 1:
         raise ValueError("needs a nonempty interval")
-    # one frame per interval being translated: its factors not yet taken
-    # (last first), the dual bricks of those taken, and its root-side count
-    # as the base of a factor
     P, Q = interval.lower, interval.upper
-    stack = [(_split_words(P.word, Q.word, P.heights(), Q.heights())[::-1], [], 0)]
-    while True:
-        factors, bricks, _ = stack[-1]
-        if factors:
-            lower, upper, contacts, cut = factors.pop()
-            if not upper:
-                bricks.append(_EDGE)  # the dual brick of every empty factor
-            else:
-                heights = _walk(lower)[0], _walk(upper)[0]
-                stack.append((_split_words(lower, upper, *heights)[::-1], [], len(contacts) - cut))
-            continue
-        _, bricks, j = stack.pop()
-        sigma, root = _series_join(bricks)
-        if not stack:
-            return _canonical_map(_phi(sigma), root)
-        if not _labels(sigma)[4]:
-            raise ValueError("series bricks must be single edges or non-separable")
-        face = _cycle(sigma, root, 1)
-        if not 1 <= j <= len(face) - 1:
-            raise ValueError("exposed count %d out of range 1..%d" % (j, len(face) - 1))
-        stack[-1][1].append((sigma, face[len(face) - j], j))
+    dp, dq = P.distance_vector(), Q.distance_vector()
+    n = len(dq)
+    sigma = list(range(2 * n + 2))  # each dart its own vertex
+    parent = list(sigma)  # the union-find of vertices, over darts
+    met = [-1] * len(sigma)  # the face each vertex was last met in, by its first dart
+
+    def vertex(d):
+        while parent[d] != d:
+            parent[d] = parent[parent[d]]
+            d = parent[d]
+        return d
+
+    # one frame per open level: the rank that ends it, its root dart, its
+    # exposed count as a brick, and the (root, dart before the root, far
+    # dart) triple of each brick taken; factors are taken in rank order,
+    # and each level is joined when the ranks reach its end
+    stack = [(n, 0, 0, [])]
+    for q in range(n + 1):
+        while stack[-1][0] <= q:
+            _, R, j, links = stack.pop()
+            _join_links(sigma, links, R)
+            if not stack:
+                M = _canonical_map(_phi(sigma), R)
+                if not M.is_non_separable():
+                    raise AssertionError("the recursive inverse produced a separable map")
+                return M
+            a = R + 1
+            for root, _, far in links:  # the vertices that the join merged
+                parent[vertex(a)] = vertex(root)
+                a = far
+            parent[R] = vertex(a)
+            face = _cycle(sigma, R, 1)
+            for walk in (face, _cycle(sigma, R ^ 1, 1)):
+                for d in walk:
+                    v = vertex(d)
+                    if met[v] == walk[0]:
+                        raise ValueError("series bricks must be single edges or non-separable")
+                    met[v] = walk[0]
+            if not 1 <= j <= len(face) - 1:
+                raise ValueError("exposed count %d out of range 1..%d" % (j, len(face) - 1))
+            stack[-1][3].append((face[-j], face[-j - 1] ^ 1, face[-1] ^ 1))
+        e = q + (dq[q] + 1) // 2  # the rank after the factor
+        r, exposed = q + (dp[q] + 1) // 2, 1
+        while r < e:  # the lower roots of Pr
+            r += (dp[r] + 1) // 2
+            exposed += 1
+        if r != e:
+            raise ValueError(
+                "lower path has no contact under the upper return at %d"
+                % (Q.up_position(q + 1) + dq[q],)
+            )
+        d = 2 * q + 2
+        if e == q + 1:
+            stack[-1][3].append((d, d, d + 1))  # the dual brick of every empty factor
+        else:
+            stack.append((e, d, exposed, []))

@@ -507,16 +507,6 @@ def _canonical_map(sigma, root) -> PlanarMap:
     return _map(renamed, 0, *_labels(renamed), renamed)
 
 
-def _splice(sigma, a, b):
-    """Insert the vertex cycle of ``b``, read from ``b``, just after ``a``;
-    the two darts must lie at different vertices, which become one."""
-    p = b
-    while sigma[p] != b:
-        p = sigma[p]
-    sigma[p] = sigma[a]
-    sigma[a] = b
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive census
 # ---------------------------------------------------------------------------
@@ -743,27 +733,40 @@ def _series_split(sigma, vlabel, root) -> list:
 def _series_join(bricks):
     """The series join of (sigma, root, exposed count) triples, taken as
     valid, and the exact inverse of :func:`_series_split`: the sigmas are
-    laid side by side and each link vertex, then each end of a new root
-    edge, is one splice.  Returns the joined sigma (a list) and its root
-    dart."""
+    laid side by side and joined by :func:`_join_links`.  Returns the
+    joined sigma (a list) and its root dart."""
     sigma = []
-    roots = []
-    exits = []  # twin of each brick's last exposed dart, at its far link vertex
+    links = []
     for brick, root, j in bricks:
         offset = len(sigma)
         sigma += [offset + e for e in brick]
-        roots.append(offset + root)
+        before = root
+        while brick[before] != root:
+            before = brick[before]
         last = root
         for _ in range(j - 1):
             last = brick[last ^ 1]
-        exits.append(offset + (last ^ 1))
+        links.append((offset + root, offset + before, offset + (last ^ 1)))
     R = len(sigma)
     sigma += [R, R + 1]
-    for a, b in zip(exits, roots[1:]):
-        _splice(sigma, a, b)
-    _splice(sigma, exits[-1], R)
-    _splice(sigma, R + 1, roots[0])
+    _join_links(sigma, links, R)
     return sigma, R
+
+
+def _join_links(sigma, links, R):
+    """Join in series, in place, the bricks that ``sigma`` holds side by
+    side, given one (root, dart before the root in its vertex cycle, far
+    dart) triple per brick in chain order, the far dart being the twin of
+    the brick's last exposed dart, at its far link vertex.  The root edge
+    R, R + 1 (two fixed darts) closes the chain: each brick's root vertex
+    is spliced in after R + 1 or after the previous brick's far dart, so
+    that the two vertices become one, and then R after the last far dart.
+    Each splice is one step."""
+    a = R + 1
+    for b, before, far in (*links, (R, R, R)):
+        sigma[before] = sigma[a]
+        sigma[a] = b
+        a = far
 
 
 # ---------------------------------------------------------------------------

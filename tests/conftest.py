@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from tamarimaps import (
     DyckPath,
     GridPath,
+    PlanarMap,
     PointedSyncInterval,
     SyncInterval,
     compose_factors,
@@ -99,6 +100,22 @@ def random_sync_interval(n, seed):
             left = rng.randrange(size)  # size of the pointed base
             todo += [None, size - 1 - left, left]
     return built[0]
+
+
+def wheel_map(n):
+    """The wheel with ``n`` >= 3 rim vertices, rooted at a hub spoke: spoke
+    i (darts 2i at the hub, 2i + 1 at rim vertex i) and rim edge n + i
+    (darts 2(n + i) at rim vertex i, 2(n + i) + 1 at the next one).  Around
+    the hub the spokes come in order; around a rim vertex, its spoke, then
+    the rim edge from the previous vertex, then the one to the next.  A
+    non-separable map with 2n edges, whose faces are the n triangles and
+    the rim."""
+    sigma = [0] * (4 * n)
+    for i in range(n):
+        sigma[2 * i] = 2 * ((i + 1) % n)
+        spoke, back, ahead = 2 * i + 1, 2 * (n + (i - 1) % n) + 1, 2 * (n + i)
+        sigma[spoke], sigma[back], sigma[ahead] = back, ahead, spoke
+    return PlanarMap(sigma, 0)
 
 
 @st.composite

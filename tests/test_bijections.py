@@ -4,7 +4,7 @@ import sys
 import pytest
 from hypothesis import assume, given, settings
 
-from conftest import dyck_paths, random_sync_interval
+from conftest import dyck_paths, random_sync_interval, wheel_map
 from test_trees import leaves_in_traversal_order
 from tamarimaps import (
     DecoratedTree,
@@ -33,7 +33,7 @@ from tamarimaps import (
     tree_to_map,
     tree_to_upper,
 )
-from tamarimaps import maps
+from tamarimaps import maps, paths
 from tamarimaps.maps import _face_blocks
 
 
@@ -357,15 +357,20 @@ class TestRecursiveBijection:
 
     @pytest.mark.parametrize(
         "word",
-        ["ud" * 200, "u" * 60 + "d" * 60, "ud" * 1500],
-        ids=["comb", "spine", "long-comb"],
+        ["ud" * 200, "u" * 60 + "d" * 60, "ud" * 1500, None],
+        ids=["comb", "spine", "long-comb", "wheel"],
     )
     def test_large_objects(self, word):
         # the comb's map has 201 edges, past one byte per canonical label; the
         # long comb has 1500 bricks in one level, each factor found and
-        # composed once
-        start = SyncInterval(DyckPath(word), DyckPath(word))
-        M = interval_to_map(start)
+        # composed once; the wheel with 500 rim vertices (1000 edges) starts
+        # from its map, and nests a long outer face in every level
+        if word is None:
+            M = wheel_map(500)
+            start = map_to_interval(M)
+        else:
+            start = SyncInterval(DyckPath(word), DyckPath(word))
+            M = interval_to_map(start)
         assert recursive_map_to_interval(M) == start
         assert recursive_interval_to_map(start).is_isomorphic_to(M)
 
@@ -376,8 +381,7 @@ class TestRecursiveBijection:
         # over all its levels the forward direction hands the face-block
         # split one walk entry per dart of the map, less the root edge's
         # two: on the spine's 2000 nested levels as on the comb's one level
-        # of 2000 bricks; the inverse is still quadratic on the spine, so
-        # only the forward direction runs at this size
+        # of 2000 bricks
         start = SyncInterval(DyckPath(word), DyckPath(word))
         M = interval_to_map(start)
         walked = []
@@ -389,6 +393,79 @@ class TestRecursiveBijection:
         monkeypatch.setattr("tamarimaps.bijections._face_blocks", counted)
         assert recursive_map_to_interval(M) == start
         assert sum(walked) == M.dart_count - 2
+
+    @pytest.mark.parametrize(
+        "word", ["u" * 2000 + "d" * 2000, "ud" * 2000], ids=["spine", "comb"]
+    )
+    def test_inverse_walks_total_one_entry_per_dart(self, word, monkeypatch):
+        # the inverse reads its levels off the matchings that validating the
+        # interval stored, so it walks no word; the map is renamed and
+        # labelled once, by the top writer; each level below the top walks
+        # the two faces beside its root edge, and over all levels the walks
+        # total at most one entry per dart of the map after their first:
+        # one per dart on the spine's 1999 levels below the top, none on the
+        # comb, whose one level is the top
+        start = SyncInterval(DyckPath(word), DyckPath(word))
+        calls = []
+        for module, name in ((paths, "_walk"), (maps, "_root_first"), (maps, "_orbit_labels")):
+
+            def counted(*args, name=name, f=getattr(module, name)):
+                calls.append(name)
+                return f(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        def writer(sigma, root, f=maps._canonical_map):
+            calls.append("writer")
+            M = f(sigma, root)
+            calls.append("/writer")
+            return M
+
+        walked = []
+
+        def cycle(sigma, d, flip, f=maps._cycle):
+            out = f(sigma, d, flip)
+            walked.append(len(out) - 1)
+            return out
+
+        monkeypatch.setattr("tamarimaps.bijections._canonical_map", writer)
+        monkeypatch.setattr("tamarimaps.bijections._cycle", cycle)
+        M = recursive_interval_to_map(start)
+        assert calls == ["writer", "_root_first", "_orbit_labels", "/writer"]
+        assert sum(walked) <= M.dart_count
+        monkeypatch.undo()
+        assert M == interval_to_map(start)
+
+    def test_level_check_rejects_a_wrong_join(self, sync_by_size, monkeypatch):
+        # a join that splices each brick in after the dart that follows its
+        # link dart around the same vertex puts the next brick, or the root
+        # edge, in an inner face of a brick: whenever that changes the
+        # sigma, the map is not planar, and the inverse raises instead of
+        # returning it, most often at the level check below the top
+        join = maps._join_links
+        changed = []
+
+        def wrong(sigma, links, R):
+            moved = [(root, before, sigma[exit]) for root, before, exit in links]
+            changed.append(moved != links)
+            join(sigma, moved, R)
+
+        errors = []
+        for n in range(1, 6):
+            for I in sync_by_size[n]:
+                right = recursive_interval_to_map(I)
+                changed.clear()
+                monkeypatch.setattr("tamarimaps.bijections._join_links", wrong)
+                try:
+                    M = recursive_interval_to_map(I)
+                except (ValueError, AssertionError) as e:
+                    assert any(changed)
+                    errors.append(str(e))
+                else:
+                    assert not any(changed) and M == right
+                monkeypatch.undo()
+        level = errors.count("series bricks must be single edges or non-separable")
+        assert level > len(errors) - level > 0  # the rest fail the top writer's Euler test
 
     def test_nesting_past_the_recursion_limit(self):
         # the spine nests its bricks 150 deep; each level is a frame of the
@@ -420,6 +497,11 @@ class TestRecursiveBijection:
 
         with pytest.raises(ValueError, match="nonempty"):
             recursive_interval_to_map(SyncInterval(DyckPath(""), DyckPath("")))
+        # a pair written unchecked whose lower path does not touch down where
+        # the upper one does: no interval, so no factor to read
+        unchecked = object.__new__(SyncInterval)._set(DyckPath("uudd"), DyckPath("udud"))
+        with pytest.raises(ValueError, match="no contact under the upper return at 2"):
+            recursive_interval_to_map(unchecked)
         # a single edge, a loop, and a path of two edges
         for M in (single_edge_map(), single_loop_map(), PlanarMap((0, 2, 1, 3), 0)):
             with pytest.raises(ValueError, match="non-separable"):

@@ -25,7 +25,8 @@ from tamarimaps import (
 )
 from tamarimaps.trees import contour_tree
 
-# tree_to_map(interval_to_tree(I)).to_text() at size 10^4
+# tree_to_map(interval_to_tree(I)).to_text() at size 10^4, which the
+# recursive inverse must also print: both oracles give the canonical map
 MAP_DIGESTS = {
     "comb": "1f3bf428a07d01b1d9985f684dca56ebfbf71ef11b70d9c7048256aa5a8dddf3",
     "spine": "0f1fe2f843172f2fd677e38525d5f9b5288faec31fb4882808d34a2eb08b8fec",
@@ -48,6 +49,7 @@ def test_map_texts_at_size_ten_thousand(name):
         P = DyckPath("ud" * n if name == "comb" else "u" * n + "d" * n)
         I = SyncInterval(P, P)
     assert _sha(tree_to_map(interval_to_tree(I)).to_text()) == MAP_DIGESTS[name]
+    assert _sha(recursive_interval_to_map(I).to_text()) == MAP_DIGESTS[name]
 
 
 def test_chain_texts_of_every_interval_up_to_size_seven(sync_by_size):

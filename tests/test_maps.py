@@ -33,7 +33,6 @@ from tamarimaps.maps import (
     _orbit_labels,
     _root_first,
     _series_cut,
-    _splice,
 )
 
 
@@ -56,7 +55,7 @@ def _with_pendant(M):
     # new edge 2m, 2m + 1 with dart 2m spliced in just after the root
     n = M.dart_count
     sigma = list(M.sigma) + [n, n + 1]
-    _splice(sigma, M.root, n)
+    sigma[n], sigma[M.root] = sigma[M.root], n
     return PlanarMap(sigma, M.root).canonical_form()
 
 
@@ -65,7 +64,7 @@ def _with_loop(M):
     # darts 2m, 2m + 1 spliced in, in that order, just after the root
     n = M.dart_count
     sigma = list(M.sigma) + [n + 1, n]
-    _splice(sigma, M.root, n)
+    sigma[n + 1], sigma[M.root] = sigma[M.root], n
     return PlanarMap(sigma, M.root).canonical_form()
 
 
