@@ -10,8 +10,10 @@ Faces are the orbits of phi = sigma o twin; the orbit of a dart d is the
 face on the left of d, so the outer face is the phi-orbit of the root dart.
 Planarity is the Euler relation V - E + F = 2 (genus 0 only); it is checked
 at construction, as is connectivity (sigma and twin must act transitively).
-Every map the package builds is written as such an integer sigma and put
-in canonical form by one trusted writer, :func:`_canonical_map`.
+Every map the package builds is written as such an integer sigma in
+canonical form: by one trusted writer, :func:`_canonical_map`, or, when the
+sigma is already its own code (the direct census, the series bricks), with
+the facts of :func:`_labels`.
 """
 
 from __future__ import annotations
@@ -608,13 +610,16 @@ def series_components(M: PlanarMap) -> list:
     root; each block's root is its first exposed dart, so the block's root
     vertex is the linking vertex nearer the root's head.  The face on the
     other side of the root edge meets the blocks in the reverse order, which
-    is checked.  The split itself is :func:`_series_split`, on raw sigmas.
+    is checked.  The split itself is :func:`_series_cut`, which writes each
+    block's canonical code; the brick is that code with the labels, Euler
+    check and non-separability answer of :func:`_labels`.
     """
     if not M.is_non_separable():
         raise ValueError("series decomposition needs a non-separable map")
+    blocks, codes, _ = _series_cut(M.sigma, M._vlabel, M.root)
     return [
-        SeriesBrick(_canonical_map(sigma, root), j)
-        for sigma, root, j in _series_split(M.sigma, M._vlabel, M.root)
+        SeriesBrick(_map(code, 0, *_labels(code), code), len(out))
+        for code, (out, _) in zip(codes, blocks)
     ]
 
 
@@ -672,16 +677,20 @@ def _face_blocks(outer, inner, vlabel) -> list:
 
 
 def _series_cut(sigma, vlabel, root):
-    """The series split of ``sigma`` at ``root`` in its global labels:
-    (blocks, cut, owner).  ``blocks`` are the (outer run, inner run) pairs
-    of :func:`_face_blocks`; ``cut`` is sigma with the splices of
-    :func:`_series_join` undone, the root darts taken out of their vertices
-    and each link vertex split in two, so that it is the disjoint union of
-    the blocks and the root edge; ``owner`` is each dart's block (-1 for the
-    root edge), flooded from each block's first outer dart over twins and
-    ``cut``.  A flood that reaches another block raises AssertionError.
-    Without one, the floods cover every dart off the root edge: the map
-    less that edge is connected, and each link cut adds at most one piece."""
+    """The series split of the non-separable rotation system ``sigma``
+    (vertex labels ``vlabel``) at ``root``, the inverse of
+    :func:`_series_join` up to dart names: (blocks, codes, owner), in
+    outer-walk order and not re-validated.  ``blocks`` are the (outer run,
+    inner run) pairs of :func:`_face_blocks`.  Undoing the join's splices,
+    taking the root darts out of their vertices and splitting each link
+    vertex in two leaves a cut sigma, the disjoint union of the blocks and
+    the root edge.  The root-first traversal of :func:`_root_first` walks it
+    once from each block's first outer dart, writing the block's canonical
+    code in ``codes`` and its number on each dart in ``owner`` (-1 for the
+    root edge).  A walk that reaches another block's dart raises
+    AssertionError.  Without one, the walks cover every dart off the root
+    edge: the map less that edge is connected, and each link cut adds at
+    most one piece."""
     outer, inner = _cycle(sigma, root, 1)[1:], _cycle(sigma, root ^ 1, 1)[1:]
     blocks = _face_blocks(outer, inner, vlabel)
     cut = list(sigma)
@@ -695,46 +704,34 @@ def _series_cut(sigma, vlabel, root):
         a, b = out[-1] ^ 1, back[-1] ^ 1
         cut[a], cut[b] = cut[b], cut[a]
     owner = [-1] * len(sigma)
+    new = [0] * len(sigma)  # each dart's name in its block
+    codes = []
     for k, (out, _) in enumerate(blocks):
-        stack = [out[0]]
-        while stack:
-            d = stack.pop()
-            if owner[d] < 0:
-                owner[d] = k
-                stack += (d ^ 1, cut[d])
-            elif owner[d] != k:
+        r = out[0]
+        if owner[r] >= 0:
+            raise AssertionError("two blocks meet off the link vertices")
+        owner[r] = owner[r ^ 1] = k
+        new[r], new[r ^ 1] = 0, 1
+        order = [r, r ^ 1]
+        code = []
+        for d in order:  # the loop reaches the darts appended while it runs
+            e = cut[d]
+            if owner[e] < 0:
+                owner[e] = owner[e ^ 1] = k
+                new[e], new[e ^ 1] = len(order), len(order) + 1
+                order += (e, e ^ 1)
+            elif owner[e] != k:
                 raise AssertionError("two blocks meet off the link vertices")
-    return blocks, cut, owner
-
-
-def _series_split(sigma, vlabel, root) -> list:
-    """The series split of the non-separable rotation system ``sigma``
-    (vertex labels ``vlabel``) rooted at ``root``, the exact inverse of
-    :func:`_series_join`: the blocks left when the root edge is deleted, as
-    (sigma of the block, local root, exposed count) triples in outer-walk
-    order, neither re-validated nor put in canonical form (see
-    :func:`series_components`).  Each block's sigma is the cut sigma of
-    :func:`_series_cut` on its darts, edges renumbered in order."""
-    blocks, cut, owner = _series_cut(sigma, vlabel, root)
-    size = [0] * len(blocks)
-    local = [0] * len(sigma)
-    for d in range(0, len(sigma), 2):
-        k = owner[d]
-        if k >= 0:
-            local[d], local[d + 1] = size[k], size[k] + 1
-            size[k] += 2
-    bricks = [[0] * n for n in size]
-    for d, k in enumerate(owner):
-        if k >= 0:
-            bricks[k][local[d]] = local[cut[d]]
-    return [(bricks[k], local[out[0]], len(out)) for k, (out, _) in enumerate(blocks)]
+            code.append(new[e])
+        codes.append(tuple(code))
+    return blocks, codes, owner
 
 
 def _series_join(bricks):
     """The series join of (sigma, root, exposed count) triples, taken as
-    valid, and the exact inverse of :func:`_series_split`: the sigmas are
-    laid side by side and joined by :func:`_join_links`.  Returns the
-    joined sigma (a list) and its root dart."""
+    valid, and the inverse of :func:`_series_cut`: the sigmas are laid side
+    by side and joined by :func:`_join_links`.  Returns the joined sigma (a
+    list) and its root dart."""
     sigma = []
     links = []
     for brick, root, j in bricks:

@@ -32,6 +32,17 @@ def _read_int(token: str) -> int:
     return int(token)
 
 
+def _at(word: str, k: int) -> str:
+    """Index ``k`` of ``word`` and at most 40 characters around it, for an
+    error message that stays short on any length of input."""
+    return "%r at index %d in %r" % (word[k], k, word[max(0, k - 20) : k + 20])
+
+
+def _bad_letter(word: str, letters: str) -> str:
+    """:func:`_at` of the first letter of ``word`` not in ``letters``."""
+    return _at(word, next(k for k, c in enumerate(word) if c not in letters))
+
+
 class _Value:
     """An immutable value told apart by its type and its ``_key()`` tuple:
     equal when both agree, hashed on the type name and the key, and printed
@@ -86,12 +97,16 @@ class DyckPath(_Value):
 
     def __init__(self, word: str = ""):
         if word.count("u") + word.count("d") != len(word):
-            raise ParseError("Dyck word may only contain 'u' and 'd': %r" % (word,))
+            raise ParseError("Dyck word may only contain 'u' and 'd': " + _bad_letter(word, "ud"))
         heights, _ = self._set(word)._walked()
         if min(heights) < 0:
-            raise ParseError("not a Dyck word (prefix goes below 0): %r" % (word,))
+            # the first step to height -1 is the first step below 0
+            first = heights.index(-1) - 1
+            raise ParseError("not a Dyck word (prefix goes below 0): " + _at(word, first))
         if heights[-1]:
-            raise ParseError("not a Dyck word (unbalanced): %r" % (word,))
+            # the up step after the last return to 0 is never matched
+            last = len(word) - heights[::-1].index(0)
+            raise ParseError("not a Dyck word (unbalanced): unmatched " + _at(word, last))
 
     def _set(self, word, contacts=None):
         """Write every slot and return the path; ``contacts``, when given,
@@ -239,7 +254,7 @@ class GridPath(_Value):
 
     def __init__(self, word: str = ""):
         if word.count("N") + word.count("E") != len(word):
-            raise ParseError("grid word may only contain 'N' and 'E': %r" % (word,))
+            raise ParseError("grid word may only contain 'N' and 'E': " + _bad_letter(word, "NE"))
         # levels[y] = largest abscissa the path reaches at ordinate y
         levels = []
         x = 0

@@ -420,6 +420,33 @@ class TestLibraryParity:
                 assert out == "" and sum(": error: " in line for line in err.splitlines()) == 1, token
 
 
+# size-10^5 words that the paths' readers reject, each fault in the middle:
+# a bad letter, a prefix below 0, an up step never matched
+_N = 10**5
+LARGE_BAD_WORDS = {
+    "letter": ("sync-interval", "ud" * (_N // 2) + "x" + "ud" * (_N // 2 - 1) + "d"),
+    "below": ("sync-interval", "ud" * (_N // 2) + "du" + "ud" * (_N // 2 - 1)),
+    "unbalanced": ("sync-interval", "ud" * (_N // 2) + "uu" + "ud" * (_N // 2 - 1)),
+    "grid letter": ("canopy-interval", "EN" * (_N // 2) + "X" + "EN" * (_N // 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(LARGE_BAD_WORDS))
+def test_large_rejections_are_short(name, capsys):
+    # the message names the fault's index and quotes at most 40 characters
+    # around it, so the library and the CLI give one short line for a
+    # word of any length
+    kind, word = LARGE_BAD_WORDS[name]
+    text = "|".join([word] * (2 if kind == "sync-interval" else 3))
+    with pytest.raises(ParseError) as exc:
+        LIBRARY_READERS[kind](text)
+    assert "at index %d in " % _N in str(exc.value)
+    code, out, err = run(["convert", "--from", kind, "--to", "tree"], text, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == "parse error: %s\n" % exc.value
+    assert len(err.encode()) <= 200
+
+
 class TestInputSources:
     @pytest.mark.parametrize(
         "kind,data,status",

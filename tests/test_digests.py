@@ -19,14 +19,18 @@ from tamarimaps import (
     enumerate_nonseparable_by_composition,
     enumerate_sync_intervals,
     interval_to_tree,
+    parallel_components,
     recursive_interval_to_map,
+    recursive_map_to_interval,
+    series_components,
     split_interval,
     tree_to_map,
 )
 from tamarimaps.trees import contour_tree
 
 # tree_to_map(interval_to_tree(I)).to_text() at size 10^4, which the
-# recursive inverse must also print: both oracles give the canonical map
+# recursive inverse must also print: both oracles give the canonical map,
+# and the forward recursive oracle must give back the interval
 MAP_DIGESTS = {
     "comb": "1f3bf428a07d01b1d9985f684dca56ebfbf71ef11b70d9c7048256aa5a8dddf3",
     "spine": "0f1fe2f843172f2fd677e38525d5f9b5288faec31fb4882808d34a2eb08b8fec",
@@ -48,8 +52,10 @@ def test_map_texts_at_size_ten_thousand(name):
     else:
         P = DyckPath("ud" * n if name == "comb" else "u" * n + "d" * n)
         I = SyncInterval(P, P)
-    assert _sha(tree_to_map(interval_to_tree(I)).to_text()) == MAP_DIGESTS[name]
+    M = tree_to_map(interval_to_tree(I))
+    assert _sha(M.to_text()) == MAP_DIGESTS[name]
     assert _sha(recursive_interval_to_map(I).to_text()) == MAP_DIGESTS[name]
+    assert recursive_map_to_interval(M) == I
 
 
 def test_chain_texts_of_every_interval_up_to_size_seven(sync_by_size):
@@ -61,6 +67,23 @@ def test_chain_texts_of_every_interval_up_to_size_seven(sync_by_size):
             T = interval_to_tree(I)
             h.update((I.to_text() + "\n" + T.to_text() + "\n" + tree_to_map(T).to_text()).encode())
     assert h.hexdigest() == "a778287d7ee643e907d2b755f3c354c0ce5ec1bc527af74e1e68a503116e9a20"
+
+
+def test_brick_texts_of_every_small_map(maps_by_edges):
+    # the text and exposed count of every series brick of each of the 7088
+    # rootings of the maps with 2-7 edges, then the text and root-side count
+    # of every parallel brick of the 2468 maps with 2-8 edges, in census order
+    h = hashlib.sha256()
+    for m in range(2, 8):
+        for M in maps_by_edges[m]:
+            for d in range(M.dart_count):
+                for K, j in series_components(M.rerooted(d)):
+                    h.update(("%s%d\n" % (K.to_text(), j)).encode())
+    small = [M for m in range(2, 8) for M in maps_by_edges[m]]
+    for M in small + enumerate_nonseparable_by_composition(8):
+        for K, j in parallel_components(M):
+            h.update(("%s%d\n" % (K.to_text(), j)).encode())
+    assert h.hexdigest() == "27d84baf7ff4226f6114e7927f4eb1ff65c18dd148b7bf2d9df752ad3f96dbd8"
 
 
 def _pointed_text(pointed):

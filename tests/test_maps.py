@@ -588,6 +588,27 @@ class TestSeriesDecomposition:
                         assert K._non_separable is fresh
                         assert K.is_non_separable() == fresh
 
+    def test_split_renames_each_block_once(self, monkeypatch):
+        # the split's root-first traversal writes each brick's canonical
+        # code, so no brick is renamed again: on the comb's map of 2000 edges,
+        # one block less its root edge, and on its dual, a chain of 1999
+        P = DyckPath("ud" * 1999)
+        M = interval_to_map(SyncInterval(P, P))
+        assert M.edge_count == 2000
+        calls = []
+
+        def counted(sigma, root):
+            calls.append(root)
+            return _root_first(sigma, root)
+
+        monkeypatch.setattr("tamarimaps.maps._root_first", counted)
+        for X, blocks in ((M, 1), (M.dual(), 1999)):
+            bricks = series_components(X)
+            assert calls == []
+            assert len(bricks) == blocks
+            assert compose_series(bricks) == X.canonical_form()
+            calls.clear()
+
     def test_compose_validates_bricks(self):
         # each bad brick is rejected with its own message, whole, also after
         # a good brick
@@ -724,7 +745,8 @@ class TestBlocks:
 
     def test_face_rule_matches_lowpoint_blocks(self, maps_by_edges):
         # the series split reads its blocks off the two faces beside the root
-        # edge and floods the pieces left by cutting them apart; the lowpoint
+        # edge and walks each piece left by cutting them apart root-first,
+        # marking the owner of each dart as it goes; the lowpoint
         # search, which needs no faces, must cut the same edges into the same
         # blocks, on every rooting of every map of 2-7 edges and of its dual
         def partition(block_of):
@@ -759,9 +781,9 @@ class TestBlocks:
 
     def test_split_checks_the_blocks_it_is_given(self, maps_by_edges, monkeypatch):
         # blocks in the wrong order, or outer runs paired with the wrong
-        # inner runs, undo splices that the join never made: the flood from
-        # one block reaches another, on each of the 45 maps of 6 edges whose
-        # split has two or more blocks
+        # inner runs, undo splices that the join never made: the traversal
+        # of one block reaches a dart of another, on each of the 45 maps of 6
+        # edges whose split has two or more blocks
         maps = [M for M in maps_by_edges[6] if len(series_components(M)) >= 2]
         assert len(maps) == 45
         for wrong in (
