@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import ne
 
-from .paths import ParseError, _read_int, _Value
+from .paths import ParseError, _at, _read_int, _Value
 
 
 MapStats = namedtuple("MapStats", ["outer_face_degree", "root_vertex_degree", "edge_count"])
@@ -237,7 +237,7 @@ class PlanarMap(_Value):
             if not parts:
                 continue
             if parts[0] not in ("darts", "root", "sigma") or parts[0] in fields:
-                raise ParseError("bad map line: %r" % (line,))
+                raise ParseError("bad map line: " + _at(line, line.index(parts[0])))
             fields[parts[0]] = parts[1:]
         if set(fields) != {"darts", "root", "sigma"}:
             raise ParseError("map text needs 'darts', 'root' and 'sigma' lines")

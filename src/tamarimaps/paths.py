@@ -347,8 +347,14 @@ class PathPair(_Value):
         if len(upper) != len(canopy):
             raise ValueError("paths of a pair must have equal length")
         if not upper.weakly_above(canopy):
+            if upper.endpoint != canopy.endpoint:
+                raise ValueError("paths of a pair must have equal endpoints")
+            mine, theirs = upper.levels(), canopy.levels()
+            y = next(y for y, (a, b) in enumerate(zip(mine, theirs)) if a > b)
+            # the east step from (theirs[y], y) takes the path below the canopy
             raise ValueError(
-                "%r is not an element above the canopy %r" % (upper.word, canopy.word)
+                "%s is not an element above the canopy: ordinate %d has level %d > %d"
+                % (_at(upper.word, theirs[y] + y), y, mine[y], theirs[y])
             )
         self.upper = upper
         self.canopy = canopy

@@ -3,7 +3,7 @@ r"""Exact bivariate generating series and closed-form counts.
 Series are truncated in the size variable t; the coefficient of t^n is an
 integer polynomial in the catalytic variable x (row ``n`` has x-degree at
 most ``n``).  Both functional equations are solved in one triangular pass
-on values, one scalar series per point x = 2, ..., N + 3 for order N.  Row
+on values, a few scalar series per point x = 2, ..., N + 3 for order N.  Row
 n's forward differences give G_n(1) = sum_k (-1)^k Delta^k G_n(2), so the
 divided difference (G(x) - G(1))/(x - 1) is one exact division per point;
 Delta^(n + 1) must vanish (N + 2 points leave that spare value for the last
@@ -190,32 +190,36 @@ def solve_map_equation(order: int) -> BiSeries:
     """Unique series solution of M = A / (1 - A) with
     A = x*t + x*t*(M(x,t)-M(1,t))/(x-1), to the given t-order.
 
-    The quotient is expanded as the geometric series sum_{k>=1} A^k (A has
-    positive t-valuation, so the sum truncates).  At each point x = 2, ...,
-    order + 3 the solve carries the scalar series of A and of each power
-    A^k: row n of A needs row n - 1 of 1 + dM, each A^k gains its row n from
-    rows below n, and M_n(x) = sum_k [t^n] A(x, t)^k.  That is O(order^3)
-    products and about order^2 / 2 stored powers per point.  Summing the
-    powers, not solving M = A(1 + M), keeps this a different computation
-    from :func:`solve_interval_equation`; the two must agree coefficientwise.
+    At each point x = 2, ..., order + 3 the solve carries B = 1/(1 - A) =
+    1 + M through the derivative identity B' = A' * B^2 (d/dt of the
+    quotient), as four scalar series: 1 + dM, i * A_i, B and B^2.  Row n
+    reads A_n = x * (1 + dM)_(n-1), appends (B^2)_(n-1) = sum_j B_j *
+    B_(n-1-j), and then n * B_n = sum_(i=1..n) i * A_i * (B^2)_(n-i), an
+    exact division by n.  That is two convolutions per row and point,
+    O(order^3) integer operations and O(order^2) stored integers in all.
+    Differentiating the quotient, not solving M = A(1 + M) (the reciprocal
+    recurrence B = 1 + A*B, which is :func:`solve_interval_equation`'s
+    product), keeps this a different computation from the interval solver;
+    the two must agree coefficientwise.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     points = range(2, order + 4)
     one_plus_dm = [[1] for _ in points]  # per point, the t-series (1 + dM)(x)
-    powers = [[] for _ in points]  # per point, powers[k - 1] is [t^k, t^(k+1), ...] A(x)^k
+    i_a = [[] for _ in points]  # and i * A_i for i = 1, 2, ...
+    b = [[1] for _ in points]  # B(x) = 1 + M(x)
+    b2 = [[] for _ in points]  # and B(x)^2
     diagonals = []
     for n in range(1, order + 1):
         values = []
-        for x, dm, pw in zip(points, one_plus_dm, powers):
-            pw.append([])
-            a = pw[0]
-            # row n of A^(j+1) = A * A^j reads every row of A^j so far, so
-            # the powers gain row n from the top down, and A last
-            for j in range(n - 1, 0, -1):
-                pw[j].append(sum(map(mul, a, reversed(pw[j - 1]))))
-            a.append(x * dm[n - 1])
-            values.append(sum(power[-1] for power in pw))
+        for x, dm, ia, bx, bb in zip(points, one_plus_dm, i_a, b, b2):
+            ia.append(n * x * dm[n - 1])
+            bb.append(sum(map(mul, bx, reversed(bx))))
+            q, r = divmod(sum(map(mul, ia, reversed(bb))), n)
+            if r:
+                raise ArithmeticError("n * B_n at x = %d is not divisible by n = %d" % (x, n))
+            bx.append(q)
+            values.append(q)
         diagonals.append(_differences(values, n))
         for dm, q in zip(one_plus_dm, _divided_difference(values, diagonals[-1])):
             dm.append(q)

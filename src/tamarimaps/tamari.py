@@ -19,6 +19,7 @@ from .paths import (
     GridPath,
     ParseError,
     PathPair,
+    _at,
     _Value,
     enumerate_dyck_paths,
     grid_path_from_north_abscissas,
@@ -42,6 +43,14 @@ def tamari_leq(P: DyckPath, Q: DyckPath) -> bool:
     if P.size != Q.size:
         raise ValueError("paths must have equal size")
     return all(map(le, P.distance_vector(), Q.distance_vector()))
+
+
+def _first_longer(P: DyckPath, Q: DyckPath) -> tuple:
+    """The first up step (0-based rank) whose distance in ``P`` exceeds its
+    distance in ``Q``, with both distances; ``P`` must not be below ``Q``."""
+    dp, dq = P.distance_vector(), Q.distance_vector()
+    r = next(r for r, (a, b) in enumerate(zip(dp, dq)) if a > b)
+    return r, dp[r], dq[r]
 
 
 def dyck_rotation_covers(P: DyckPath) -> list:
@@ -247,13 +256,17 @@ class SyncInterval(_Value):
         if lower.size != upper.size:
             raise ValueError("paths of an interval must have equal size")
         if lower.size > 0:
-            if lower.type_word() != upper.type_word():
-                raise ValueError(
-                    "paths have different types: %s vs %s"
-                    % (lower.type_word(), upper.type_word())
-                )
+            a, b = lower.type_word(), upper.type_word()
+            if a != b:
+                k = next(k for k, (p, q) in enumerate(zip(a, b)) if p != q)
+                raise ValueError("paths have different types: %s vs %s" % (_at(a, k), _at(b, k)))
             if not tamari_leq(lower, upper):
-                raise ValueError("%r is not below %r" % (lower.word, upper.word))
+                r, dl, du = _first_longer(lower, upper)
+                raise ValueError(
+                    "%s is not below %s: distance %d > %d"
+                    % (_at(lower.word, lower.up_position(r + 1) - 1),
+                       _at(upper.word, upper.up_position(r + 1) - 1), dl, du)
+                )
         self._set(lower, upper)
 
     def _set(self, lower, upper):
@@ -303,9 +316,12 @@ class CanopyInterval(_Value):
             pathpair_to_dyck(PathPair(upper, canopy)),
         )
         if not tamari_leq(*paths):
+            # a distance above 1 means another up step follows up step r
+            # (0-based), so its letter in the canopy, the type, is an 'E'
+            r, dl, du = _first_longer(*paths)
             raise ValueError(
-                "%r is not below %r above the canopy %r"
-                % (lower.word, upper.word, canopy.word)
+                "lower path is not below upper path above the canopy %s: distance %d > %d"
+                % (_at(canopy.word, r), dl, du)
             )
         self._set(upper, lower, canopy, paths)
 

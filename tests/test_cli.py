@@ -420,30 +420,45 @@ class TestLibraryParity:
                 assert out == "" and sum(": error: " in line for line in err.splitlines()) == 1, token
 
 
-# size-10^5 words that the paths' readers reject, each fault in the middle:
-# a bad letter, a prefix below 0, an up step never matched
+# texts of about 2*10^5 letters that the readers reject, each fault in the
+# middle: a bad letter, a prefix below 0, an up step never matched and a bad
+# grid letter (parse errors, in one word repeated); two paths of different
+# types, two paths out of order, an element below its canopy, a canopy
+# interval out of order (invalid objects); a bad map line (a parse error).
+# Each entry is (kind, text, index the message names, exit status).
 _N = 10**5
-LARGE_BAD_WORDS = {
-    "letter": ("sync-interval", "ud" * (_N // 2) + "x" + "ud" * (_N // 2 - 1) + "d"),
-    "below": ("sync-interval", "ud" * (_N // 2) + "du" + "ud" * (_N // 2 - 1)),
-    "unbalanced": ("sync-interval", "ud" * (_N // 2) + "uu" + "ud" * (_N // 2 - 1)),
-    "grid letter": ("canopy-interval", "EN" * (_N // 2) + "X" + "EN" * (_N // 2)),
+_UD = "ud" * (_N // 2)
+_NE = "NE" * (_N // 2)
+_EN = "EN" * (_N // 2)
+LARGE_BAD_TEXTS = {
+    "letter": ("sync-interval", "|".join([_UD + "x" + _UD[2:] + "d"] * 2), _N, 2),
+    "below": ("sync-interval", "|".join([_UD + "du" + _UD[2:]] * 2), _N, 2),
+    "unbalanced": ("sync-interval", "|".join([_UD + "uu" + _UD[2:]] * 2), _N, 2),
+    "grid letter": ("canopy-interval", "|".join([_EN + "X" + _EN] * 3), _N, 2),
+    # the type words differ at the up step of rank _N / 2 + 1
+    "types": ("sync-interval", _UD + _UD + "|" + _UD + "uudd" + _UD[4:], _N // 2, 1),
+    "order": ("sync-interval", _UD + "uududd" + _UD[6:] + "|" + _UD + "uuddud" + _UD[6:], _N, 1),
+    # the lower element's east step at index _N leaves the canopy NE...NE
+    "element": ("canopy-interval", "|".join([_NE + _NE, _NE + "EN" + _NE[2:], _NE + _NE]), _N, 1),
+    # the canopy (EN...EN) is the least element, and the lower one is not;
+    # their Dyck paths' first longer up step is the canopy's letter _N
+    "canopy order": ("canopy-interval", "|".join(["EN" * (_N + 1), _EN + "NE" + _EN, "EN" * (_N + 1)]), _N, 1),
+    "map line": ("map", "darts 4\nroot 1\nsigmas " + "1 " * _N + "\n", 0, 2),
 }
 
 
-@pytest.mark.parametrize("name", list(LARGE_BAD_WORDS))
+@pytest.mark.parametrize("name", list(LARGE_BAD_TEXTS))
 def test_large_rejections_are_short(name, capsys):
     # the message names the fault's index and quotes at most 40 characters
     # around it, so the library and the CLI give one short line for a
-    # word of any length
-    kind, word = LARGE_BAD_WORDS[name]
-    text = "|".join([word] * (2 if kind == "sync-interval" else 3))
-    with pytest.raises(ParseError) as exc:
+    # text of any length
+    kind, text, index, status = LARGE_BAD_TEXTS[name]
+    with pytest.raises(ParseError if status == 2 else ValueError) as exc:
         LIBRARY_READERS[kind](text)
-    assert "at index %d in " % _N in str(exc.value)
+    assert "at index %d in " % index in str(exc.value)
     code, out, err = run(["convert", "--from", kind, "--to", "tree"], text, capsys=capsys)
-    assert (code, out) == (2, "")
-    assert err == "parse error: %s\n" % exc.value
+    assert (code, out) == (status, "")
+    assert err == "%s: %s\n" % ("parse error" if status == 2 else "invalid", exc.value)
     assert len(err.encode()) <= 200
 
 

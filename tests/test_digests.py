@@ -8,11 +8,12 @@ from itertools import product
 
 import pytest
 
-from conftest import random_sync_interval
+from conftest import canopies, random_sync_interval
 from tamarimaps import (
     DyckPath,
     SyncInterval,
     decompose_interval,
+    enumerate_canopy_intervals,
     enumerate_decorated_trees,
     enumerate_dyck_paths,
     enumerate_nonseparable,
@@ -125,16 +126,29 @@ def test_violation_texts_of_every_small_labelling():
 
 
 # the concatenated texts of each census, sizes in increasing order and each
-# size in output order
+# size in output order: Dyck paths of sizes 0-9, synchronized intervals of
+# sizes 0-7, and the 530 canopy intervals over every canopy of length 0-5
+# (canopies in lexicographic order, 'E' < 'N')
 CENSUS_DIGESTS = {
+    "dyck_paths": "e4b2a3245a9f1107c756be9f84c176d5bcc2dfbcc5b78681913dcc0f60591311",
+    "sync_intervals": "9e9d14e14e90222f3f61ae9f35401849cfda065c26cc54de45e4dd13d3278c7d",
+    "canopy_intervals": "cddd3a87ee75b11bab3603948cc2f4341ca51fd38a919693de6cfbf9897f5823",
     "decorated_trees": "ed820ea9693195147b7fe6646c790e455e71170f32329ef062ef3fe225788b8b",
     "nonseparable_by_composition": "99eea9eea01c9e96a95b3fbb2f137bcbbd6dc82a9b53bbdb27651afe83abc307",
     "nonseparable": "36d14ef374584b4801399524ed45b590fb2bd9be6c204a3b51b200c90195c65b",
 }
 
 
-def test_census_texts():
+def test_census_texts(sync_by_size):
     texts = {
+        "dyck_paths": "".join(P.word + "\n" for n in range(10) for P in enumerate_dyck_paths(n)),
+        "sync_intervals": "".join(I.to_text() + "\n" for n in range(8) for I in sync_by_size[n]),
+        "canopy_intervals": "".join(
+            C.to_text() + "\n"
+            for k in range(6)
+            for v in canopies(k)
+            for C in enumerate_canopy_intervals(v)
+        ),
         "decorated_trees": "".join(
             T.to_text() + "\n" for n in range(1, 8) for T in enumerate_decorated_trees(n)
         ),

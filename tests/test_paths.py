@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -201,7 +202,10 @@ class TestPathPair:
         PathPair(GridPath("NE"), GridPath("EN"))
 
     def test_rejects_crossing(self):
-        with pytest.raises(ValueError, match="^'EN' is not an element above the canopy 'NE'$"):
+        # the message names the first ordinate where the path passes the
+        # canopy, and quotes the east step that takes it below
+        message = "'E' at index 0 in 'EN' is not an element above the canopy: ordinate 0 has level 1 > 0"
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             PathPair(GridPath("EN"), GridPath("NE"))
 
     def test_rejects_length_mismatch(self):
@@ -209,5 +213,5 @@ class TestPathPair:
             PathPair(GridPath("EN"), GridPath("E"))
 
     def test_rejects_endpoint_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^paths of a pair must have equal endpoints$"):
             PathPair(GridPath("EE"), GridPath("EN"))

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from math import comb, factorial
 
 import pytest
@@ -150,6 +151,20 @@ class TestMapEquation:
 
     def test_first_row(self):
         assert solve_map_equation(3).row(1) == [0, 1]
+
+    def test_memory_is_quadratic_in_the_order(self):
+        # four scalar series per point, O(order^2) integers in all: 0.7 MB
+        # traced at order 50, where a solve that stores every power of A
+        # peaks at 4.4 MB; order 50, not more, because tracing every
+        # allocation makes the solve about 20 times slower
+        tracemalloc.start()
+        try:
+            M = solve_map_equation(50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 10**6
+        assert M.rows == solve_interval_equation(50).rows
 
     def test_rows_match_outer_face_histograms(self, maps_by_edges):
         # [t^n x^k]M counts the non-separable maps with n + 1 edges whose

@@ -1,3 +1,4 @@
+import re
 import random
 from functools import partial
 from itertools import product
@@ -269,10 +270,14 @@ class TestPathPairBijection:
 class TestIntervals:
     def test_sync_validation(self):
         SyncInterval(DyckPath("uuddud"), DyckPath("uududd"))
-        with pytest.raises(ValueError):
-            SyncInterval(DyckPath("udud"), DyckPath("uudd"))  # different types
-        with pytest.raises(ValueError):
-            SyncInterval(DyckPath("uududd"), DyckPath("uuddud"))  # wrong order
+        # different types: the first index where the type words differ
+        message = "paths have different types: 'N' at index 0 in 'N' vs 'E' at index 0 in 'E'"
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            SyncInterval(DyckPath("udud"), DyckPath("uudd"))
+        # wrong order: the first up step whose distance is larger in the lower path
+        message = "'u' at index 2 in 'uduududd' is not below 'u' at index 2 in 'uduuddud': distance 5 > 3"
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            SyncInterval(DyckPath("uduududd"), DyckPath("uduuddud"))
 
     def test_text_round_trip(self):
         I = SyncInterval(DyckPath("uuddud"), DyckPath("uududd"))
@@ -504,13 +509,19 @@ class TestSyncCanopyBijection:
 
     def test_canopy_interval_validation(self):
         CanopyInterval(GridPath("NE"), GridPath("EN"), GridPath("EN"))
-        with pytest.raises(ValueError):
+        # up step 1 of the two Dyck paths is the canopy's letter 0
+        message = "lower path is not below upper path above the canopy 'E' at index 0 in 'EN': distance 5 > 3"
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             CanopyInterval(GridPath("EN"), GridPath("NE"), GridPath("EN"))
-        # each element is checked against the canopy by its PathPair, lower first
-        for upper, lower, element in (("N", "E", "E"), ("E", "N", "E")):
-            with pytest.raises(
-                ValueError, match="^'%s' is not an element above the canopy 'N'$" % element
-            ):
+        # each element is checked against the canopy by its PathPair, lower
+        # first: 'EN' passes the canopy 'NE', and the other element is 'NE'
+        message = "'E' at index 0 in 'EN' is not an element above the canopy: ordinate 0 has level 1 > 0"
+        for upper, lower in (("NE", "EN"), ("EN", "NE")):
+            with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+                CanopyInterval(GridPath(upper), GridPath(lower), GridPath("NE"))
+        # elements whose endpoints are not the canopy's
+        for upper, lower in (("N", "E"), ("E", "N")):
+            with pytest.raises(ValueError, match="^paths of a pair must have equal endpoints$"):
                 CanopyInterval(GridPath(upper), GridPath(lower), GridPath("N"))
 
     def test_membership_is_checked_once(self, monkeypatch):
