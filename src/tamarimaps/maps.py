@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import ne
 
-from .paths import ParseError, _at, _read_int, _Value
+from .paths import ParseError, _at, _read_int, _TooManyDigits, _Value
 
 
 MapStats = namedtuple("MapStats", ["outer_face_degree", "root_vertex_degree", "edge_count"])
@@ -245,6 +245,8 @@ class PlanarMap(_Value):
             [n] = [_read_int(x) for x in fields["darts"]]
             [root] = [_read_int(x) for x in fields["root"]]
             sigma = [_read_int(x) - 1 for x in fields["sigma"]]
+        except _TooManyDigits:
+            raise
         except ValueError:
             raise ParseError("unreadable map text") from None
         if len(sigma) != n:

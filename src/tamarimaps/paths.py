@@ -15,7 +15,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from operator import le
+import sys
+from operator import add, le
 
 
 class ParseError(ValueError):
@@ -23,13 +24,27 @@ class ParseError(ValueError):
     text describing an object that breaks a condition (a plain ValueError)."""
 
 
+class _TooManyDigits(ParseError):
+    """An integer spelled right with more digits than ``int`` converts; its
+    message quotes the first digit past the limit, so a reader that hides a
+    misspelled token's text may pass this one on."""
+
+
 def _read_int(token: str) -> int:
     """An optional ``-`` and ASCII digits as an integer; other spellings
-    ``int`` takes (``+2``, ``1_0``, other digits) raise ParseError."""
+    ``int`` takes (``+2``, ``1_0``, other digits) raise ParseError, and more
+    digits than ``int`` converts raise :class:`_TooManyDigits`."""
     digits = token[1:] if token[:1] == "-" else token
     if not (digits.isascii() and digits.isdigit()):
         raise ParseError("not an integer: %r" % (token,))
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # more digits than the interpreter converts
+        limit = sys.get_int_max_str_digits()
+        raise _TooManyDigits(
+            "integer of %d digits, over the limit of %d: %s"
+            % (len(digits), limit, _at(token, len(token) - len(digits) + limit))
+        ) from None
 
 
 def _at(word: str, k: int) -> str:
@@ -80,9 +95,13 @@ class DyckPath(_Value):
     The constructor checks the word.  ``_set`` writes a word without the
     check; only a caller holding a proof that the word is a Dyck word may
     use it.  The heights and up positions come from one walk of the word,
-    made by the constructor or else the first time either is read; the
-    contact positions are computed from the heights on first use, unless
-    ``_set`` was handed them.
+    made by the constructor or else the first time either is read.  A
+    trusted path may be handed two facts instead: its contact positions, by
+    the composition and the split of intervals in ``tamari``, and its up
+    positions, by :func:`enumerate_dyck_paths`, which reads them off the
+    levels of :func:`lattice_words`; a path handed its up positions walks
+    its word only if its heights or contacts are read.  The type word is
+    read off the letters, with no walk, so it is never handed over.
 
     >>> P = DyckPath("uududd")
     >>> P.size
@@ -93,7 +112,7 @@ class DyckPath(_Value):
     2
     """
 
-    __slots__ = ("word", "size", "_walk", "_contacts", "_distances", "_type")
+    __slots__ = ("word", "size", "_heights", "_ups", "_contacts", "_distances", "_type")
 
     def __init__(self, word: str = ""):
         if word.count("u") + word.count("d") != len(word):
@@ -108,12 +127,13 @@ class DyckPath(_Value):
             last = len(word) - heights[::-1].index(0)
             raise ParseError("not a Dyck word (unbalanced): unmatched " + _at(word, last))
 
-    def _set(self, word, contacts=None):
-        """Write every slot and return the path; ``contacts``, when given,
-        is the tuple of its contact positions."""
+    def _set(self, word, contacts=None, ups=None):
+        """Write every slot and return the path; ``contacts`` and ``ups``,
+        when given, are the tuples of its contact and up positions."""
         self.word = word
         self.size = len(word) // 2
-        self._walk = None       # (heights, up positions), computed on first use
+        self._heights = None    # computed on first use, by the walk
+        self._ups = ups         # from the walk, unless handed over
         self._contacts = contacts
         self._distances = None  # distance vector (the matching), computed on first use
         self._type = None       # type word, computed on first use
@@ -121,9 +141,13 @@ class DyckPath(_Value):
 
     def _walked(self) -> tuple:
         """The heights and the up positions, from one walk (made once)."""
-        if self._walk is None:
-            self._walk = _walk(self.word)
-        return self._walk
+        if self._heights is None:
+            self._heights, self._ups = _walk(self.word)
+        return self._heights, self._ups
+
+    def _up_positions(self) -> tuple:
+        """The up positions, handed over or walked."""
+        return self._walked()[1] if self._ups is None else self._ups
 
     # -- basic protocol ----------------------------------------------------
 
@@ -146,7 +170,7 @@ class DyckPath(_Value):
         """Word position (1-based) of the i-th up step."""
         if not 1 <= i <= self.size:
             raise IndexError("up-step index %d out of range 1..%d" % (i, self.size))
-        return self._walked()[1][i - 1]
+        return self._up_positions()[i - 1]
 
     def match_up(self, i: int) -> int:
         """Word position of the down step matched with the i-th up step.
@@ -177,7 +201,7 @@ class DyckPath(_Value):
         """
         if self._distances is None:
             # the one matching loop: a down step closes the latest open up step
-            ups = self._walked()[1]
+            ups = self._up_positions()
             distances = [0] * self.size
             open_ups = []  # ranks of the up steps not yet matched
             k = 0
@@ -199,8 +223,11 @@ class DyckPath(_Value):
         'EN'
         """
         if self._type is None:
-            w = self.word
-            self._type = "".join(["E" if w[p] == "u" else "N" for p in self._walked()[1][:-1]])
+            # an up step followed by a down step gives N and one followed by
+            # an up step is left as u, for E, once the other down steps go;
+            # the last up step's letter, always N, is not in the type
+            w = self.word.replace("ud", "N").replace("d", "")
+            self._type = w.replace("u", "E")[:-1]
         return self._type
 
     def type_of(self) -> "GridPath":
@@ -366,14 +393,21 @@ class PathPair(_Value):
 def enumerate_dyck_paths(n: int) -> list:
     """All Dyck paths of size ``n`` in lexicographic word order ('d' < 'u'):
     the grid words above ``(NE)^n``, read with ``u`` for ``N`` and ``d``
-    for ``E``.
+    for ``E``.  The k-th up step has ``levels[k - 1]`` down steps and k - 1
+    up steps before it, so it sits at position ``levels[k - 1] + k`` of
+    each word and its levels from :func:`lattice_words`: each path is
+    handed its up positions, and no word is walked.
 
     >>> [P.word for P in enumerate_dyck_paths(2)]
     ['udud', 'uudd']
     """
     if n < 0:
         raise ValueError("size must be nonnegative")
-    return [object.__new__(DyckPath)._set(w) for w in lattice_words(range(n + 1), "d", "u")]
+    ranks = range(1, n + 1)
+    return [
+        object.__new__(DyckPath)._set(w, None, tuple(map(add, levels, ranks)))
+        for w, levels in lattice_words(range(n + 1), "d", "u")
+    ]
 
 
 def lattice_words(levels, low: str, high: str):
@@ -382,15 +416,20 @@ def lattice_words(levels, low: str, high: str):
     whose prefixes with y letters ``high`` have at most ``levels[y]``
     letters ``low`` (``levels`` weakly increasing): with a canopy's
     ``GridPath.levels()``, ``E`` and ``N``, the lattice elements above it.
-    Each word is the one before with its last ``low`` that can become
-    ``high`` changed, then the smallest completion, so nothing recurses.
+    Each word comes with its own levels: the number of letters ``low``
+    before each letter ``high``, then ``levels[-1]``, which for a grid word
+    are :meth:`GridPath.levels`.  Each word is the one before with its last
+    ``low`` that can become ``high`` changed, then the smallest completion,
+    so nothing recurses; the levels are kept on a stack beside the word.
 
     >>> list(lattice_words(GridPath("EN").levels(), "E", "N"))
-    ['EN', 'NE']
+    [('EN', (1, 1)), ('NE', (0, 1))]
     """
     top = len(levels) - 1
-    length = top + levels[-1]
+    last = levels[-1]
+    length = top + last
     word = []
+    xs = []  # the letters low before each letter high of the word
     x = y = 0  # the point the word reaches: letters low, letters high
     while True:
         while len(word) < length:  # the smallest completion
@@ -399,15 +438,18 @@ def lattice_words(levels, low: str, high: str):
                 x += 1
             else:
                 word.append(high)
+                xs.append(x)
                 y += 1
-        yield "".join(word)
+        yield "".join(word), (*xs, last)
         while word:
             if word.pop() == high:
+                xs.pop()
                 y -= 1
                 continue
             x -= 1
             if y < top:
                 word.append(high)
+                xs.append(x)
                 y += 1
                 break
         else:

@@ -82,41 +82,43 @@ def tam_covers(v: GridPath, v1: GridPath) -> list:
     For each valley (an east step followed by a north step) at point ``p``,
     the east step just before ``p`` is switched with the portion of the path
     from ``p`` to the first later point with the same horizontal distance.
+    Both are read off the levels of ``v1`` and ``v``, ordinate by ordinate:
+    ``v1`` has a valley where its level rises, and the horizontal distance
+    falls one per east step.  Each cover is written with the levels of
+    ``v1``, one less on the ordinates whose north steps the portion moves.
 
     >>> [c.word for c in tam_covers(GridPath("EN"), GridPath("EN"))]
     ['NE']
     """
     PathPair(v1, v)  # the membership check
     w = v1.word
-    levels = v.levels()
+    levels, mine = v.levels(), v1.levels()
     out = []
-    east = 0  # east steps in w[: t + 1]
-    for t in range(len(w) - 1):
-        east += w[t] == "E"
-        if w[t] == "E" and w[t + 1] == "N":
-            x = east
-            y = t + 1 - x
-            hd = levels[y] - x
-            j = t
-            for j in range(t + 1, len(w)):
-                if w[j] == "E":
-                    x += 1
-                else:
-                    y += 1
-                if levels[y] - x == hd:
-                    break
-            out.append(GridPath(w[:t] + w[t + 1 : j + 1] + "E" + w[j + 1 :]))
+    below = 0  # the level of v1 one ordinate below
+    for start, x in enumerate(mine[:-1]):
+        if x > below:  # a valley at p = (x, start)
+            hd = levels[start] - x
+            y = start + 1
+            while levels[y] - hd > mine[y]:  # the portion passes ordinate y
+                y += 1
+            # the portion ends at (levels[y] - hd, y): letters t + 1 .. j - 1
+            t, j = x + start - 1, levels[y] - hd + y
+            moved = (*mine[:start], *map((-1).__add__, mine[start:y]), *mine[y:])
+            out.append(object.__new__(GridPath)._set(w[:t] + w[t + 1 : j] + "E" + w[j:], moved))
+        below = x
     return sorted(set(out), key=lambda p: p.word)
 
 
 def enumerate_tam(v: GridPath) -> list:
     """All grid paths weakly above ``v`` with the same endpoints, in
-    lexicographic word order.
+    lexicographic word order, each written with the levels that
+    :func:`lattice_words` kept for it.
 
     >>> [p.word for p in enumerate_tam(GridPath("EN"))]
     ['EN', 'NE']
     """
-    return [GridPath(w) for w in lattice_words(v.levels(), "E", "N")]
+    elements = lattice_words(v.levels(), "E", "N")
+    return [object.__new__(GridPath)._set(w, levels) for w, levels in elements]
 
 
 def cover_closures(elements, covers) -> list:
@@ -437,7 +439,7 @@ def compose_intervals(pointed: PointedSyncInterval, other: SyncInterval) -> Sync
     """
     lower, upper, contacts = _join_words([_factor_words(pointed)])
     rest = other.lower
-    if rest._contacts is None and rest._walk is None:
+    if rest._contacts is None and rest._heights is None:
         contacts = None  # found on first use, as walking the rest now may be wasted
     else:
         contacts += tuple([len(lower) + c for c in rest.contact_positions()[1:]])
@@ -581,8 +583,10 @@ def enumerate_sync_intervals(n: int) -> list:
     """All synchronized intervals of size ``n``, ordered by word encodings.
     :func:`_distance_upsets` gives the up-sets of a type fiber F (only
     equal-type paths form one) in O(n |F|) big-integer operations, not
-    O(n |F|^2) comparisons.  The lower paths are walked in word order and each
-    fiber keeps it, so reading each up-set by ascending bit needs no sort.
+    O(n |F|^2) comparisons.  The lower paths are visited in word order and
+    each fiber keeps it, so reading each up-set by ascending bit needs no
+    sort.  The enumerated paths carry their up positions and read their
+    types off their letters, so the fibers and the distances walk no word.
 
     >>> [i.to_text() for i in enumerate_sync_intervals(2)]
     ['udud|udud', 'uudd|uudd']

@@ -27,7 +27,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from operator import itemgetter
 
-from .paths import DyckPath, ParseError, _read_int, _Value, enumerate_dyck_paths
+from .paths import DyckPath, ParseError, _at, _read_int, _Value, enumerate_dyck_paths
 
 # tokens of the flat code, never an int label; walks test them by identity
 OPEN = "("
@@ -273,15 +273,22 @@ class DecoratedTree(_Value):
         the code.  Any other token, or a code the constructor rejects,
         raises :class:`ParseError`; a readable tree may still break the
         decoration conditions (see :meth:`validate`)."""
+        tokens = text.replace("(", " ( ").replace(")", " ) ").split()
         code = []
-        for tok in text.replace("(", " ( ").replace(")", " ) ").split():
+        for tok in tokens:
             if tok == "(" or tok == ")":
                 code.append(OPEN if tok == "(" else CLOSE)
             else:
                 try:
                     code.append(_read_int(tok))
                 except ParseError:
-                    raise ParseError("bad token %r in tree text" % (tok,)) from None
+                    # find where the bad token starts: no token holds a
+                    # space, so each is the next match of its own text
+                    at = 0
+                    for t in tokens[: len(code)]:
+                        at = text.index(t, at) + len(t)
+                    at = text.index(tok, at)
+                    raise ParseError("bad token in tree text: " + _at(text, at)) from None
         try:
             return DecoratedTree(code)
         except ValueError as exc:
@@ -348,13 +355,16 @@ def enumerate_decorated_trees(n: int) -> list:
     the three conditions as soon as they apply.  Condition 1 is the label
     range, -1 up to the parent depth minus one; condition 3 constrains a
     leaf against earlier leaves of the same subtree; condition 2 is settled
-    when a node closes, right after its last leaf.  So every candidate
-    built is a decorated tree, and :meth:`DecoratedTree.is_valid` still
-    checks each one in full.  Every surviving prefix completes with -1
-    labels, so no list of prefixes outgrows the path's tree count.  Each
-    path's code template is built once and filled with the labels of each
-    candidate, which is written by ``DecoratedTree._set`` without the
-    constructor's structural loop.
+    when a node closes, right after its last leaf.  Each prefix keeps the
+    suffix minima of its labels beside them, so the condition-3 test of a
+    label is one lookup, and so is the condition-2 test of each node that
+    closes after the leaf; a longer prefix is built only for a label that
+    passes.  So every candidate built is a decorated tree, and
+    :meth:`DecoratedTree.is_valid` still checks each one in full.  Every
+    surviving prefix completes with -1 labels, so no list of prefixes
+    outgrows the path's tree count.  Each path's code template is built
+    once and filled with the labels of each candidate, which is written by
+    ``DecoratedTree._set`` without the constructor's structural loop.
 
     >>> len(enumerate_decorated_trees(2))
     2
@@ -367,7 +377,7 @@ def enumerate_decorated_trees(n: int) -> list:
         # l + 1, one entry per depth from 1 down to the leaf's parent
         firsts = []
         # per leaf: (first leaf, depth - 2) of each node that closes right
-        # after it, innermost first
+        # after it, outermost first
         closes = []
         # the code as indices into labels + (OPEN, CLOSE): leaf k is k
         template = [-2]
@@ -383,21 +393,29 @@ def enumerate_decorated_trees(n: int) -> list:
             else:
                 template.append(-1)
                 f = entered.pop()
-                closes[-1].append((f, len(entered) - 2))  # its depth is len(entered)
+                closes[-1].insert(0, (f, len(entered) - 2))  # its depth is len(entered)
         template.append(-1)
-        # one tuple of labels per prefix that passes conditions 2 and 3 so far
-        prefixes = [()]
+        # per prefix that passes conditions 2 and 3 so far, its labels and
+        # their suffix minima: mins[i] is the smallest of labels[i:], and
+        # mins[len(labels)] is n, above any label
+        prefixes = [((), (n,))]
         for first, closing in zip(firsts, closes):
-            prefixes = [
-                longer
-                for labels in prefixes
-                for label in range(-1, len(first))
-                if label < 0 or min(labels[first[label]:], default=label) >= label
-                for longer in [(*labels, label)]
-                if all(min(longer[f:]) <= bound for f, bound in closing)
-            ]
+            longer = []
+            for labels, mins in prefixes:
+                # condition 2: a node closing after the leaf with no leaf
+                # <= its bound yet needs the leaf's label at most that bound;
+                # bounds shrink outwards, so the outermost such node caps it
+                # below condition 1's cap, the parent depth minus one
+                top = next((bound for f, bound in closing if mins[f] > bound), len(first) - 1)
+                for label in range(-1, top + 1):
+                    if label < 0 or mins[first[label]] >= label:  # condition 3
+                        i = bisect_left(mins, label)  # mins is weakly increasing
+                        longer.append(
+                            ((*labels, label), (*mins[:i], *[label] * (len(mins) - i), n))
+                        )
+            prefixes = longer
         fill = itemgetter(*template)
-        for labels in prefixes:
+        for labels, _mins in prefixes:
             tree = object.__new__(DecoratedTree)._set(fill((*labels, OPEN, CLOSE)))
             if tree.is_valid():
                 out.append(tree)

@@ -424,8 +424,10 @@ class TestLibraryParity:
 # middle: a bad letter, a prefix below 0, an up step never matched and a bad
 # grid letter (parse errors, in one word repeated); two paths of different
 # types, two paths out of order, an element below its canopy, a canopy
-# interval out of order (invalid objects); a bad map line (a parse error).
-# Each entry is (kind, text, index the message names, exit status).
+# interval out of order (invalid objects); a bad map line, a bad tree token
+# (a letter, a lone sign) and a tree label and a map field of more digits
+# than int() converts (parse errors).  Each entry is (kind, text, index the
+# message names, exit status).
 _N = 10**5
 _UD = "ud" * (_N // 2)
 _NE = "NE" * (_N // 2)
@@ -444,6 +446,13 @@ LARGE_BAD_TEXTS = {
     # their Dyck paths' first longer up step is the canopy's letter _N
     "canopy order": ("canopy-interval", "|".join(["EN" * (_N + 1), _EN + "NE" + _EN, "EN" * (_N + 1)]), _N, 1),
     "map line": ("map", "darts 4\nroot 1\nsigmas " + "1 " * _N + "\n", 0, 2),
+    # the tree reader names where the bad token starts in the text
+    "tree token": ("tree", "(777" + "a" * (2 * _N - 3) + ")", 1, 2),
+    "tree sign": ("tree", "(( -1 " + "-" * (2 * _N) + "))", 6, 2),
+    "tree digits": ("tree", "((" + "1" * (2 * _N) + "))", 2, 2),
+    # the integer reader names the first digit past the interpreter's limit
+    "map digits": ("map", "darts 2\nroot 1\nsigma 2 " + "1" * (2 * _N) + "\n",
+                   sys.get_int_max_str_digits(), 2),
 }
 
 

@@ -105,8 +105,29 @@ class TestEnumeration:
             assert [P.word for P in enumerate_dyck_paths(n)] == dyck
 
     def test_lattice_words_of_a_canopy(self):
-        assert list(lattice_words(GridPath("EEN").levels(), "E", "N")) == ["EEN", "ENE", "NEE"]
-        assert list(lattice_words((0,), "E", "N")) == [""]
+        words = list(lattice_words(GridPath("EEN").levels(), "E", "N"))
+        assert [w for w, _levels in words] == ["EEN", "ENE", "NEE"]
+        assert [levels for _w, levels in words] == [(2, 2), (1, 2), (0, 2)]
+        assert [w for w, _levels in lattice_words((0,), "E", "N")] == [""]
+        assert list(lattice_words((0,), "E", "N")) == [("", (0,))]
+
+    def test_enumerated_paths_have_the_walked_facts(self):
+        # each path is handed its up positions by the enumerator; its type
+        # word must read as defined, one letter per up step but the last
+        # (E when an up step follows it), and its other facts must be the
+        # constructor's; the handed facts are read before any walk
+        for n in range(11):
+            for P in enumerate_dyck_paths(n):
+                F = DyckPath(P.word)
+                heights, ups = F._walked()
+                assert P._heights is None and P._ups == ups
+                assert P.type_word() == "".join(
+                    "E" if P.word[p] == "u" else "N" for p in ups[:-1]
+                )
+                assert P.distance_vector() == F.distance_vector()
+                assert P._heights is None
+                assert P.heights() == heights
+                assert P.contact_positions() == F.contact_positions()
 
 
 def _is_dyck(word):

@@ -182,6 +182,16 @@ class TestCanopyLattice:
         with pytest.raises(ValueError):
             tam_covers(GridPath("NE"), GridPath("EN"))
 
+    def test_elements_and_covers_have_the_walked_levels(self):
+        # enumerate_tam and tam_covers write each path with levels they did
+        # not walk: those of lattice_words, and those of the covered element
+        # less one where the rotation moves a north step left
+        for v in (v for k in range(9) for v in canopies(k)):
+            for e in enumerate_tam(v):
+                assert e.levels() == GridPath(e.word).levels()
+                for c in tam_covers(v, e):
+                    assert c.levels() == GridPath(c.word).levels()
+
     def test_covers_stay_in_lattice(self):
         # tam_covers checks its input only, so this is the check on its output
         for v in (v for k in range(8) for v in canopies(k)):
@@ -292,6 +302,16 @@ class TestIntervals:
             "uudd|uudd",
         ]
         assert len(enumerate_sync_intervals(5)) == 91
+
+    def test_census_walks_no_word(self, monkeypatch):
+        # the enumerated paths carry their up positions and read their type
+        # off their letters, so neither the fibers nor the distance vectors
+        # walk a word
+        walked = []
+        walk = paths._walk
+        monkeypatch.setattr(paths, "_walk", lambda word: walked.append(word) or walk(word))
+        assert len(enumerate_sync_intervals(8)) == closed_form(7)
+        assert walked == []
 
     def test_counts_match_closed_form(self, sync_by_size):
         for n in range(1, 10):
@@ -492,6 +512,17 @@ class TestSyncCanopyBijection:
             assert count_canopy_intervals_of_length(n) == closed_form(n)
         with pytest.raises(ValueError, match="^size must be nonnegative$"):
             count_canopy_intervals_of_length(-1)
+
+    def test_canopy_census_walks_only_the_canopies(self, monkeypatch):
+        # the elements and the covers are written with their levels, so the
+        # public constructor runs once per canopy: 2^7 times at length 7
+        built = []
+        init = GridPath.__init__
+        monkeypatch.setattr(
+            GridPath, "__init__", lambda self, word="": built.append(word) or init(self, word)
+        )
+        assert count_canopy_intervals_of_length(7) == closed_form(7)
+        assert len(built) == 2 ** 7
 
     def test_canopy_fibers_at_length_two(self):
         sizes = {v.word: len(enumerate_canopy_intervals(v)) for v in canopies(2)}

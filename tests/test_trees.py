@@ -13,6 +13,7 @@ from tamarimaps import (
     tree_to_upper,
 )
 from tamarimaps import trees
+from tamarimaps.paths import _at
 from tamarimaps.trees import OPEN, contour_tree, _preorder
 
 
@@ -56,9 +57,10 @@ class TestTextForm:
     def test_labels_are_ascii_integers(self):
         # int() also takes these three; the text reads the same from any source
         for label in ("1_0", "+1", "\u0663"):
+            text = "((%s))" % (label,)
             with pytest.raises(ParseError) as info:
-                tree("((%s))" % (label,))
-            assert str(info.value) == "bad token %r in tree text" % (label,)
+                tree(text)
+            assert str(info.value) == "bad token in tree text: %s" % (_at(text, 2),)
         assert tree("((007 -01))") == tree("((7 -1))")
 
     @pytest.mark.parametrize(
@@ -84,8 +86,10 @@ class TestTextForm:
         for size in range(6):
             for words in itertools.product(("(", ")", "-3", "-2", "-1", "0", "1", "x"), repeat=size):
                 text = " ".join(words)
-                T, expected = None, "bad token 'x' in tree text"
-                if "x" not in words:
+                T = None
+                if "x" in words:
+                    expected = "bad token in tree text: %s" % (_at(text, text.index("x")),)
+                else:
                     try:
                         T = DecoratedTree([structure.get(w) or int(w) for w in words])
                     except ValueError as exc:
